@@ -9,7 +9,7 @@ stats, larger is better) and contrasts three scouting philosophies:
   equally important, both above playmaking.
 
 Also demonstrates the output-size estimator (Section 8 / future work)
-and the algorithm chooser built on it.
+and the planner's per-query algorithm choice built on it.
 
 Usage::
 
@@ -20,11 +20,12 @@ import sys
 
 import numpy as np
 
-from repro import Relation, Stats, highest, p_skyline
+from repro import Relation, Stats, highest
 from repro.data.nba import NBA_ATTRIBUTES, nba_dataset
-from repro.estimation import choose_algorithm, estimate_pskyline_size
+from repro.estimation import estimate_pskyline_size
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
+from repro.planner import Planner
 
 
 def main() -> None:
@@ -47,6 +48,7 @@ def main() -> None:
     }
 
     rng = np.random.default_rng(0)
+    planner = Planner(sample_size=128, rng=rng)
     for description, text in queries.items():
         expr = parse(text)
         graph = PGraph.from_expression(expr)
@@ -54,13 +56,13 @@ def main() -> None:
         ranks = -data[:, [NBA_ATTRIBUTES.index(n) for n in names]]
         estimate = estimate_pskyline_size(ranks, graph, rng,
                                           sample_size=128)
-        picked = choose_algorithm(ranks, graph, rng, sample_size=128)
+        plan = planner.plan(ranks, graph)
         stats = Stats()
-        result = p_skyline(seasons, expr, algorithm=picked, stats=stats)
+        result = seasons.take(plan.execute(ranks, graph, stats=stats))
         print(f"\n{description}")
         print(f"  pi            = {expr}")
         print(f"  estimated v   ~ {estimate:8.1f}")
-        print(f"  chosen algo   = {picked}")
+        print(f"  chosen algo   = {plan.algorithm} ({plan.reason})")
         print(f"  actual v      = {len(result)}  "
               f"({100 * len(result) / rows:.2f}% of seasons)")
         best = max(result.to_records(), key=lambda r: r["pts"])

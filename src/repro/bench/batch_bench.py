@@ -1,8 +1,7 @@
 """Measurement core for cross-query batch fusion.
 
-Two measurements, shared by the ``BENCH_8.json`` perf gate
-(:mod:`repro.bench.perf_gate`) and the ``repro-skyline batch-bench``
-CLI subcommand:
+Two measurements behind the ``fusion`` tier of the perf gate
+(:mod:`repro.bench.perf_gate`, baseline ``BENCH_8.json``):
 
 * :func:`measure_fused_batch` -- one pinned *correlated* workload
   (elicitation-derived statements from

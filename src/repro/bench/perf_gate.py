@@ -1,263 +1,163 @@
-"""The CI performance gate: pinned workloads, committed baseline.
+"""The CI performance gate: one registry of pinned-workload tiers.
 
-``python -m repro.bench.perf_gate`` runs a fixed set of workloads --
-per-kernel ``screen_block`` microbenchmarks at three dimensionalities
-plus end-to-end runs of the scan and divide-and-conquer algorithms --
-and writes a JSON artifact (``BENCH_4.json`` at the repo root is the
-committed baseline).  ``--check`` compares a fresh run against the
-baseline and fails on regressions beyond tolerance.
+``repro-skyline gate [TIER ...] [--check] [--quick] [--out DIR]`` (or
+``python -m repro.bench.perf_gate``, the same parser) runs the named
+tiers and writes one JSON artifact per tier into ``--out`` (default
+``bench-out/``), named after the tier's committed baseline
+(``BENCH_4.json`` ... ``BENCH_10.json`` at the repo root), so a baseline
+is only regenerated by an explicit ``--out .``.  With no tier named it
+prints the host tag -- cores, per-backend availability with its reason,
+the thread budget with its source and layer -- and the tier catalogue.
 
-Three classes of checks, ordered from strict to loose:
+Every tier is declared once in :data:`TIERS`: its baseline file, a
+workload function returning the artifact payload, and a tuple of
+declarative :class:`Check` objects of five kinds:
 
-* **work counters** (survivor counts, output sizes) are deterministic
-  given the pinned seeds and must match the baseline exactly;
-* **speedup ratios** (bitmask over GEMM, measured within the current
-  run) are machine-independent to first order and must stay above
-  ``--min-speedup``;
-* **wall-clock timings** are machine-dependent, so they are only
-  compared against the baseline with a generous ``--time-factor``.
+* ``floor`` / ``ceiling`` -- a within-run timing ratio (speedups,
+  overheads) against a module constant; machine-independent to first
+  order, but unmeasured on quick workloads;
+* ``equal`` -- a within-run exact equality (cache counters, survivor
+  parity, fallback resolution);
+* ``exact`` -- a work counter equal to the baseline's (deterministic
+  given the pinned seeds: survivors, output sizes, fusion counters);
+* ``close`` -- a structural counter within :data:`COUNTER_TOLERANCE`
+  of the baseline's (tie-breaking in ``argpartition``/``argsort`` may
+  shift slightly across NumPy versions);
+* ``time`` -- wall time under :data:`TIME_FACTOR` times the
+  baseline's, applied only between identically shaped hosts
+  (``cpu_count`` + ``thread_budget`` of the ``host`` tag; untagged
+  baselines always compare).
 
-Structural counters (dominance tests, recursion) may shift slightly
-across NumPy versions (tie-breaking in ``argpartition``/``argsort``),
-so they get a relative tolerance rather than exact equality.
-
-A second artifact, ``BENCH_5.json``, gates the persistent worker pool
-(:mod:`repro.engine.pool`): a pinned low-output workload run serially,
-on a cold fork-per-query pool and on a warm pool, plus a batch of
-pinned p-expressions answered warm versus as independent cold calls
-(:mod:`repro.bench.pool_bench`).  Warm-over-cold and batch-over-cold
-ratios gate everywhere; the warm-over-*serial* speedup only gates on
-hosts with as many cores as workers -- on smaller hosts it degrades to
-a bounded-overhead check recorded as a waiver in the artifact.
-
-A third artifact, ``BENCH_6.json``, gates the sharded relation layer
-(:mod:`repro.core.sharding`): the maintained serve path -- tree-merging
-the tracked per-shard skylines on a warm pool -- must beat a monolithic
-warm scatter/gather over the same pinned workload, and per-row inserts
-into a sharded maintainer must stay within a small constant factor of a
-single flat maintainer (:mod:`repro.bench.shard_bench`).  The serve
-speedup degrades to the same bounded-overhead waiver as the pool gate
-on hosts with fewer cores than workers; the insert-overhead ratio is
-core-count independent and gates everywhere.
-
-A fourth artifact, ``BENCH_7.json``, gates the query server
-(:mod:`repro.server`): a pinned correlated workload of 64
-elicitation-derived statements is replayed by 4 concurrent clients with
-the result cache disabled and then warm (:mod:`repro.bench.
-server_bench`).  Warm serving must beat cache-disabled serving by
-``MIN_CACHE_SPEEDUP`` (core-count independent -- a hit skips
-evaluation entirely), cache counters must be exact after a clear (one
-miss per distinct statement), forced shedding must flag every answer
-partial, and p99 latency is recorded; baseline qps/p99 comparisons are
-advisory on hosts with fewer cores than clients (waiver recorded in
-the artifact).
-
-A fifth artifact, ``BENCH_8.json``, gates cross-query batch fusion
-(:mod:`repro.core.fusion`): a pinned correlated batch of 64
-elicitation-derived statements answered by the fused
-:meth:`~repro.sql.PreferenceSQL.execute_batch` versus the pre-fusion
-sequential path (:mod:`repro.bench.batch_bench`).  The fused run must
-be ``MIN_FUSED_SPEEDUP`` times faster -- core-count independent, the
-ratio measures work removed, not parallelism -- its fusion counters
-(dedup hits, groups, base evaluations, shared-mask hits/misses) are
-deterministic and must match the baseline exactly, and every committed
-regression-corpus entry must survive the ``fused-batch`` metamorphic
-axis (fused == unfused) with zero mismatches.
-
-A sixth artifact, ``BENCH_9.json``, gates the compiled ``native``
-kernel backend (:mod:`repro.core.native`): the BENCH_4 screening
-workloads re-timed ``native`` versus ``bitmask``.  With numba importable
-the compiled kernel must win by :data:`MIN_NATIVE_SPEEDUP` (advisory on
-single-core hosts); without it the same artifact instead certifies the
-graceful fallback -- ``select_kernel("native")`` resolves to
-``"bitmask"``, the recorded reason is precise, and survivor counters
-stay exact -- so the gate passes on any machine, compiled or not.
-
-A seventh artifact, ``BENCH_10.json``, gates the intra-worker thread
-layer (:mod:`repro.engine.threads` + the tiled/``prange`` screening in
-:mod:`repro.core.dominance`): the BENCH_4 screening workloads re-timed
-at a thread budget of 1 versus :data:`THREAD_GATE_BUDGET`.  On hosts
-with at least :data:`THREAD_GATE_MIN_CORES` cores and the compiled
-parallel layer up, the threaded screen must win by
-:data:`MIN_THREADED_SPEEDUP`; everywhere else the same runs instead
-certify bit-exact survivor parity across budgets (the tiled path still
-executes -- an explicit budget forces it), plus the pool topology
-invariant: a pooled query records a per-worker budget of exactly 1 in
-``stats.extra["pool"]["thread_budget"]``.  Timing-drift comparisons
-only engage when current and baseline carry the same ``host`` shape
-tag (``cpu_count`` + ``thread_budget``), so baselines travel across
-machines without false alarms.
+A check that cannot be measured on this host or at this scale -- fewer
+cores than workers, no compiled backend, quick workloads, no comparable
+baseline -- is *waived*: each waiver is a predicate on the artifact's
+host tag or scale, and a waived check records ``"unmeasured: <reason>"``,
+never a pass.  Every artifact carries the resulting ``verdicts`` map
+(check -> ``pass`` / ``fail: ...`` / ``unmeasured: ...``); ``--check``
+exits non-zero when any verdict fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
+import os
 import random
 import time
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..core.bitsets import iter_bits
 
-__all__ = ["kernel_workload", "run_kernel_bench", "run_algorithm_bench",
-           "run_gate", "compare", "run_parallel_gate", "compare_parallel",
-           "run_sharded_gate", "compare_sharded", "run_server_gate",
-           "compare_server", "run_batch_gate", "compare_batch",
-           "run_native_gate", "compare_native", "run_threaded_bench",
-           "run_threaded_gate", "compare_threaded", "main"]
-
-SCHEMA = "repro-perf-gate/1"
-PARALLEL_SCHEMA = "repro-perf-gate-parallel/1"
-SHARDED_SCHEMA = "repro-perf-gate-sharded/1"
-SERVER_SCHEMA = "repro-perf-gate-server/1"
-FUSION_SCHEMA = "repro-perf-gate-fusion/1"
-NATIVE_SCHEMA = "repro-perf-gate-native/1"
-THREADS_SCHEMA = "repro-perf-gate-threads/1"
+__all__ = ["Check", "Tier", "TIERS", "host_tag", "evaluate", "render",
+           "kernel_workload", "run_kernel_bench", "run_algorithm_bench",
+           "run_threaded_bench", "run_gate", "run_native_gate",
+           "run_threaded_gate", "run_parallel_gate", "run_sharded_gate",
+           "run_server_gate", "run_batch_gate", "main"]
 
 #: Pinned workload parameters.  Changing any of these invalidates the
-#: committed baseline -- regenerate it in the same commit.
+#: committed baselines -- regenerate them (``--out .``) in the same
+#: commit.
 SEED = 2015
 KERNEL_DIMS = (4, 8, 16)
 KERNEL_ROWS = 100_000
 ALGO_ROWS = 20_000
 ALGO_DIMS = 6
 GATE_ALGORITHMS = ("bnl", "sfs", "less", "salsa", "osdc")
-
-#: Default gate thresholds (see the module docstring).
-MIN_SPEEDUP = 2.0
-TIME_FACTOR = 5.0
-COUNTER_TOLERANCE = 0.2
-
-#: Pinned workloads of the worker-pool gate (``BENCH_5.json``).
 PARALLEL_ROWS = 500_000
 PARALLEL_DIMS = 6
 PARALLEL_WORKERS = 4
 BATCH_ROWS = 64_000
 BATCH_QUERIES = 16
-
-#: Worker-pool gate thresholds.  ``MIN_PARALLEL_SPEEDUP`` (warm pool
-#: over serial OSDC) only engages on hosts with at least
-#: ``PARALLEL_WORKERS`` cores -- a single-core box cannot speed anything
-#: up by partitioning, so there the gate degrades to a bounded-overhead
-#: check (warm pooled time at most ``SINGLE_CORE_OVERHEAD`` times the
-#: serial time) and the waiver is recorded in the artifact.  The
-#: warm-over-cold and batch-amortisation checks measure orchestration
-#: savings (process start-up, shared-memory registration), which are
-#: real on any core count, so they engage everywhere.
-MIN_PARALLEL_SPEEDUP = 2.0
-SINGLE_CORE_OVERHEAD = 2.5
-MIN_WARM_OVER_COLD = 1.5
-MIN_BATCH_SPEEDUP = 2.5
-
-#: Pinned workloads of the sharded-relation gate (``BENCH_6.json``).
 SHARDED_ROWS = 100_000
 SHARDED_DIMS = 6
 SHARDED_SHARDS = 4
 SHARDED_WORKERS = 4
 INSERT_BASE_ROWS = 20_000
 INSERT_STREAM = 2_000
-
-#: Sharded-relation gate thresholds.  The serve path merges only the
-#: tracked per-shard skylines -- a few hundred rows instead of the full
-#: relation -- so on a multi-core host it must beat a monolithic warm
-#: scatter/gather by ``MIN_SHARDED_SPEEDUP``; with fewer cores than
-#: workers the check degrades to the same bounded-overhead waiver as
-#: the pool gate.  A routed insert touches exactly one shard, so the
-#: ``MAX_INSERT_OVERHEAD`` ratio is core-count independent and gates
-#: everywhere.
-MIN_SHARDED_SPEEDUP = 1.3
-MAX_INSERT_OVERHEAD = 1.2
-
-#: Pinned workload of the query-server gate (``BENCH_7.json``): a
-#: correlated, elicitation-derived 64-statement workload replayed by 4
-#: concurrent clients (:mod:`repro.bench.server_bench`).
 SERVER_ROWS = 20_000
 SERVER_DIMS = 5
 SERVER_STATEMENTS = 64
 SERVER_CLIENTS = 4
-
-#: Query-server gate thresholds.  A warm result cache answers repeated
-#: statements with a dictionary lookup instead of a skyline evaluation,
-#: so the cached-over-uncached throughput ratio is core-count
-#: *independent* and gates everywhere
-#: (``MIN_CACHE_SPEEDUP``).  Cache counters after a clear and one
-#: sequential pass are deterministic -- exactly one miss per distinct
-#: statement -- and must match exactly.  Wall-clock qps/p99 comparisons
-#: against the committed baseline only engage on hosts with at least
-#: ``SERVER_CLIENTS`` cores; below that they are advisory (waiver
-#: recorded in the artifact).
-MIN_CACHE_SPEEDUP = 2.0
-
-#: Pinned workload of the batch-fusion gate (``BENCH_8.json``): a
-#: correlated, elicitation-derived 64-statement batch -- including a
-#: fraction of unrefined Pareto intents, the contained base members the
-#: shared-mask screening path refines from -- answered fused versus
-#: sequentially (:mod:`repro.bench.batch_bench`).
 FUSION_ROWS = 40_000
 FUSION_DIMS = 6
 FUSION_QUERIES = 64
 FUSION_INTENTS = 6
 FUSION_CORPUS = "tests/corpus"
-
-#: Batch-fusion gate threshold.  The speedup compares two runs of the
-#: same single-process engine on the same workload, so it measures work
-#: removed by deduplication and shared-base screening -- core-count
-#: independent, it gates everywhere.  The fusion counters are
-#: deterministic given the pinned seed and must match the baseline
-#: exactly.
-MIN_FUSED_SPEEDUP = 2.0
-
-#: Compiled-backend gate threshold (``BENCH_9.json``): the numba
-#: ``native`` kernel must beat the packed ``bitmask`` kernel on the
-#: BENCH_4 screening workloads.  The ratio compares two single-threaded
-#: kernels within one run, so it is core-count independent to first
-#: order; on a single-core host the check degrades to an advisory
-#: waiver (scheduler noise between the two timed passes dominates).
-#: When numba is absent or fails to compile, the gate instead enforces
-#: the graceful-fallback contract: ``select_kernel("native")`` must
-#: resolve to ``"bitmask"`` and survivor counters must match the
-#: baseline exactly -- so the suite passes identically, via fallback,
-#: on a machine without numba.
-MIN_NATIVE_SPEEDUP = 2.0
-
-#: Thread-layer gate (``BENCH_10.json``): the screen budget the
-#: threaded pass runs at, the core floor below which the speedup check
-#: degrades to a parity waiver, and the required threaded-over-serial
-#: ratio on compiled multi-core hosts.  Parity (bit-exact survivors at
-#: every budget) and the 1-thread-per-pool-worker invariant are
-#: core-count independent and gate everywhere.
 THREAD_GATE_BUDGET = 4
-THREAD_GATE_MIN_CORES = 4
+
+#: Baseline tolerances: structural counters may drift by this relative
+#: amount; wall time must stay under this factor (shared CI runners).
+COUNTER_TOLERANCE = 0.2
+TIME_FACTOR = 10.0
+
+#: Within-run floors and ceilings.  The pooled and sharded speedups
+#: need at least as many cores as workers; below that they are waived
+#: and only the ``SINGLE_CORE_OVERHEAD`` ceiling (which any passing
+#: speedup satisfies too) bounds the orchestration cost.  The
+#: warm-over-cold, batch, cache, fusion and insert ratios measure work
+#: or start-up removed, so they gate on every host.  The native
+#: speedup needs the compiled backend (without it the fallback
+#: contract gates instead); the threaded speedup needs the compiled
+#: parallel layer and ``THREAD_GATE_MIN_CORES`` cores.
+MIN_SPEEDUP = 2.0
+MIN_PARALLEL_SPEEDUP = 2.0
+SINGLE_CORE_OVERHEAD = 2.5
+MIN_WARM_OVER_COLD = 1.5
+MIN_BATCH_SPEEDUP = 2.5
+MIN_SHARDED_SPEEDUP = 1.3
+MAX_INSERT_OVERHEAD = 1.2
+MIN_CACHE_SPEEDUP = 2.0
+MIN_FUSED_SPEEDUP = 2.0
+MIN_NATIVE_SPEEDUP = 2.0
 MIN_THREADED_SPEEDUP = 1.5
+THREAD_GATE_MIN_CORES = 4
 
 
-def _host_shape() -> dict:
-    """The ``host`` tag stamped into BENCH artifacts: timing-drift
-    comparisons only engage between identically shaped hosts."""
-    import os
+# -- host tag ----------------------------------------------------------------
 
-    from ..engine.threads import effective_budget
+def host_tag() -> dict:
+    """The ``host`` stamped into every artifact.
 
-    return {"cpu_count": os.cpu_count() or 1,
-            "thread_budget": effective_budget()}
-
-
-def _same_host_shape(current: dict, baseline: dict | None) -> bool:
-    """True when baseline timings are comparable to the current run.
-
-    Untagged artifacts (committed before the tag existed) keep the old
-    always-compare behavior; once both sides carry a ``host`` tag, a
-    mismatch in ``cpu_count`` / ``thread_budget`` skips wall-clock
-    drift checks (counters still gate exactly).
+    ``cpu_count`` and ``thread_budget`` are the host *shape* that
+    wall-time checks compare; the rest reports each kernel backend's
+    availability (with the reason an optional one is off) and the
+    thread budget's source and parallel layer.
     """
-    shape = current.get("host")
-    base = (baseline or {}).get("host")
-    if not shape or not base:
-        return True
-    return shape == base
+    from ..core import native
+    from ..core.dominance import KERNELS
+    from ..engine.threads import budget_source
 
+    budget, source = budget_source()
+    backends = {}
+    for name in KERNELS:
+        ok, reason = (native.availability() if name == "native"
+                      else (True, None))
+        backends[name] = "available" if ok else f"unavailable ({reason})"
+    parallel, why = native.parallel_availability()
+    return {"cpu_count": os.cpu_count() or 1, "thread_budget": budget,
+            "budget_source": source,
+            "layer": "prange-native" if parallel
+            else f"tiled (compiled parallel layer unavailable: {why})",
+            "backends": backends}
+
+
+def _shape(artifact: dict) -> dict | None:
+    host = artifact.get("host")
+    return host and {key: host.get(key)
+                     for key in ("cpu_count", "thread_budget")}
+
+
+def _artifact(schema: str, quick: bool, workload: dict, **payload) -> dict:
+    return {"schema": schema,
+            "workload": {"seed": SEED, "quick": quick, **workload},
+            "cores": os.cpu_count() or 1, "host": host_tag(), **payload}
+
+
+# -- workloads ---------------------------------------------------------------
 
 def _pinned_case(rows: int, dims: int, seed: int):
     """The deterministic ``(ranks, graph)`` pair for one workload."""
@@ -358,553 +258,37 @@ def run_algorithm_bench(name: str, ranks: np.ndarray, graph) -> dict:
     }
 
 
-def run_gate(*, seed: int = SEED, quick: bool = False) -> dict:
-    """Run every pinned workload; return the JSON-serialisable artifact."""
+def run_gate(*, quick: bool = False) -> dict:
+    """The ``kernels`` tier: per-kernel screens plus scan/D&C runs."""
+    from ..core.dominance import native_available
+
     kernel_rows = 4_000 if quick else KERNEL_ROWS
     algo_rows = 2_000 if quick else ALGO_ROWS
-    kernels = [run_kernel_bench(dims, kernel_rows, seed)
-               for dims in KERNEL_DIMS]
+    kernels = [run_kernel_bench(dims, kernel_rows) for dims in KERNEL_DIMS]
     # scalar parity probe: tiny, but pins all three families to the same
     # survivor count on a shared workload
-    parity = run_kernel_bench(KERNEL_DIMS[0], 400, seed,
+    parity = run_kernel_bench(KERNEL_DIMS[0], 400,
                               kernels=("bitmask", "gemm", "scalar"))
     parity["name"] = "scalar-parity-d4"
     # too small to gate on a timing ratio -- only survivor parity matters
     parity.pop("speedup_bitmask_over_gemm", None)
-    ranks, graph = _pinned_case(algo_rows, ALGO_DIMS, seed)
+    ranks, graph = _pinned_case(algo_rows, ALGO_DIMS, SEED)
     algorithms = [run_algorithm_bench(name, ranks, graph)
                   for name in GATE_ALGORITHMS]
-    from ..core.dominance import native_available
-    return {
-        "schema": SCHEMA,
-        "native_available": native_available(),
-        "host": _host_shape(),
-        "workload": {
-            "seed": seed,
-            "quick": quick,
-            "kernel_rows": kernel_rows,
-            "kernel_dims": list(KERNEL_DIMS),
-            "algorithm_rows": algo_rows,
-            "algorithm_dims": ALGO_DIMS,
-            "algorithms": list(GATE_ALGORITHMS),
-        },
-        "kernels": kernels + [parity],
-        "algorithms": algorithms,
-    }
+    return _artifact(
+        "repro-perf-gate/1", quick,
+        {"kernel_rows": kernel_rows, "kernel_dims": list(KERNEL_DIMS),
+         "algorithm_rows": algo_rows, "algorithm_dims": ALGO_DIMS,
+         "algorithms": list(GATE_ALGORITHMS)},
+        native_available=native_available(), kernels=kernels + [parity],
+        algorithms=algorithms)
 
 
-def _close(current: float, baseline: float, tolerance: float) -> bool:
-    scale = max(abs(baseline), 1.0)
-    return abs(current - baseline) <= tolerance * scale
-
-
-def compare(current: dict, baseline: dict | None, *,
-            min_speedup: float = MIN_SPEEDUP,
-            time_factor: float = TIME_FACTOR,
-            counter_tolerance: float = COUNTER_TOLERANCE) -> list[str]:
-    """Gate a fresh artifact; return the list of violations (empty = ok).
-
-    ``baseline`` may be ``None`` (no committed baseline yet): the
-    within-run checks -- kernel agreement and speedup thresholds -- still
-    apply.
-    """
-    violations: list[str] = []
-    base_kernels = {record["name"]: record
-                    for record in (baseline or {}).get("kernels", [])}
-    base_algorithms = {record["name"]: record
-                      for record in (baseline or {}).get("algorithms", [])}
-    # the auto policy legitimately resolves to "native" only when the
-    # compiled backend is importable; when the two runs differ on that,
-    # a kernel-name difference is expected, not drift
-    same_backend = (current.get("native_available", False)
-                    == (baseline or {}).get("native_available", False))
-    # wall-clock drift checks only engage between identically shaped
-    # hosts (cpu_count + thread_budget); counters always gate
-    same_shape = _same_host_shape(current, baseline)
-    for record in current.get("kernels", []):
-        speedup = record.get("speedup_bitmask_over_gemm")
-        if speedup is not None and speedup < min_speedup:
-            violations.append(
-                f"{record['name']}: bitmask speedup over gemm is "
-                f"{speedup:.2f}x, below the {min_speedup:.2f}x gate")
-        base = base_kernels.get(record["name"])
-        if base is None:
-            continue
-        if record["survivors"] != base["survivors"]:
-            violations.append(
-                f"{record['name']}: survivors {record['survivors']} != "
-                f"baseline {base['survivors']}")
-        for kernel, seconds in record["timings"].items():
-            base_seconds = base.get("timings", {}).get(kernel)
-            if same_shape and base_seconds and \
-                    seconds > base_seconds * time_factor:
-                violations.append(
-                    f"{record['name']}/{kernel}: {seconds:.4f}s is more "
-                    f"than {time_factor:.1f}x the baseline "
-                    f"{base_seconds:.4f}s")
-    for record in current.get("algorithms", []):
-        base = base_algorithms.get(record["name"])
-        if base is None:
-            continue
-        if record["output_size"] != base["output_size"]:
-            violations.append(
-                f"{record['name']}: output size {record['output_size']} "
-                f"!= baseline {base['output_size']}")
-        if same_backend and record["kernel"] != base["kernel"]:
-            violations.append(
-                f"{record['name']}: kernel policy drifted to "
-                f"{record['kernel']!r} (baseline {base['kernel']!r})")
-        for counter in ("dominance_tests", "passes", "recursive_calls"):
-            if not _close(record[counter], base[counter],
-                          counter_tolerance):
-                violations.append(
-                    f"{record['name']}: {counter} {record[counter]} "
-                    f"drifted more than {counter_tolerance:.0%} from "
-                    f"baseline {base[counter]}")
-        base_seconds = base.get("seconds")
-        if same_shape and base_seconds and \
-                record["seconds"] > base_seconds * time_factor:
-            violations.append(
-                f"{record['name']}: {record['seconds']:.4f}s is more than "
-                f"{time_factor:.1f}x the baseline {base_seconds:.4f}s")
-    return violations
-
-
-def run_parallel_gate(*, seed: int = SEED, quick: bool = False) -> dict:
-    """Run the worker-pool workloads; returns the ``BENCH_5`` artifact."""
-    import os
-
-    from .pool_bench import measure_batch, measure_parallel
-
-    parallel_rows = 40_000 if quick else PARALLEL_ROWS
-    batch_rows = 8_000 if quick else BATCH_ROWS
-    batch_queries = 6 if quick else BATCH_QUERIES
-    cores = os.cpu_count() or 1
-    parallel = measure_parallel(parallel_rows, PARALLEL_DIMS,
-                                workers=PARALLEL_WORKERS, seed=seed)
-    batch = measure_batch(batch_rows, PARALLEL_DIMS,
-                          queries=batch_queries,
-                          workers=PARALLEL_WORKERS, seed=seed)
-    from ..core.dominance import native_available
-    artifact = {
-        "schema": PARALLEL_SCHEMA,
-        "native_available": native_available(),
-        "host": _host_shape(),
-        "workload": {
-            "seed": seed,
-            "quick": quick,
-            "parallel_rows": parallel_rows,
-            "batch_rows": batch_rows,
-            "batch_queries": batch_queries,
-            "dims": PARALLEL_DIMS,
-            "workers": PARALLEL_WORKERS,
-        },
-        "cores": cores,
-        "parallel": parallel,
-        "batch": batch,
-    }
-    if cores < PARALLEL_WORKERS:
-        artifact["waivers"] = [
-            f"host has {cores} core(s) < {PARALLEL_WORKERS} workers: the "
-            f"{MIN_PARALLEL_SPEEDUP:.1f}x parallel-over-serial check is "
-            f"replaced by the {SINGLE_CORE_OVERHEAD:.1f}x bounded-"
-            "overhead check"]
-    return artifact
-
-
-def compare_parallel(current: dict, baseline: dict | None, *,
-                     min_parallel_speedup: float = MIN_PARALLEL_SPEEDUP,
-                     single_core_overhead: float = SINGLE_CORE_OVERHEAD,
-                     min_warm_over_cold: float = MIN_WARM_OVER_COLD,
-                     min_batch_speedup: float = MIN_BATCH_SPEEDUP,
-                     time_factor: float = TIME_FACTOR,
-                     counter_tolerance: float = COUNTER_TOLERANCE
-                     ) -> list[str]:
-    """Gate a fresh ``BENCH_5`` artifact (see :data:`MIN_PARALLEL_SPEEDUP`
-    for the core-count scaling); returns the violations (empty = ok)."""
-    violations: list[str] = []
-    parallel = current["parallel"]
-    batch = current["batch"]
-    cores = current.get("cores", 1)
-
-    # -- within-run checks (no baseline needed) -----------------------------
-    if parallel["speedup_warm_over_cold"] < min_warm_over_cold:
-        violations.append(
-            f"{parallel['name']}: warm pool is only "
-            f"{parallel['speedup_warm_over_cold']:.2f}x faster than a "
-            f"cold fork-per-query pool, below the "
-            f"{min_warm_over_cold:.2f}x gate")
-    if cores >= current["workload"]["workers"]:
-        if parallel["speedup_warm_over_serial"] < min_parallel_speedup:
-            violations.append(
-                f"{parallel['name']}: warm pooled run is only "
-                f"{parallel['speedup_warm_over_serial']:.2f}x faster "
-                f"than serial OSDC on {cores} cores, below the "
-                f"{min_parallel_speedup:.2f}x gate")
-    elif parallel["warm_seconds"] > \
-            parallel["serial_seconds"] * single_core_overhead:
-        violations.append(
-            f"{parallel['name']}: warm pooled run takes "
-            f"{parallel['warm_seconds']:.4f}s vs {parallel['serial_seconds']:.4f}s "
-            f"serial on a {cores}-core host -- beyond the "
-            f"{single_core_overhead:.1f}x bounded-overhead waiver")
-    if batch["speedup_batch_over_cold"] < min_batch_speedup:
-        violations.append(
-            f"{batch['name']}: warm batch is only "
-            f"{batch['speedup_batch_over_cold']:.2f}x faster than "
-            f"{batch['queries']} cold parallel calls, below the "
-            f"{min_batch_speedup:.2f}x gate")
-
-    # -- baseline checks ----------------------------------------------------
-    if baseline is not None:
-        base_parallel = baseline["parallel"]
-        base_batch = baseline["batch"]
-        if parallel["output_size"] != base_parallel["output_size"]:
-            violations.append(
-                f"{parallel['name']}: output size "
-                f"{parallel['output_size']} != baseline "
-                f"{base_parallel['output_size']}")
-        if parallel["chunk_skylines"] != base_parallel["chunk_skylines"]:
-            violations.append(
-                f"{parallel['name']}: chunk skylines "
-                f"{parallel['chunk_skylines']} != baseline "
-                f"{base_parallel['chunk_skylines']}")
-        if (current.get("native_available", False)
-                == baseline.get("native_available", False)) and \
-                parallel["kernel"] != base_parallel["kernel"]:
-            violations.append(
-                f"{parallel['name']}: kernel policy drifted to "
-                f"{parallel['kernel']!r} (baseline "
-                f"{base_parallel['kernel']!r})")
-        for counter in ("serial_dominance_tests",
-                        "pooled_dominance_tests"):
-            if not _close(parallel[counter], base_parallel[counter],
-                          counter_tolerance):
-                violations.append(
-                    f"{parallel['name']}: {counter} {parallel[counter]} "
-                    f"drifted more than {counter_tolerance:.0%} from "
-                    f"baseline {base_parallel[counter]}")
-        if batch["output_sizes"] != base_batch["output_sizes"]:
-            violations.append(
-                f"{batch['name']}: per-query output sizes differ from "
-                "the baseline")
-        if _same_host_shape(current, baseline):
-            for record, base in ((parallel, base_parallel),
-                                 (batch, base_batch)):
-                for key in ("warm_seconds", "cold_seconds"):
-                    if base.get(key) and \
-                            record[key] > base[key] * time_factor:
-                        violations.append(
-                            f"{record['name']}/{key}: {record[key]:.4f}s "
-                            f"is more than {time_factor:.1f}x the "
-                            f"baseline {base[key]:.4f}s")
-    return violations
-
-
-def run_sharded_gate(*, seed: int = SEED, quick: bool = False) -> dict:
-    """Run the sharded-relation workloads; returns the ``BENCH_6``
-    artifact."""
-    import os
-
-    from .shard_bench import measure_insert_overhead, measure_sharded
-
-    sharded_rows = 10_000 if quick else SHARDED_ROWS
-    insert_base = 4_000 if quick else INSERT_BASE_ROWS
-    insert_stream = 400 if quick else INSERT_STREAM
-    cores = os.cpu_count() or 1
-    sharded = measure_sharded(sharded_rows, SHARDED_DIMS,
-                              shards=SHARDED_SHARDS,
-                              workers=SHARDED_WORKERS, seed=seed)
-    insert = measure_insert_overhead(insert_base, insert_stream,
-                                     SHARDED_DIMS,
-                                     shards=SHARDED_SHARDS, seed=seed)
-    artifact = {
-        "schema": SHARDED_SCHEMA,
-        "workload": {
-            "seed": seed,
-            "quick": quick,
-            "sharded_rows": sharded_rows,
-            "insert_base_rows": insert_base,
-            "insert_stream": insert_stream,
-            "dims": SHARDED_DIMS,
-            "shards": SHARDED_SHARDS,
-            "workers": SHARDED_WORKERS,
-        },
-        "cores": cores,
-        "host": _host_shape(),
-        "sharded": sharded,
-        "insert": insert,
-    }
-    if cores < SHARDED_WORKERS:
-        artifact["waivers"] = [
-            f"host has {cores} core(s) < {SHARDED_WORKERS} workers: the "
-            f"{MIN_SHARDED_SPEEDUP:.1f}x serve-over-monolithic check is "
-            f"replaced by the {SINGLE_CORE_OVERHEAD:.1f}x bounded-"
-            "overhead check"]
-    return artifact
-
-
-def compare_sharded(current: dict, baseline: dict | None, *,
-                    min_sharded_speedup: float = MIN_SHARDED_SPEEDUP,
-                    max_insert_overhead: float = MAX_INSERT_OVERHEAD,
-                    single_core_overhead: float = SINGLE_CORE_OVERHEAD,
-                    time_factor: float = TIME_FACTOR) -> list[str]:
-    """Gate a fresh ``BENCH_6`` artifact (see :data:`MIN_SHARDED_SPEEDUP`
-    for the core-count scaling); returns the violations (empty = ok)."""
-    violations: list[str] = []
-    sharded = current["sharded"]
-    insert = current["insert"]
-    cores = current.get("cores", 1)
-
-    # -- within-run checks (no baseline needed) -----------------------------
-    if cores >= current["workload"]["workers"]:
-        if sharded["speedup_serve_over_monolithic"] < min_sharded_speedup:
-            violations.append(
-                f"{sharded['name']}: maintained serve is only "
-                f"{sharded['speedup_serve_over_monolithic']:.2f}x faster "
-                f"than the monolithic scatter/gather on {cores} cores, "
-                f"below the {min_sharded_speedup:.2f}x gate")
-    elif sharded["serve_seconds"] > \
-            sharded["monolithic_seconds"] * single_core_overhead:
-        violations.append(
-            f"{sharded['name']}: maintained serve takes "
-            f"{sharded['serve_seconds']:.4f}s vs "
-            f"{sharded['monolithic_seconds']:.4f}s monolithic on a "
-            f"{cores}-core host -- beyond the "
-            f"{single_core_overhead:.1f}x bounded-overhead waiver")
-    if insert["insert_overhead"] > max_insert_overhead:
-        violations.append(
-            f"{insert['name']}: per-row inserts into the sharded "
-            f"maintainer cost {insert['insert_overhead']:.2f}x a single "
-            f"flat maintainer, above the {max_insert_overhead:.2f}x gate")
-
-    # -- baseline checks ----------------------------------------------------
-    if baseline is not None:
-        base_sharded = baseline["sharded"]
-        base_insert = baseline["insert"]
-        for key in ("output_size", "shard_skylines", "shard_rows",
-                    "version"):
-            if sharded[key] != base_sharded[key]:
-                violations.append(
-                    f"{sharded['name']}: {key} {sharded[key]} != "
-                    f"baseline {base_sharded[key]}")
-        for key in ("output_size", "shard_skylines"):
-            if insert[key] != base_insert[key]:
-                violations.append(
-                    f"{insert['name']}: {key} {insert[key]} != "
-                    f"baseline {base_insert[key]}")
-        if _same_host_shape(current, baseline):
-            for record, base, keys in (
-                    (sharded, base_sharded,
-                     ("monolithic_seconds", "scatter_seconds",
-                      "serve_seconds")),
-                    (insert, base_insert,
-                     ("single_seconds", "sharded_seconds"))):
-                for key in keys:
-                    if base.get(key) and \
-                            record[key] > base[key] * time_factor:
-                        violations.append(
-                            f"{record['name']}/{key}: {record[key]:.4f}s "
-                            f"is more than {time_factor:.1f}x the "
-                            f"baseline {base[key]:.4f}s")
-    return violations
-
-
-def run_server_gate(*, seed: int = SEED, quick: bool = False) -> dict:
-    """Run the query-server workload; returns the ``BENCH_7``
-    artifact."""
-    import os
-
-    from .server_bench import measure_server
-
-    rows = 4_000 if quick else SERVER_ROWS
-    repeat = 1 if quick else 2
-    cores = os.cpu_count() or 1
-    server = measure_server(rows, SERVER_DIMS,
-                            statements=SERVER_STATEMENTS,
-                            clients=SERVER_CLIENTS, repeat=repeat,
-                            seed=seed)
-    artifact = {
-        "schema": SERVER_SCHEMA,
-        "workload": {
-            "seed": seed,
-            "quick": quick,
-            "rows": rows,
-            "dims": SERVER_DIMS,
-            "statements": SERVER_STATEMENTS,
-            "clients": SERVER_CLIENTS,
-            "repeat": repeat,
-        },
-        "cores": cores,
-        "host": _host_shape(),
-        "server": server,
-    }
-    if cores < SERVER_CLIENTS:
-        artifact["waivers"] = [
-            f"host has {cores} core(s) < {SERVER_CLIENTS} clients: "
-            "baseline qps/p99 comparisons are advisory; the "
-            f"{MIN_CACHE_SPEEDUP:.1f}x cache speedup and the exact "
-            "counter checks still gate"]
-    return artifact
-
-
-def compare_server(current: dict, baseline: dict | None, *,
-                   min_cache_speedup: float = MIN_CACHE_SPEEDUP,
-                   time_factor: float = TIME_FACTOR) -> list[str]:
-    """Gate a fresh ``BENCH_7`` artifact (see :data:`MIN_CACHE_SPEEDUP`);
-    returns the violations (empty = ok)."""
-    violations: list[str] = []
-    server = current["server"]
-    cores = current.get("cores", 1)
-    clients = current["workload"]["clients"]
-
-    # -- within-run checks (no baseline needed) -----------------------------
-    if server["speedup_cached_over_uncached"] < min_cache_speedup:
-        violations.append(
-            f"{server['name']}: warm-cache serving is only "
-            f"{server['speedup_cached_over_uncached']:.2f}x the "
-            f"cache-disabled throughput, below the "
-            f"{min_cache_speedup:.2f}x gate")
-    if server["cold_misses"] != server["distinct_statements"]:
-        violations.append(
-            f"{server['name']}: a sequential pass after a cache clear "
-            f"took {server['cold_misses']} misses, expected exactly "
-            f"{server['distinct_statements']} (one per distinct "
-            "statement)")
-    expected_hits = server["cold_queries"] - server["distinct_statements"]
-    if server["cold_hits"] != expected_hits:
-        violations.append(
-            f"{server['name']}: the sequential pass took "
-            f"{server['cold_hits']} hits, expected exactly "
-            f"{expected_hits} (one per repeated statement)")
-    if server["shed_partial"] != server["shed_queries"]:
-        violations.append(
-            f"{server['name']}: under forced shedding only "
-            f"{server['shed_partial']} of {server['shed_queries']} "
-            "answers were partial")
-    if server["errors"]:
-        violations.append(
-            f"{server['name']}: {server['errors']} request(s) errored")
-
-    # -- baseline checks ----------------------------------------------------
-    if baseline is not None:
-        base_server = baseline["server"]
-        if server["distinct_statements"] != \
-                base_server["distinct_statements"]:
-            violations.append(
-                f"{server['name']}: distinct_statements "
-                f"{server['distinct_statements']} != baseline "
-                f"{base_server['distinct_statements']}")
-        if cores >= clients and _same_host_shape(current, baseline):
-            for key in ("uncached_p99_ms", "warm_p99_ms"):
-                if base_server.get(key) and \
-                        server[key] > base_server[key] * time_factor:
-                    violations.append(
-                        f"{server['name']}/{key}: {server[key]:.2f}ms "
-                        f"is more than {time_factor:.1f}x the baseline "
-                        f"{base_server[key]:.2f}ms")
-            if base_server.get("warm_qps") and \
-                    server["warm_qps"] < \
-                    base_server["warm_qps"] / time_factor:
-                violations.append(
-                    f"{server['name']}/warm_qps: {server['warm_qps']:.0f} "
-                    f"is less than 1/{time_factor:.1f} of the baseline "
-                    f"{base_server['warm_qps']:.0f}")
-    return violations
-
-
-def run_batch_gate(*, seed: int = SEED, quick: bool = False,
-                   corpus: str = FUSION_CORPUS) -> dict:
-    """Run the batch-fusion workload; returns the ``BENCH_8``
-    artifact."""
-    import os
-
-    from .batch_bench import measure_fused_batch, replay_fused_batch_corpus
-
-    rows = 4_000 if quick else FUSION_ROWS
-    # keep the full batch width even in quick mode: the speedup is
-    # driven by the dedup/sharing ratio of the workload, not its size
-    queries = FUSION_QUERIES
-    batch = measure_fused_batch(rows, FUSION_DIMS, queries=queries,
-                                intents=FUSION_INTENTS, seed=seed)
-    replay = replay_fused_batch_corpus(corpus)
-    return {
-        "schema": FUSION_SCHEMA,
-        "workload": {
-            "seed": seed,
-            "quick": quick,
-            "rows": rows,
-            "dims": FUSION_DIMS,
-            "queries": queries,
-            "intents": FUSION_INTENTS,
-        },
-        "cores": os.cpu_count() or 1,
-        "host": _host_shape(),
-        "batch": batch,
-        "corpus": replay,
-    }
-
-
-def compare_batch(current: dict, baseline: dict | None, *,
-                  min_fused_speedup: float = MIN_FUSED_SPEEDUP,
-                  time_factor: float = TIME_FACTOR) -> list[str]:
-    """Gate a fresh ``BENCH_8`` artifact (see :data:`MIN_FUSED_SPEEDUP`);
-    returns the violations (empty = ok)."""
-    violations: list[str] = []
-    batch = current["batch"]
-    corpus = current["corpus"]
-
-    # -- within-run checks (no baseline needed) -----------------------------
-    if batch["speedup_fused_over_unfused"] < min_fused_speedup:
-        violations.append(
-            f"{batch['name']}: the fused batch is only "
-            f"{batch['speedup_fused_over_unfused']:.2f}x the sequential "
-            f"path, below the {min_fused_speedup:.2f}x gate")
-    if batch["dedup_hits"] != batch["queries"] - batch["distinct"]:
-        violations.append(
-            f"{batch['name']}: dedup_hits {batch['dedup_hits']} != "
-            f"queries - distinct "
-            f"({batch['queries']} - {batch['distinct']})")
-    if not corpus["cases"]:
-        violations.append(
-            "fused-batch corpus replay covered zero cases")
-    for mismatch in corpus["mismatches"]:
-        violations.append(f"fused-batch metamorphic mismatch: {mismatch}")
-
-    # -- baseline checks ----------------------------------------------------
-    if baseline is not None:
-        base_batch = baseline["batch"]
-        for key in ("queries", "distinct", "groups", "dedup_hits",
-                    "base_evaluations", "screened", "fallbacks",
-                    "mask_hits", "mask_misses", "output_sizes"):
-            if batch[key] != base_batch[key]:
-                violations.append(
-                    f"{batch['name']}: {key} {batch[key]} != baseline "
-                    f"{base_batch[key]}")
-        if _same_host_shape(current, baseline):
-            for key in ("unfused_seconds", "fused_seconds"):
-                if base_batch.get(key) and \
-                        batch[key] > base_batch[key] * time_factor:
-                    violations.append(
-                        f"{batch['name']}/{key}: {batch[key]:.4f}s is "
-                        f"more than {time_factor:.1f}x the baseline "
-                        f"{base_batch[key]:.4f}s")
-    return violations
-
-
-def run_native_gate(*, seed: int = SEED, quick: bool = False) -> dict:
-    """Run the compiled-backend workloads; returns the ``BENCH_9``
-    artifact.
-
-    The screening workloads are exactly BENCH_4's (same seeds, same
-    median split), re-timed ``bitmask`` versus ``native``.  When the
-    compiled backend is unavailable the ``native`` pass exercises the
-    graceful fallback instead (it resolves to a second bitmask run), and
-    the artifact records the precise reason plus the kernel the fallback
-    resolved to.
-    """
-    import os
-
+def run_native_gate(*, quick: bool = False) -> dict:
+    """The ``native`` tier: BENCH_4's screens re-timed ``native`` versus
+    ``bitmask``.  Without the compiled backend the ``native`` pass
+    exercises the graceful fallback (a second bitmask run) and the
+    artifact records the reason plus the kernel it resolved to."""
     from ..core import native as native_backend
     from ..core.dominance import select_kernel
 
@@ -912,93 +296,16 @@ def run_native_gate(*, seed: int = SEED, quick: bool = False) -> dict:
     available, reason = native_backend.availability()
     screens = []
     for dims in KERNEL_DIMS:
-        record = run_kernel_bench(dims, rows, seed,
-                                  kernels=("bitmask", "native"))
+        record = run_kernel_bench(dims, rows, kernels=("bitmask", "native"))
         record["name"] = f"native-screen-d{dims}"
         screens.append(record)
-    artifact = {
-        "schema": NATIVE_SCHEMA,
-        "workload": {
-            "seed": seed,
-            "quick": quick,
-            "kernel_rows": rows,
-            "kernel_dims": list(KERNEL_DIMS),
-        },
-        "cores": os.cpu_count() or 1,
-        "host": _host_shape(),
-        "native_available": available,
-        "native_reason": reason,
-        "fallback_kernel": select_kernel("native", d=KERNEL_DIMS[0],
-                                         pairs=1 << 20),
-        "screens": screens,
-    }
-    if not available:
-        artifact["waivers"] = [
-            f"compiled backend unavailable ({reason}): the "
-            f"{MIN_NATIVE_SPEEDUP:.1f}x native-over-bitmask check is "
-            "replaced by the fallback-parity check (native requests "
-            "resolve to bitmask; survivors stay exact)"]
-    elif (os.cpu_count() or 1) < 2:
-        artifact["waivers"] = [
-            "single-core host: the native-over-bitmask speedup is "
-            "advisory (scheduler noise dominates); survivor counters "
-            "still gate exactly"]
-    return artifact
-
-
-def compare_native(current: dict, baseline: dict | None, *,
-                   min_native_speedup: float = MIN_NATIVE_SPEEDUP,
-                   time_factor: float = TIME_FACTOR) -> list[str]:
-    """Gate a fresh ``BENCH_9`` artifact (see :data:`MIN_NATIVE_SPEEDUP`
-    for the fallback semantics); returns the violations (empty = ok)."""
-    violations: list[str] = []
-    available = current.get("native_available", False)
-    cores = current.get("cores", 1)
-
-    # -- within-run checks (no baseline needed) -----------------------------
-    expected_resolution = "native" if available else "bitmask"
-    if current.get("fallback_kernel") != expected_resolution:
-        violations.append(
-            f"select_kernel('native') resolved to "
-            f"{current.get('fallback_kernel')!r}, expected "
-            f"{expected_resolution!r} (native_available={available})")
-    if not available and not current.get("native_reason"):
-        violations.append(
-            "compiled backend unavailable but no reason was recorded")
-    for record in current.get("screens", []):
-        speedup = record.get("speedup_native_over_bitmask")
-        if available and cores >= 2 and (
-                speedup is None or speedup < min_native_speedup):
-            violations.append(
-                f"{record['name']}: native speedup over bitmask is "
-                f"{speedup if speedup is None else f'{speedup:.2f}x'}, "
-                f"below the {min_native_speedup:.2f}x gate")
-
-    # -- baseline checks ----------------------------------------------------
-    if baseline is not None:
-        base_screens = {record["name"]: record
-                        for record in baseline.get("screens", [])}
-        same_backend = available == baseline.get("native_available",
-                                                 False)
-        same_shape = _same_host_shape(current, baseline)
-        for record in current.get("screens", []):
-            base = base_screens.get(record["name"])
-            if base is None:
-                continue
-            if record["survivors"] != base["survivors"]:
-                violations.append(
-                    f"{record['name']}: survivors {record['survivors']} "
-                    f"!= baseline {base['survivors']}")
-            if not (same_backend and same_shape):
-                continue  # timings not comparable across backends/hosts
-            for kernel, seconds in record["timings"].items():
-                base_seconds = base.get("timings", {}).get(kernel)
-                if base_seconds and seconds > base_seconds * time_factor:
-                    violations.append(
-                        f"{record['name']}/{kernel}: {seconds:.4f}s is "
-                        f"more than {time_factor:.1f}x the baseline "
-                        f"{base_seconds:.4f}s")
-    return violations
+    return _artifact(
+        "repro-perf-gate-native/1", quick,
+        {"kernel_rows": rows, "kernel_dims": list(KERNEL_DIMS)},
+        native_available=available, native_reason=reason,
+        fallback_kernel=select_kernel("native", d=KERNEL_DIMS[0],
+                                      pairs=1 << 20),
+        screens=screens)
 
 
 def run_threaded_bench(dims: int, rows: int, seed: int = SEED,
@@ -1056,7 +363,7 @@ def run_threaded_bench(dims: int, rows: int, seed: int = SEED,
     return record
 
 
-def _pool_thread_budget_probe(seed: int, quick: bool) -> dict:
+def _pool_thread_budget_probe(quick: bool) -> dict:
     """One pooled query asserting the pool x threads topology.
 
     Pool workers own the cores; each must screen single-threaded.  The
@@ -1073,499 +380,535 @@ def _pool_thread_budget_probe(seed: int, quick: bool) -> dict:
         return {"available": False, "worker_thread_budget": None,
                 "expected_budget": WORKER_THREAD_BUDGET}
     rows = 4_000 if quick else 20_000
-    ranks, graph = _pinned_case(rows, PARALLEL_DIMS, seed)
+    ranks, graph = _pinned_case(rows, PARALLEL_DIMS, SEED)
     stats = Stats()
     context = ExecutionContext.create(stats=stats)
     result = parallel_osdc(ranks, graph, context=context, processes=2,
                            min_chunk=rows // 4, fresh_pool=True)
-    pool_stats = stats.extra.get("pool", {})
     return {
         "available": True,
         "rows": rows,
         "output_size": int(np.asarray(result).size),
-        "worker_thread_budget": pool_stats.get("thread_budget"),
+        "worker_thread_budget": stats.extra.get("pool", {}).get(
+            "thread_budget"),
         "expected_budget": WORKER_THREAD_BUDGET,
     }
 
 
-def run_threaded_gate(*, seed: int = SEED, quick: bool = False) -> dict:
-    """Run the thread-layer workloads; returns the ``BENCH_10``
-    artifact."""
-    import os
-
+def run_threaded_gate(*, quick: bool = False) -> dict:
+    """The ``threads`` tier: BENCH_4's screens at budget 1 versus
+    :data:`THREAD_GATE_BUDGET`, plus the pool topology probe."""
     from ..core import native as native_backend
 
     rows = 4_000 if quick else KERNEL_ROWS
-    cores = os.cpu_count() or 1
     available, reason = native_backend.availability()
     parallel_native, parallel_reason = \
         native_backend.parallel_availability()
-    screens = [run_threaded_bench(dims, rows, seed)
-               for dims in KERNEL_DIMS]
-    pool_probe = _pool_thread_budget_probe(seed, quick)
-    artifact = {
-        "schema": THREADS_SCHEMA,
-        "workload": {
-            "seed": seed,
-            "quick": quick,
-            "kernel_rows": rows,
-            "kernel_dims": list(KERNEL_DIMS),
-            "budget": THREAD_GATE_BUDGET,
-        },
-        "cores": cores,
-        "host": _host_shape(),
-        "native_available": available,
-        "native_reason": reason,
-        "parallel_native": parallel_native,
-        "parallel_reason": parallel_reason,
-        "screens": screens,
-        "pool": pool_probe,
-    }
-    waivers = []
-    if not (available and parallel_native):
-        waivers.append(
-            f"compiled parallel layer unavailable "
-            f"({parallel_reason or reason}): the "
-            f"{MIN_THREADED_SPEEDUP:.1f}x threaded-over-serial check is "
-            "replaced by bit-exact survivor parity across budgets")
-    elif cores < THREAD_GATE_MIN_CORES:
-        waivers.append(
-            f"host has {cores} core(s) < {THREAD_GATE_MIN_CORES}: the "
-            f"{MIN_THREADED_SPEEDUP:.1f}x threaded-over-serial check is "
-            "advisory; parity and the pool budget invariant still gate")
-    if waivers:
-        artifact["waivers"] = waivers
-    return artifact
+    return _artifact(
+        "repro-perf-gate-threads/1", quick,
+        {"kernel_rows": rows, "kernel_dims": list(KERNEL_DIMS),
+         "budget": THREAD_GATE_BUDGET},
+        native_available=available, native_reason=reason,
+        parallel_native=parallel_native, parallel_reason=parallel_reason,
+        screens=[run_threaded_bench(dims, rows) for dims in KERNEL_DIMS],
+        pool=_pool_thread_budget_probe(quick))
 
 
-def compare_threaded(current: dict, baseline: dict | None, *,
-                     min_threaded_speedup: float = MIN_THREADED_SPEEDUP,
-                     time_factor: float = TIME_FACTOR) -> list[str]:
-    """Gate a fresh ``BENCH_10`` artifact (see
-    :data:`MIN_THREADED_SPEEDUP` for when the speedup engages); returns
-    the violations (empty = ok)."""
-    violations: list[str] = []
-    cores = current.get("cores", 1)
-    compiled = (current.get("native_available", False)
-                and current.get("parallel_native", False))
-    enforce_speedup = compiled and cores >= THREAD_GATE_MIN_CORES
+def run_parallel_gate(*, quick: bool = False) -> dict:
+    """The ``pool`` tier (:mod:`repro.bench.pool_bench`)."""
+    from ..core.dominance import native_available
+    from .pool_bench import measure_batch, measure_parallel
 
-    # -- within-run checks (no baseline needed) -----------------------------
-    for record in current.get("screens", []):
-        if not record.get("parity", False):
-            violations.append(
-                f"{record['name']}: threaded survivors differ from "
-                f"serial at budget {record.get('budget')} -- the thread "
-                "layer must be bit-exact")
-        speedup = record.get("speedup_threaded_over_serial")
-        if enforce_speedup and (speedup is None
-                                or speedup < min_threaded_speedup):
-            shown = "missing" if speedup is None else f"{speedup:.2f}x"
-            violations.append(
-                f"{record['name']}: threaded-over-serial speedup is "
-                f"{shown} on {cores} cores, below the "
-                f"{min_threaded_speedup:.2f}x gate")
-    pool = current.get("pool") or {}
-    if pool.get("available") and \
-            pool.get("worker_thread_budget") != pool.get("expected_budget"):
-        violations.append(
-            f"pooled query recorded a per-worker thread budget of "
-            f"{pool.get('worker_thread_budget')!r}, expected "
-            f"{pool.get('expected_budget')!r} (pool x threads must not "
-            "multiply)")
-
-    # -- baseline checks ----------------------------------------------------
-    if baseline is not None:
-        base_screens = {record["name"]: record
-                        for record in baseline.get("screens", [])}
-        same_backend = (
-            current.get("native_available", False)
-            == baseline.get("native_available", False)
-            and current.get("parallel_native", False)
-            == baseline.get("parallel_native", False))
-        same_shape = _same_host_shape(current, baseline)
-        for record in current.get("screens", []):
-            base = base_screens.get(record["name"])
-            if base is None:
-                continue
-            if record["survivors"] != base["survivors"]:
-                violations.append(
-                    f"{record['name']}: survivors {record['survivors']} "
-                    f"!= baseline {base['survivors']}")
-            if not (same_backend and same_shape):
-                continue  # timings not comparable across hosts/backends
-            for key, seconds in record["timings"].items():
-                base_seconds = base.get("timings", {}).get(key)
-                if base_seconds and seconds > base_seconds * time_factor:
-                    violations.append(
-                        f"{record['name']}/{key}: {seconds:.4f}s is "
-                        f"more than {time_factor:.1f}x the baseline "
-                        f"{base_seconds:.4f}s")
-    return violations
+    parallel_rows = 40_000 if quick else PARALLEL_ROWS
+    batch_rows = 8_000 if quick else BATCH_ROWS
+    batch_queries = 6 if quick else BATCH_QUERIES
+    return _artifact(
+        "repro-perf-gate-parallel/1", quick,
+        {"parallel_rows": parallel_rows, "batch_rows": batch_rows,
+         "batch_queries": batch_queries, "dims": PARALLEL_DIMS,
+         "workers": PARALLEL_WORKERS},
+        native_available=native_available(),
+        parallel=measure_parallel(parallel_rows, PARALLEL_DIMS,
+                                  workers=PARALLEL_WORKERS, seed=SEED),
+        batch=measure_batch(batch_rows, PARALLEL_DIMS,
+                            queries=batch_queries,
+                            workers=PARALLEL_WORKERS, seed=SEED))
 
 
-def _render_threaded(artifact: dict) -> str:
-    layer = ("prange-native" if artifact.get("parallel_native")
-             else f"tiled fallback "
-                  f"({artifact.get('parallel_reason') or artifact.get('native_reason')})")
-    lines = [f"thread-layer gate ({artifact['cores']} core(s), "
-             f"budget {artifact['workload']['budget']}, {layer}):"]
-    for record in artifact["screens"]:
-        timings = "  ".join(
-            f"{key} {seconds * 1000:8.2f}ms"
-            for key, seconds in record["timings"].items())
-        speedup = record.get("speedup_threaded_over_serial")
-        parity = "exact" if record.get("parity") else "MISMATCH"
-        lines.append(
-            f"  {record['name']:>22}: {timings}  "
-            f"({speedup:.2f}x, parity {parity}, "
-            f"kernel={record['kernel']})")
-    pool = artifact.get("pool") or {}
-    if pool.get("available"):
-        lines.append(
-            f"  {'pool topology':>22}: per-worker thread budget "
-            f"{pool.get('worker_thread_budget')} "
-            f"(expected {pool.get('expected_budget')})")
-    for waiver in artifact.get("waivers", []):
-        lines.append(f"  waiver: {waiver}")
+def run_sharded_gate(*, quick: bool = False) -> dict:
+    """The ``shards`` tier (:mod:`repro.bench.shard_bench`)."""
+    from .shard_bench import measure_insert_overhead, measure_sharded
+
+    sharded_rows = 10_000 if quick else SHARDED_ROWS
+    insert_base = 4_000 if quick else INSERT_BASE_ROWS
+    insert_stream = 400 if quick else INSERT_STREAM
+    return _artifact(
+        "repro-perf-gate-sharded/1", quick,
+        {"sharded_rows": sharded_rows, "insert_base_rows": insert_base,
+         "insert_stream": insert_stream, "dims": SHARDED_DIMS,
+         "shards": SHARDED_SHARDS, "workers": SHARDED_WORKERS},
+        sharded=measure_sharded(sharded_rows, SHARDED_DIMS,
+                                shards=SHARDED_SHARDS,
+                                workers=SHARDED_WORKERS, seed=SEED),
+        insert=measure_insert_overhead(insert_base, insert_stream,
+                                       SHARDED_DIMS,
+                                       shards=SHARDED_SHARDS, seed=SEED))
+
+
+def run_server_gate(*, quick: bool = False) -> dict:
+    """The ``server`` tier (:mod:`repro.bench.server_bench`)."""
+    from .server_bench import measure_server
+
+    rows = 4_000 if quick else SERVER_ROWS
+    repeat = 1 if quick else 2
+    return _artifact(
+        "repro-perf-gate-server/1", quick,
+        {"rows": rows, "dims": SERVER_DIMS,
+         "statements": SERVER_STATEMENTS, "clients": SERVER_CLIENTS,
+         "repeat": repeat},
+        server=measure_server(rows, SERVER_DIMS,
+                              statements=SERVER_STATEMENTS,
+                              clients=SERVER_CLIENTS, repeat=repeat,
+                              seed=SEED))
+
+
+def run_batch_gate(*, quick: bool = False) -> dict:
+    """The ``fusion`` tier (:mod:`repro.bench.batch_bench`).  Quick
+    mode keeps the full batch width: the speedup is driven by the
+    dedup/sharing ratio of the workload, not its size."""
+    from .batch_bench import measure_fused_batch, replay_fused_batch_corpus
+
+    rows = 4_000 if quick else FUSION_ROWS
+    return _artifact(
+        "repro-perf-gate-fusion/1", quick,
+        {"rows": rows, "dims": FUSION_DIMS, "queries": FUSION_QUERIES,
+         "intents": FUSION_INTENTS},
+        batch=measure_fused_batch(rows, FUSION_DIMS,
+                                  queries=FUSION_QUERIES,
+                                  intents=FUSION_INTENTS, seed=SEED),
+        corpus=replay_fused_batch_corpus(FUSION_CORPUS))
+
+
+# -- checks ------------------------------------------------------------------
+
+#: A waiver: ``(current, baseline) -> reason`` (``None`` = not waived).
+Waiver = Callable[[dict, dict | None], str | None]
+
+#: kind -> (fails(got, want), failure detail template).
+_KINDS = {
+    "floor": (lambda got, want: got is None or got < want,
+              "{got} is below the {want} floor"),
+    "ceiling": (lambda got, want: got is None or got > want,
+                "{got} is above the {want} ceiling"),
+    "equal": (operator.ne, "{got} != expected {want}"),
+    "exact": (operator.ne, "{got} != baseline {want}"),
+    "close": (lambda got, want: abs(got - want)
+              > COUNTER_TOLERANCE * max(abs(want), 1.0),
+              f"{{got}} drifted more than {COUNTER_TOLERANCE:.0%} from "
+              "baseline {want}"),
+    "time": (lambda got, want: got >= want * TIME_FACTOR,
+             f"{{got}} is {TIME_FACTOR:g}x the baseline {{want}} or more"),
+}
+_BASELINE_KINDS = ("exact", "close", "time")
+
+
+@dataclass(frozen=True)
+class Check:
+    """One declarative check, applied to every record of ``section``.
+
+    ``section`` names the artifact key holding one record (a dict) or
+    several (a list, matched to the baseline's by ``name``); ``""`` is
+    the artifact itself.  The checked value is ``record[field]``, or
+    ``value(record)`` when given; a dict value (``timings``) is checked
+    per key.  ``limit`` is the floor, ceiling or expected value of the
+    within-run kinds (a callable receives the record).  ``where``
+    selects records; ``waivers`` are tried in order.
+    """
+
+    kind: str
+    section: str
+    field: str
+    limit: Any = None
+    value: Callable[[dict], Any] | None = None
+    waivers: tuple[Waiver, ...] = ()
+    where: Callable[[dict], bool] | None = None
+
+
+def _each(kind: str, section: str, fields: Sequence[str],
+          *waivers: Waiver) -> tuple[Check, ...]:
+    return tuple(Check(kind, section, field, waivers=waivers)
+                 for field in fields)
+
+
+def _no_baseline(current, baseline):
+    return None if baseline else "no committed baseline"
+
+
+def _scale_differs(current, baseline):
+    mine, theirs = (artifact.get("workload", {}).get("quick")
+                    for artifact in (current, baseline))
+    if None not in (mine, theirs) and mine != theirs:
+        return (f"{'quick' if mine else 'full'}-scale run, "
+                f"{'quick' if theirs else 'full'}-scale baseline")
+
+
+def _shape_differs(current, baseline):
+    mine, theirs = _shape(current), _shape(baseline)
+    if mine and theirs and mine != theirs:
+        return f"host shape {mine} differs from the baseline's {theirs}"
+
+
+def _quick_scale(current, baseline):
+    if current.get("workload", {}).get("quick"):
+        return "quick scale: workloads too small for a stable ratio"
+
+
+def _backend_differs(*keys: str) -> Waiver:
+    def waiver(current, baseline):
+        if any(current.get(key, False) != baseline.get(key, False)
+               for key in keys):
+            return f"{'/'.join(keys)} differs from the baseline's"
+    return waiver
+
+
+def _fewer_cores(need: int | Callable[[dict], int], noun: str,
+                 tail: str) -> Waiver:
+    def waiver(current, baseline):
+        cores = current.get("cores") or \
+            (current.get("host") or {}).get("cpu_count", 1)
+        floor = need(current) if callable(need) else need
+        if cores < floor:
+            return f"host has {cores} core(s) < {floor}{noun}: {tail}"
+    return waiver
+
+
+def _workload(key: str) -> Callable[[dict], int]:
+    return lambda artifact: artifact["workload"][key]
+
+
+def _native_off(current, baseline):
+    if not current.get("native_available"):
+        return (f"compiled backend unavailable "
+                f"({current.get('native_reason')}): the "
+                f"{MIN_NATIVE_SPEEDUP:.1f}x native-over-bitmask check is "
+                "replaced by the fallback-parity check (native requests "
+                "resolve to bitmask; survivors stay exact)")
+
+
+def _native_on(current, baseline):
+    if current.get("native_available"):
+        return "compiled backend available: no fallback reason to record"
+
+
+def _parallel_off(current, baseline):
+    if not (current.get("native_available")
+            and current.get("parallel_native")):
+        why = current.get("parallel_reason") or current.get("native_reason")
+        return (f"compiled parallel layer unavailable ({why}): the "
+                f"{MIN_THREADED_SPEEDUP:.1f}x threaded-over-serial check "
+                "is replaced by bit-exact survivor parity across budgets")
+
+
+def _pool_off(current, baseline):
+    if not (current.get("pool") or {}).get("available"):
+        return "worker pool unavailable on this host"
+
+
+def _records(section: str, artifact: dict | None) -> dict[str, dict]:
+    """``label -> record`` for one section of an artifact."""
+    if not artifact:
+        return {}
+    if not section:
+        return {"": artifact}
+    held = artifact.get(section)
+    if isinstance(held, list):
+        return {f"{section}[{record['name']}]": record for record in held}
+    return {section: held} if held is not None else {}
+
+
+def _show(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else repr(value)
+
+
+def _verdict(kind: str, got, want) -> str:
+    if kind == "time" and not want:
+        return "unmeasured: the baseline recorded no timing"
+    fails, detail = _KINDS[kind]
+    if fails(got, want):
+        return "fail: " + detail.format(got=_show(got), want=_show(want))
+    return "pass"
+
+
+def _verdicts(check: Check, current: dict, baseline: dict | None):
+    """``(key, verdict)`` for every record ``check`` covers."""
+    against = check.kind in _BASELINE_KINDS
+    waivers = check.waivers
+    if check.kind in ("floor", "ceiling"):  # timing ratios
+        waivers += (_quick_scale,)
+    if check.kind == "time":
+        waivers = (_shape_differs,) + waivers
+    if against:
+        waivers = (_no_baseline, _scale_differs) + waivers
+    reason = next(filter(None, (waiver(current, baseline)
+                                for waiver in waivers)), None)
+    bases = _records(check.section, baseline)
+    read = check.value or (lambda record: record.get(check.field))
+    for label, record in _records(check.section, current).items():
+        if check.where is not None and not check.where(record):
+            continue
+        key = f"{check.kind} {label + '.' if label else ''}{check.field}"
+        base = bases.get(label)
+        if reason is not None or (against and base is None):
+            yield key, f"unmeasured: {reason or 'no baseline record'}"
+            continue
+        got = read(record)
+        if against:
+            want = read(base)
+        else:
+            want = check.limit(record) if callable(check.limit) \
+                else check.limit
+        if isinstance(got, dict):  # per-key timings
+            for sub, value in got.items():
+                yield f"{key}.{sub}", _verdict(check.kind, value,
+                                               (want or {}).get(sub))
+        else:
+            yield key, _verdict(check.kind, got, want)
+
+
+@dataclass(frozen=True)
+class Tier:
+    """One gate tier: a workload, its committed baseline, its checks."""
+
+    name: str
+    baseline: str
+    about: str
+    workload: Callable[..., dict]
+    checks: tuple[Check, ...]
+
+
+def evaluate(tier: Tier, current: dict,
+             baseline: dict | None) -> dict[str, str]:
+    """The ``verdicts`` map of one artifact: check -> ``pass`` /
+    ``fail: <detail>`` / ``unmeasured: <reason>``."""
+    return {key: verdict for check in tier.checks
+            for key, verdict in _verdicts(check, current, baseline)}
+
+
+def _replaced(speedup: str) -> str:
+    return (f"the {speedup} check is replaced by the "
+            f"{SINGLE_CORE_OVERHEAD:.1f}x bounded-overhead check")
+
+
+TIERS: dict[str, Tier] = {tier.name: tier for tier in (
+    Tier("kernels", "BENCH_4.json",
+         "bitmask vs gemm screens at d=4/8/16 plus scan and "
+         "divide-and-conquer algorithm runs", run_gate, (
+             Check("floor", "kernels", "speedup_bitmask_over_gemm",
+                   MIN_SPEEDUP,  # the scalar-parity probe has no ratio
+                   where=lambda r: "speedup_bitmask_over_gemm" in r),
+             Check("exact", "kernels", "survivors"),
+             Check("time", "kernels", "timings"),
+             Check("exact", "algorithms", "output_size"),
+             Check("exact", "algorithms", "kernel",
+                   waivers=(_backend_differs("native_available"),)),
+             *_each("close", "algorithms",
+                    ("dominance_tests", "passes", "recursive_calls")),
+             Check("time", "algorithms", "seconds"))),
+    Tier("native", "BENCH_9.json",
+         "compiled native vs bitmask screens, or the graceful fallback "
+         "without numba", run_native_gate, (
+             Check("equal", "", "fallback_kernel",
+                   lambda a: "native" if a.get("native_available")
+                   else "bitmask"),
+             Check("equal", "", "native_reason", True,
+                   value=lambda a: bool(a.get("native_reason")),
+                   waivers=(_native_on,)),
+             Check("floor", "screens", "speedup_native_over_bitmask",
+                   MIN_NATIVE_SPEEDUP, waivers=(
+                       _native_off,
+                       _fewer_cores(2, "", "scheduler noise dominates "
+                                    "the native-over-bitmask speedup"))),
+             Check("exact", "screens", "survivors"),
+             Check("time", "screens", "timings",
+                   waivers=(_backend_differs("native_available"),)))),
+    Tier("threads", "BENCH_10.json",
+         f"screens at thread budget 1 vs {THREAD_GATE_BUDGET}, plus the "
+         "one-thread-per-pool-worker invariant", run_threaded_gate, (
+             Check("equal", "screens", "parity", True),
+             Check("floor", "screens", "speedup_threaded_over_serial",
+                   MIN_THREADED_SPEEDUP, waivers=(
+                       _parallel_off,
+                       _fewer_cores(THREAD_GATE_MIN_CORES, "",
+                                    f"the {MIN_THREADED_SPEEDUP:.1f}x "
+                                    "threaded-over-serial check is "
+                                    "advisory; parity and the pool budget "
+                                    "invariant still gate"))),
+             Check("equal", "pool", "worker_thread_budget",
+                   lambda r: r.get("expected_budget"),
+                   waivers=(_pool_off,)),
+             Check("exact", "screens", "survivors"),
+             Check("time", "screens", "timings",
+                   waivers=(_backend_differs("native_available",
+                                             "parallel_native"),)))),
+    Tier("pool", "BENCH_5.json",
+         "serial vs cold vs warm worker pool, and a warm query batch vs "
+         "cold calls", run_parallel_gate, (
+             Check("floor", "parallel", "speedup_warm_over_cold",
+                   MIN_WARM_OVER_COLD),
+             Check("floor", "parallel", "speedup_warm_over_serial",
+                   MIN_PARALLEL_SPEEDUP, waivers=(_fewer_cores(
+                       _workload("workers"), " workers",
+                       _replaced(f"{MIN_PARALLEL_SPEEDUP:.1f}x "
+                                 "parallel-over-serial")),)),
+             Check("ceiling", "parallel", "warm_over_serial",
+                   SINGLE_CORE_OVERHEAD,
+                   value=lambda r: r["warm_seconds"] / r["serial_seconds"]),
+             Check("floor", "batch", "speedup_batch_over_cold",
+                   MIN_BATCH_SPEEDUP),
+             *_each("exact", "parallel", ("output_size", "chunk_skylines")),
+             Check("exact", "parallel", "kernel",
+                   waivers=(_backend_differs("native_available"),)),
+             *_each("close", "parallel",
+                    ("serial_dominance_tests", "pooled_dominance_tests")),
+             Check("exact", "batch", "output_sizes"),
+             *_each("time", "parallel", ("warm_seconds", "cold_seconds")),
+             *_each("time", "batch", ("warm_seconds", "cold_seconds")))),
+    Tier("shards", "BENCH_6.json",
+         "maintained per-shard serve vs monolithic scatter/gather, and "
+         "sharded vs flat insert cost", run_sharded_gate, (
+             Check("floor", "sharded", "speedup_serve_over_monolithic",
+                   MIN_SHARDED_SPEEDUP, waivers=(_fewer_cores(
+                       _workload("workers"), " workers",
+                       _replaced(f"{MIN_SHARDED_SPEEDUP:.1f}x "
+                                 "serve-over-monolithic")),)),
+             Check("ceiling", "sharded", "serve_over_monolithic",
+                   SINGLE_CORE_OVERHEAD,
+                   value=lambda r: r["serve_seconds"]
+                   / r["monolithic_seconds"]),
+             Check("ceiling", "insert", "insert_overhead",
+                   MAX_INSERT_OVERHEAD),
+             *_each("exact", "sharded",
+                    ("output_size", "shard_skylines", "shard_rows",
+                     "version")),
+             *_each("exact", "insert", ("output_size", "shard_skylines")),
+             *_each("time", "sharded", ("monolithic_seconds",
+                                        "scatter_seconds", "serve_seconds")),
+             *_each("time", "insert", ("single_seconds",
+                                       "sharded_seconds")))),
+    Tier("server", "BENCH_7.json",
+         "correlated statements from concurrent clients, result cache "
+         "off vs warm", run_server_gate, (
+             Check("floor", "server", "speedup_cached_over_uncached",
+                   MIN_CACHE_SPEEDUP),
+             Check("equal", "server", "cold_misses",
+                   lambda r: r["distinct_statements"]),
+             Check("equal", "server", "cold_hits",
+                   lambda r: r["cold_queries"] - r["distinct_statements"]),
+             Check("equal", "server", "shed_partial",
+                   lambda r: r["shed_queries"]),
+             Check("equal", "server", "errors", 0),
+             Check("exact", "server", "distinct_statements"),
+             *_each("time", "server",
+                    ("uncached_p99_ms", "warm_p99_ms", "warm_seconds"),
+                    _fewer_cores(_workload("clients"), " clients",
+                                 "baseline qps/p99 comparisons are "
+                                 f"advisory; the {MIN_CACHE_SPEEDUP:.1f}x "
+                                 "cache speedup and the exact counter "
+                                 "checks still gate")))),
+    Tier("fusion", "BENCH_8.json",
+         "fused vs sequential execute_batch, plus the fused-batch "
+         "corpus replay", run_batch_gate, (
+             Check("floor", "batch", "speedup_fused_over_unfused",
+                   MIN_FUSED_SPEEDUP),
+             Check("equal", "batch", "dedup_hits",
+                   lambda r: r["queries"] - r["distinct"]),
+             Check("equal", "corpus", "cases", True,
+                   value=lambda r: r["cases"] > 0),
+             Check("equal", "corpus", "mismatches", []),
+             *_each("exact", "batch",
+                    ("queries", "distinct", "groups", "dedup_hits",
+                     "base_evaluations", "screened", "fallbacks",
+                     "mask_hits", "mask_misses", "output_sizes")),
+             *_each("time", "batch", ("unfused_seconds", "fused_seconds")))),
+)}
+
+
+# -- entry point -------------------------------------------------------------
+
+def _render_host(host: dict) -> str:
+    lines = [f"host: {host['cpu_count']} core(s)"]
+    lines += [f"  {name}: {state}"
+              for name, state in host["backends"].items()]
+    lines.append(f"  threads: budget {host['thread_budget']} "
+                 f"({host['budget_source']}), layer {host['layer']}")
     return "\n".join(lines)
 
 
-def _render_native(artifact: dict) -> str:
-    state = "compiled" if artifact["native_available"] else \
-        f"fallback ({artifact['native_reason']})"
-    lines = [f"native-backend gate ({artifact['cores']} core(s), "
-             f"{state}):"]
-    for record in artifact["screens"]:
-        timings = "  ".join(
-            f"{kernel} {seconds * 1000:8.2f}ms"
-            for kernel, seconds in record["timings"].items())
-        speedup = record.get("speedup_native_over_bitmask")
-        suffix = f"  ({speedup:.2f}x native over bitmask)" \
-            if speedup is not None and artifact["native_available"] \
-            else ""
-        lines.append(
-            f"  {record['name']:>20}: {timings}  "
-            f"survivors={record['survivors']}{suffix}")
-    lines.append(
-        f"  {'resolution':>20}: select_kernel('native') -> "
-        f"{artifact['fallback_kernel']!r}")
-    for waiver in artifact.get("waivers", []):
-        lines.append(f"  waiver: {waiver}")
+def render(tier: Tier, artifact: dict) -> str:
+    """One line per verdict, under a per-tier tally."""
+    verdicts = artifact["verdicts"]
+    tally = {state: sum(v.startswith(state) for v in verdicts.values())
+             for state in ("pass", "fail", "unmeasured")}
+    lines = [f"{tier.name} ({tier.baseline}): "
+             + ", ".join(f"{n} {state}" for state, n in tally.items())]
+    lines += [f"  {key}: {verdict}" for key, verdict in verdicts.items()]
     return "\n".join(lines)
 
 
-def _render_batch(artifact: dict) -> str:
-    batch = artifact["batch"]
-    corpus = artifact["corpus"]
-    lines = [f"batch-fusion gate ({artifact['cores']} core(s)):"]
-    lines.append(
-        f"  {batch['name']:>28}: sequential "
-        f"{batch['unfused_seconds'] * 1000:8.2f}ms  fused "
-        f"{batch['fused_seconds'] * 1000:8.2f}ms  "
-        f"({batch['speedup_fused_over_unfused']:.2f}x)")
-    lines.append(
-        f"  {'fusion':>28}: {batch['queries']} queries -> "
-        f"{batch['distinct']} distinct in {batch['groups']} group(s); "
-        f"{batch['base_evaluations']} evaluation(s), "
-        f"{batch['screened']} screened, masks {batch['mask_hits']} "
-        f"hit / {batch['mask_misses']} miss, "
-        f"fallbacks {batch['fallbacks']}")
-    lines.append(
-        f"  {'corpus':>28}: fused-batch axis over {corpus['cases']} "
-        f"case(s), {len(corpus['mismatches'])} mismatch(es)")
-    return "\n".join(lines)
-
-
-def _render_server(artifact: dict) -> str:
-    server = artifact["server"]
-    lines = [f"query-server gate ({artifact['cores']} core(s)):"]
-    lines.append(
-        f"  {server['name']:>28}: uncached {server['uncached_qps']:8.0f} "
-        f"qps (p99 {server['uncached_p99_ms']:7.2f}ms)  warm "
-        f"{server['warm_qps']:8.0f} qps (p99 "
-        f"{server['warm_p99_ms']:7.2f}ms)  "
-        f"(cache {server['speedup_cached_over_uncached']:.2f}x, "
-        f"hit ratio {server['hit_ratio']:.2f})")
-    lines.append(
-        f"  {'counters':>28}: {server['cold_misses']} misses / "
-        f"{server['cold_hits']} hits over "
-        f"{server['distinct_statements']} distinct statements; "
-        f"shed {server['shed_partial']}/{server['shed_queries']} "
-        f"partial; errors={server['errors']}")
-    for waiver in artifact.get("waivers", []):
-        lines.append(f"  waiver: {waiver}")
-    return "\n".join(lines)
-
-
-def _render_sharded(artifact: dict) -> str:
-    sharded = artifact["sharded"]
-    insert = artifact["insert"]
-    lines = [f"sharded-relation gate ({artifact['cores']} core(s)):"]
-    lines.append(
-        f"  {sharded['name']:>28}: monolithic "
-        f"{sharded['monolithic_seconds'] * 1000:8.2f}ms  scatter "
-        f"{sharded['scatter_seconds'] * 1000:8.2f}ms  serve "
-        f"{sharded['serve_seconds'] * 1000:8.2f}ms  "
-        f"(serve {sharded['speedup_serve_over_monolithic']:.2f}x)  "
-        f"out={sharded['output_size']}")
-    lines.append(
-        f"  {insert['name']:>28}: single "
-        f"{insert['single_seconds'] * 1000:8.2f}ms  sharded "
-        f"{insert['sharded_seconds'] * 1000:8.2f}ms  "
-        f"({insert['insert_overhead']:.2f}x overhead)")
-    for waiver in artifact.get("waivers", []):
-        lines.append(f"  waiver: {waiver}")
-    return "\n".join(lines)
-
-
-def _render_parallel(artifact: dict) -> str:
-    parallel = artifact["parallel"]
-    batch = artifact["batch"]
-    lines = [f"worker-pool gate ({artifact['cores']} core(s)):"]
-    lines.append(
-        f"  {parallel['name']:>28}: serial "
-        f"{parallel['serial_seconds'] * 1000:8.2f}ms  cold "
-        f"{parallel['cold_seconds'] * 1000:8.2f}ms  warm "
-        f"{parallel['warm_seconds'] * 1000:8.2f}ms  "
-        f"(warm/cold {parallel['speedup_warm_over_cold']:.2f}x)  "
-        f"out={parallel['output_size']}")
-    lines.append(
-        f"  {batch['name']:>28}: cold "
-        f"{batch['cold_seconds'] * 1000:8.2f}ms  warm "
-        f"{batch['warm_seconds'] * 1000:8.2f}ms  "
-        f"(batch {batch['speedup_batch_over_cold']:.2f}x)")
-    for waiver in artifact.get("waivers", []):
-        lines.append(f"  waiver: {waiver}")
-    return "\n".join(lines)
-
-
-def _render(artifact: dict) -> str:
-    lines = ["perf gate workloads:"]
-    for record in artifact["kernels"]:
-        timings = "  ".join(
-            f"{kernel} {seconds * 1000:8.2f}ms"
-            for kernel, seconds in record["timings"].items())
-        speedup = record.get("speedup_bitmask_over_gemm")
-        suffix = f"  ({speedup:.2f}x)" if speedup is not None else ""
-        lines.append(f"  {record['name']:>16}: {timings}{suffix}")
-    for record in artifact["algorithms"]:
-        lines.append(
-            f"  {record['name']:>16}: {record['seconds'] * 1000:8.2f}ms  "
-            f"kernel={record['kernel']}  out={record['output_size']}")
-    return "\n".join(lines)
+def _load_baseline(path: str) -> dict | None:
+    try:
+        with open(path, "r", encoding="utf-8") as source:
+            return json.load(source)
+    except FileNotFoundError:
+        return None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="pinned-workload performance gate (CI artifact)")
-    parser.add_argument("--out", default="BENCH_4.json",
-                        help="path of the JSON artifact to write")
-    parser.add_argument("--baseline", default="BENCH_4.json",
-                        help="committed baseline to compare against "
-                             "with --check")
+        prog="repro-skyline gate",
+        description="pinned-workload performance gate: run each TIER, "
+                    "write its artifact and verdicts; with no TIER, print "
+                    "the host tag and the tier catalogue")
+    parser.add_argument("tiers", nargs="*", metavar="TIER",
+                        help=f"one of: {', '.join(TIERS)}")
     parser.add_argument("--check", action="store_true",
-                        help="fail on regressions against the baseline")
+                        help="exit non-zero when any check fails")
     parser.add_argument("--quick", action="store_true",
-                        help="small workloads (smoke testing the gate "
-                             "itself; not comparable to a full baseline)")
-    parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--min-speedup", type=float, default=MIN_SPEEDUP)
-    parser.add_argument("--time-factor", type=float, default=TIME_FACTOR)
-    parser.add_argument("--parallel-out", default="BENCH_5.json",
-                        help="path of the worker-pool artifact to write")
-    parser.add_argument("--parallel-baseline", default="BENCH_5.json",
-                        help="committed worker-pool baseline to compare "
-                             "against with --check")
-    parser.add_argument("--skip-parallel", action="store_true",
-                        help="run only the kernel/algorithm gate")
-    parser.add_argument("--min-batch-speedup", type=float,
-                        default=MIN_BATCH_SPEEDUP)
-    parser.add_argument("--sharded-out", default="BENCH_6.json",
-                        help="path of the sharded-relation artifact to "
-                             "write")
-    parser.add_argument("--sharded-baseline", default="BENCH_6.json",
-                        help="committed sharded-relation baseline to "
-                             "compare against with --check")
-    parser.add_argument("--skip-sharded", action="store_true",
-                        help="skip the sharded-relation gate")
-    parser.add_argument("--min-sharded-speedup", type=float,
-                        default=MIN_SHARDED_SPEEDUP)
-    parser.add_argument("--max-insert-overhead", type=float,
-                        default=MAX_INSERT_OVERHEAD)
-    parser.add_argument("--server-out", default="BENCH_7.json",
-                        help="path of the query-server artifact to "
-                             "write")
-    parser.add_argument("--server-baseline", default="BENCH_7.json",
-                        help="committed query-server baseline to "
-                             "compare against with --check")
-    parser.add_argument("--skip-server", action="store_true",
-                        help="skip the query-server gate")
-    parser.add_argument("--min-cache-speedup", type=float,
-                        default=MIN_CACHE_SPEEDUP)
-    parser.add_argument("--batch-out", default="BENCH_8.json",
-                        help="path of the batch-fusion artifact to "
-                             "write")
-    parser.add_argument("--batch-baseline", default="BENCH_8.json",
-                        help="committed batch-fusion baseline to "
-                             "compare against with --check")
-    parser.add_argument("--skip-batch", action="store_true",
-                        help="skip the batch-fusion gate")
-    parser.add_argument("--min-fused-speedup", type=float,
-                        default=MIN_FUSED_SPEEDUP)
-    parser.add_argument("--corpus", default=FUSION_CORPUS,
-                        help="regression corpus directory for the "
-                             "fused-batch metamorphic replay")
-    parser.add_argument("--native-out", default="BENCH_9.json",
-                        help="path of the compiled-backend artifact to "
-                             "write")
-    parser.add_argument("--native-baseline", default="BENCH_9.json",
-                        help="committed compiled-backend baseline to "
-                             "compare against with --check")
-    parser.add_argument("--skip-native", action="store_true",
-                        help="skip the compiled-backend gate")
-    parser.add_argument("--min-native-speedup", type=float,
-                        default=MIN_NATIVE_SPEEDUP)
-    parser.add_argument("--threads-out", default="BENCH_10.json",
-                        help="path of the thread-layer artifact to "
-                             "write")
-    parser.add_argument("--threads-baseline", default="BENCH_10.json",
-                        help="committed thread-layer baseline to "
-                             "compare against with --check")
-    parser.add_argument("--skip-threads", action="store_true",
-                        help="skip the thread-layer gate")
-    parser.add_argument("--min-threaded-speedup", type=float,
-                        default=MIN_THREADED_SPEEDUP)
+                        help="small workloads: a smoke test in which "
+                             "timing ratios and baseline checks go "
+                             "unmeasured")
+    parser.add_argument("--out", default="bench-out", metavar="DIR",
+                        help="directory for the artifacts, each named "
+                             "after its tier's baseline (default: "
+                             "bench-out; '--out .' regenerates the "
+                             "committed baselines)")
     arguments = parser.parse_args(argv)
-
-    def load_baseline(path: str, workload_quick: bool) -> dict | None:
-        try:
-            with open(path, "r", encoding="utf-8") as source:
-                baseline = json.load(source)
-        except FileNotFoundError:
-            print(f"no baseline at {path}; "
-                  "running within-run checks only")
-            return None
-        if baseline.get("workload", {}).get("quick") != workload_quick:
-            print(f"{path}: baseline workload scale differs; "
-                  "running within-run checks only")
-            return None
-        return baseline
-
-    def report(label: str, violations: list[str]) -> int:
-        if violations:
-            print(f"PERF GATE FAILED on {label} "
-                  f"({len(violations)} violation(s)):")
-            for violation in violations:
-                print(f"  - {violation}")
-            return 1
-        print(f"perf gate passed ({label})")
+    unknown = sorted(set(arguments.tiers) - set(TIERS))
+    if unknown:
+        parser.error(f"unknown tier(s) {', '.join(unknown)}; choose from "
+                     f"{', '.join(TIERS)}")
+    print(_render_host(host_tag()))
+    if not arguments.tiers:
+        print("tiers:")
+        for tier in TIERS.values():
+            print(f"  {tier.name}: {tier.baseline} -- {tier.about}")
         return 0
-
-    def write(path: str, artifact: dict) -> None:
+    os.makedirs(arguments.out, exist_ok=True)
+    failed = False
+    for name in arguments.tiers:
+        tier = TIERS[name]
+        artifact = tier.workload(quick=arguments.quick)
+        artifact["verdicts"] = evaluate(tier, artifact,
+                                        _load_baseline(tier.baseline))
+        path = os.path.join(arguments.out, tier.baseline)
         with open(path, "w", encoding="utf-8") as sink:
             json.dump(artifact, sink, indent=2)
             sink.write("\n")
+        print(render(tier, artifact))
         print(f"wrote {path}")
-
-    artifact = run_gate(seed=arguments.seed, quick=arguments.quick)
-    print(_render(artifact))
-    status = 0
-    if arguments.check:
-        baseline = load_baseline(arguments.baseline,
-                                 artifact["workload"]["quick"])
-        status |= report("kernels/algorithms", compare(
-            artifact, baseline,
-            min_speedup=arguments.min_speedup,
-            time_factor=arguments.time_factor))
-    write(arguments.out, artifact)
-
-    if not arguments.skip_native:
-        native_artifact = run_native_gate(seed=arguments.seed,
-                                          quick=arguments.quick)
-        print(_render_native(native_artifact))
-        if arguments.check:
-            baseline = load_baseline(
-                arguments.native_baseline,
-                native_artifact["workload"]["quick"])
-            status |= report("native backend", compare_native(
-                native_artifact, baseline,
-                min_native_speedup=arguments.min_native_speedup,
-                time_factor=arguments.time_factor))
-        write(arguments.native_out, native_artifact)
-
-    if not arguments.skip_threads:
-        threads_artifact = run_threaded_gate(seed=arguments.seed,
-                                             quick=arguments.quick)
-        print(_render_threaded(threads_artifact))
-        if arguments.check:
-            baseline = load_baseline(
-                arguments.threads_baseline,
-                threads_artifact["workload"]["quick"])
-            status |= report("thread layer", compare_threaded(
-                threads_artifact, baseline,
-                min_threaded_speedup=arguments.min_threaded_speedup,
-                time_factor=arguments.time_factor))
-        write(arguments.threads_out, threads_artifact)
-
-    if not arguments.skip_parallel:
-        parallel_artifact = run_parallel_gate(seed=arguments.seed,
-                                              quick=arguments.quick)
-        print(_render_parallel(parallel_artifact))
-        if arguments.check:
-            baseline = load_baseline(
-                arguments.parallel_baseline,
-                parallel_artifact["workload"]["quick"])
-            status |= report("worker pool", compare_parallel(
-                parallel_artifact, baseline,
-                min_batch_speedup=arguments.min_batch_speedup,
-                time_factor=arguments.time_factor))
-        write(arguments.parallel_out, parallel_artifact)
-
-    if not arguments.skip_sharded:
-        sharded_artifact = run_sharded_gate(seed=arguments.seed,
-                                            quick=arguments.quick)
-        print(_render_sharded(sharded_artifact))
-        if arguments.check:
-            baseline = load_baseline(
-                arguments.sharded_baseline,
-                sharded_artifact["workload"]["quick"])
-            status |= report("sharded relations", compare_sharded(
-                sharded_artifact, baseline,
-                min_sharded_speedup=arguments.min_sharded_speedup,
-                max_insert_overhead=arguments.max_insert_overhead,
-                time_factor=arguments.time_factor))
-        write(arguments.sharded_out, sharded_artifact)
-
-    if not arguments.skip_server:
-        server_artifact = run_server_gate(seed=arguments.seed,
-                                          quick=arguments.quick)
-        print(_render_server(server_artifact))
-        if arguments.check:
-            baseline = load_baseline(
-                arguments.server_baseline,
-                server_artifact["workload"]["quick"])
-            status |= report("query server", compare_server(
-                server_artifact, baseline,
-                min_cache_speedup=arguments.min_cache_speedup,
-                time_factor=arguments.time_factor))
-        write(arguments.server_out, server_artifact)
-
-    if not arguments.skip_batch:
-        batch_artifact = run_batch_gate(seed=arguments.seed,
-                                        quick=arguments.quick,
-                                        corpus=arguments.corpus)
-        print(_render_batch(batch_artifact))
-        if arguments.check:
-            baseline = load_baseline(
-                arguments.batch_baseline,
-                batch_artifact["workload"]["quick"])
-            status |= report("batch fusion", compare_batch(
-                batch_artifact, baseline,
-                min_fused_speedup=arguments.min_fused_speedup,
-                time_factor=arguments.time_factor))
-        write(arguments.batch_out, batch_artifact)
-    return status
+        failed |= any(verdict.startswith("fail")
+                      for verdict in artifact["verdicts"].values())
+    return int(failed and arguments.check)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

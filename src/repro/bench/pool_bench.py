@@ -1,8 +1,8 @@
 """Measurement core for the persistent worker pool.
 
-Three measurements, shared by the ``BENCH_5.json`` perf gate
-(:mod:`repro.bench.perf_gate`), the ``repro-skyline pool-bench`` CLI
-subcommand and ``benchmarks/bench_parallel_pool.py``:
+Two measurements behind the ``pool`` tier of the perf gate
+(:mod:`repro.bench.perf_gate`, baseline ``BENCH_5.json``); the pinned
+workloads are shared with ``benchmarks/bench_parallel_pool.py``:
 
 * :func:`measure_parallel` -- one pinned low-output workload (the
   paper's equicorrelated Gaussian generator, Section 7.2) evaluated
@@ -15,8 +15,6 @@ subcommand and ``benchmarks/bench_parallel_pool.py``:
   .map_queries` batch versus ``k`` independent cold parallel calls;
   the ratio is the start-up/registration cost the batch service
   amortises away.
-* :func:`measure_scaling` -- warm-pool wall clock as a function of the
-  worker count (the speedup-vs-workers curve).
 
 All workloads are pinned by seed, so output sizes and per-chunk
 skyline sizes are exactly reproducible and the perf gate can compare
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +32,7 @@ from ..algorithms.base import Stats
 from ..engine import ExecutionContext
 
 __all__ = ["pinned_parallel_case", "pinned_batch_expressions",
-           "measure_parallel", "measure_batch", "measure_scaling"]
+           "measure_parallel", "measure_batch"]
 
 #: Correlation parameter of the pinned workload: ``alpha < 1`` means
 #: positively correlated attributes, hence a small (output-sensitive
@@ -188,29 +185,3 @@ def measure_batch(rows: int, dims: int, *, queries: int = 16,
         "speedup_batch_over_cold": cold_seconds / warm_seconds,
     }
 
-
-def measure_scaling(rows: int, dims: int,
-                    worker_counts: Sequence[int] = (1, 2, 4, 8), *,
-                    alpha: float = DEFAULT_ALPHA,
-                    seed: int = 2015) -> list[dict]:
-    """Warm-pool wall clock per worker count (same pinned workload)."""
-    from ..engine.pool import WorkerPool
-
-    ranks, graph = pinned_parallel_case(rows, dims, alpha, seed)
-    points = []
-    for workers in worker_counts:
-        with WorkerPool(workers) as pool:
-            pool.run_query(ranks, graph, chunks=workers)  # warm up
-            stats = Stats()
-            start = time.perf_counter()
-            result = pool.run_query(ranks, graph, chunks=workers,
-                                    context=ExecutionContext(stats=stats))
-            seconds = time.perf_counter() - start
-        points.append({
-            "workers": int(workers),
-            "seconds": seconds,
-            "output_size": int(np.asarray(result).size),
-            "chunk_skylines": [int(s)
-                               for s in stats.extra["chunk_skylines"]],
-        })
-    return points

@@ -1,31 +1,18 @@
-"""Second-order polynomial regression, as drawn in Figure 4 (right),
-plus the CI smoke run.
+"""Second-order polynomial regression, as drawn in Figure 4 (right).
 
 The paper summarises the output-size experiment by fitting a 2nd-order
 polynomial per algorithm through the (output size, response time) points
 and plotting the fitted curves.
-
-:func:`smoke_run` (also ``python -m repro.bench.regression``) executes a
-tiny representative workload through the engine layer -- cold and warm
-compiled-preference cache, with tracing on -- checks every algorithm
-agrees, and emits a JSON artifact with timings, work counters, trace
-events and cache statistics.  Continuous integration runs it on every
-push and uploads the artifact, so timing or counter regressions are
-visible without rerunning the full figure suite.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import random
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["PolynomialFit", "fit_polynomial", "smoke_run", "main"]
+__all__ = ["PolynomialFit", "fit_polynomial"]
 
 
 @dataclass(frozen=True)
@@ -59,134 +46,3 @@ def fit_polynomial(x: Sequence[float], y: Sequence[float],
     r_squared = 1.0 - residual / total if total > 0 else 1.0
     return PolynomialFit(tuple(coeffs_desc[::-1]), r_squared)
 
-
-# -- CI smoke run ------------------------------------------------------------
-
-SMOKE_ALGORITHMS = ("naive", "bnl", "sfs", "less", "osdc")
-
-
-def smoke_run(*, rows: int = 1500, dims: int = 6, expressions: int = 3,
-              seed: int = 2015) -> dict:
-    """Run a tiny workload through the engine layer; return the artifact.
-
-    For each sampled p-expression every algorithm in
-    :data:`SMOKE_ALGORITHMS` runs twice against a shared preference
-    cache (first run cold, second warm) with tracing enabled.  Raises
-    if any algorithm disagrees with the ``naive`` oracle.  A final
-    2-worker :class:`~repro.engine.pool.WorkerPool` run cross-checks
-    the pooled execution path against the same oracle.
-    """
-    from ..algorithms.base import Stats, get_algorithm
-    from ..engine import ExecutionContext, PreferenceCache
-    from ..sampling.random_pexpr import PExpressionSampler
-
-    rng = random.Random(seed)
-    data_rng = np.random.default_rng(seed)
-    sampler = PExpressionSampler([f"A{i}" for i in range(dims)])
-    ranks = data_rng.normal(size=(rows, dims)).round(2)
-    cache = PreferenceCache()
-    # clear() resets the hit/miss counters, so keep running totals here
-    totals = {"hits": 0, "misses": 0}
-
-    def drain_counters() -> None:
-        snapshot = cache.stats()
-        totals["hits"] += snapshot["hits"]
-        totals["misses"] += snapshot["misses"]
-
-    runs = []
-    for task in range(expressions):
-        graph = sampler.sample_graph(rng)
-        expected = None
-        for name in SMOKE_ALGORITHMS:
-            function = get_algorithm(name)
-            timings = {}
-            for phase in ("cold", "warm"):
-                if phase == "cold":
-                    drain_counters()
-                    cache.clear()
-                stats = Stats()
-                context = ExecutionContext.create(stats=stats, trace=64,
-                                                  cache=cache)
-                start = time.perf_counter()
-                result = function(ranks, graph, context=context)
-                timings[phase] = time.perf_counter() - start
-            if expected is None:
-                expected = result
-            elif not np.array_equal(result, expected):
-                raise AssertionError(
-                    f"{name} disagrees with the oracle on task {task}"
-                )
-            runs.append({
-                "task": task,
-                "algorithm": name,
-                "cold_seconds": timings["cold"],
-                "warm_seconds": timings["warm"],
-                "output_size": int(np.asarray(result).size),
-                "dominance_tests": stats.dominance_tests,
-                "passes": stats.passes,
-                "recursive_calls": stats.recursive_calls,
-                "trace": context.trace.to_json() if context.trace else [],
-            })
-    drain_counters()
-
-    # a 2-worker pool run over the last sampled expression: checks the
-    # whole pooled path (shared memory, chunk dispatch, tree merge,
-    # stats aggregation) agrees with the oracle on every CI push
-    from ..engine.pool import WorkerPool
-
-    pool_stats = Stats()
-    with WorkerPool(2) as pool:
-        pool.run_query(ranks, graph)  # cold: fork + registration
-        start = time.perf_counter()
-        pooled = pool.run_query(ranks, graph, chunks=2,
-                                context=ExecutionContext(
-                                    stats=pool_stats))
-        pool_seconds = time.perf_counter() - start
-    if not np.array_equal(pooled, expected):
-        raise AssertionError("pooled run disagrees with the oracle")
-
-    return {
-        "workload": {"rows": rows, "dims": dims,
-                     "expressions": expressions, "seed": seed},
-        "runs": runs,
-        "cache": {**cache.stats(), **totals},
-        "pool": {
-            "workers": 2,
-            "warm_seconds": pool_seconds,
-            "output_size": int(np.asarray(pooled).size),
-            "chunk_skylines": [
-                int(s) for s in pool_stats.extra["chunk_skylines"]],
-            "dominance_tests": pool_stats.dominance_tests,
-            "kernel": pool_stats.extra.get("kernel"),
-        },
-    }
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="engine-layer smoke benchmark (CI artifact)")
-    parser.add_argument("--out", default="bench-smoke.json",
-                        help="path of the JSON artifact to write")
-    parser.add_argument("--rows", type=int, default=1500)
-    parser.add_argument("--dims", type=int, default=6)
-    parser.add_argument("--expressions", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=2015)
-    arguments = parser.parse_args(argv)
-    artifact = smoke_run(rows=arguments.rows, dims=arguments.dims,
-                         expressions=arguments.expressions,
-                         seed=arguments.seed)
-    with open(arguments.out, "w", encoding="utf-8") as sink:
-        json.dump(artifact, sink, indent=2)
-    cold = sum(run["cold_seconds"] for run in artifact["runs"])
-    warm = sum(run["warm_seconds"] for run in artifact["runs"])
-    print(f"smoke run: {len(artifact['runs'])} runs, "
-          f"cold {cold:.3f}s vs warm {warm:.3f}s, "
-          f"cache {artifact['cache']}, "
-          f"pool out={artifact['pool']['output_size']} in "
-          f"{artifact['pool']['warm_seconds']:.3f}s; "
-          f"wrote {arguments.out}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI
-    raise SystemExit(main())

@@ -1,6 +1,7 @@
 """Benchmark the query server under concurrent correlated load.
 
-:func:`measure_server` backs the ``BENCH_7`` perf gate: it starts an
+:func:`measure_server` backs the ``server`` tier of the perf gate
+(:mod:`repro.bench.perf_gate`, baseline ``BENCH_7.json``): it starts an
 in-process :class:`~repro.server.SkylineServer` over a pinned gaussian
 relation, replays a pinned elicitation-derived correlated workload
 (:func:`~repro.server.loadgen.correlated_statements`) from concurrent
@@ -20,8 +21,8 @@ clients, and measures
 
 The cached-over-uncached speedup is core-count *independent* -- a cache
 hit skips evaluation entirely -- so it gates everywhere; wall-clock
-qps/latency comparisons against the committed baseline are advisory on
-hosts with fewer cores than clients (the usual waiver mechanism).
+qps/latency comparisons against the committed baseline go unmeasured
+on hosts with fewer cores than clients.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Measurement core for sharded relations.
 
-Three measurements, shared by the ``BENCH_6.json`` perf gate
-(:mod:`repro.bench.perf_gate`), the ``repro-skyline shard-bench`` CLI
-subcommand and ``benchmarks/bench_sharding.py``:
+Two measurements behind the ``shards`` tier of the perf gate
+(:mod:`repro.bench.perf_gate`, baseline ``BENCH_6.json``); the relation
+builder is shared with ``benchmarks/bench_sharding.py``:
 
 * :func:`measure_sharded` -- one pinned low-output workload (the same
   equicorrelated Gaussian generator the pool gate uses) evaluated three
@@ -23,9 +23,6 @@ subcommand and ``benchmarks/bench_sharding.py``:
   on the same pinned stream.  Routing a write touches exactly one
   shard, so the sharded maintainer must stay within a small constant
   factor of the flat one.
-* :func:`measure_shard_scaling` -- the serve/monolithic trade-off as a
-  function of the shard count (the shard-count sweep for the CLI and
-  the benchmark harness).
 
 All workloads are pinned by seed (they reuse
 :func:`~repro.bench.pool_bench.pinned_parallel_case`), so output sizes,
@@ -37,7 +34,6 @@ baseline byte for byte.
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +42,7 @@ from ..engine import ExecutionContext
 from .pool_bench import DEFAULT_ALPHA, pinned_parallel_case
 
 __all__ = ["build_tracked_relation", "measure_sharded",
-           "measure_insert_overhead", "measure_shard_scaling"]
+           "measure_insert_overhead"]
 
 #: Timing repeats for the insert-overhead measurement; inserts mutate
 #: the maintainer, so each repeat rebuilds it and the minimum is kept.
@@ -198,13 +194,3 @@ def measure_insert_overhead(base_rows: int, inserts: int, dims: int, *,
         "insert_overhead": sharded_seconds / single_seconds,
     }
 
-
-def measure_shard_scaling(rows: int, dims: int,
-                          shard_counts: Sequence[int] = (2, 4, 8), *,
-                          workers: int = 4,
-                          alpha: float = DEFAULT_ALPHA,
-                          seed: int = 2015) -> list[dict]:
-    """Warm serve and scatter/gather wall clock per shard count."""
-    return [measure_sharded(rows, dims, shards=shards, workers=workers,
-                            alpha=alpha, seed=seed)
-            for shards in shard_counts]

@@ -27,33 +27,6 @@ Sub-commands:
 
         repro-skyline bench --scale quick
 
-``bench-kernels``
-    Time the three dominance kernels (bitmask / gemm / scalar) on a
-    screening workload::
-
-        repro-skyline bench-kernels --rows 20000 --dims 4 8 16
-
-``pool-bench``
-    Benchmark the persistent worker pool: serial vs cold-pool vs
-    warm-pool wall clock, warm speedup per worker count, and the
-    batched query service's amortisation::
-
-        repro-skyline pool-bench --rows 200000 --queries 16
-
-``shard-bench``
-    Benchmark sharded relations: maintained per-shard serve vs
-    monolithic scatter/gather on a warm pool, per-row insert overhead
-    of the sharded maintainer, optional shard-count sweep::
-
-        repro-skyline shard-bench --rows 100000 --shards 4
-
-``batch-bench``
-    Benchmark cross-query batch fusion: a correlated,
-    elicitation-derived statement batch answered by the fused
-    ``execute_batch`` versus the sequential per-statement path::
-
-        repro-skyline batch-bench --rows 40000 --queries 64
-
 ``serve``
     Run the asyncio Preference SQL server (result cache, admission
     control, per-request deadlines; see ``docs/server.md``)::
@@ -65,6 +38,13 @@ Sub-commands:
     correlated, elicitation-derived workload::
 
         repro-skyline load-gen --port 7654 --clients 4 --repeat 4
+
+``gate``
+    Run the pinned-workload performance gate tiers (delegates to
+    ``python -m repro.bench.perf_gate``; no tier prints the host tag
+    and the tier catalogue)::
+
+        repro-skyline gate kernels native threads --quick --check
 
 ``verify``
     Run the differential/metamorphic correctness fuzzer (delegates to
@@ -149,78 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workload", default="gaussian",
                        choices=["gaussian", "nba", "covertype"])
 
-    kernels = commands.add_parser(
-        "bench-kernels",
-        help="time the dominance kernels on a screening workload")
-    kernels.add_argument("--rows", type=int, default=20_000)
-    kernels.add_argument("--dims", type=int, nargs="+",
-                         default=[4, 8, 16])
-    kernels.add_argument("--seed", type=int, default=2015)
-    kernels.add_argument("--scalar", action="store_true",
-                         help="also time the scalar kernel (slow; keep "
-                              "--rows small)")
-    kernels.add_argument("--list-backends", action="store_true",
-                         help="print per-backend availability (and why "
-                              "an optional backend is off), the thread "
-                              "layer and effective budget, and exit")
-    kernels.add_argument("--threads", type=int, default=None,
-                         help="force this screen thread budget for the "
-                              "timed runs (default: the engine policy)")
-
-    pool = commands.add_parser(
-        "pool-bench",
-        help="benchmark the persistent worker pool (cold vs warm vs "
-             "serial, scaling, batched queries)")
-    pool.add_argument("--rows", type=int, default=200_000)
-    pool.add_argument("--dims", type=int, default=6)
-    pool.add_argument("--alpha", type=float, default=0.2,
-                      help="equicorrelation of the generated data")
-    pool.add_argument("--workers", type=int, default=4)
-    pool.add_argument("--queries", type=int, default=16,
-                      help="batch size for the map_queries measurement")
-    pool.add_argument("--scaling", type=int, nargs="*", default=None,
-                      metavar="W",
-                      help="also time the warm pool at these worker "
-                           "counts")
-    pool.add_argument("--seed", type=int, default=2015)
-
-    shard = commands.add_parser(
-        "shard-bench",
-        help="benchmark sharded relations (maintained serve vs "
-             "monolithic scatter/gather, insert overhead, shard "
-             "scaling)")
-    shard.add_argument("--rows", type=int, default=100_000)
-    shard.add_argument("--dims", type=int, default=6)
-    shard.add_argument("--alpha", type=float, default=0.2,
-                       help="equicorrelation of the generated data")
-    shard.add_argument("--shards", type=int, default=4)
-    shard.add_argument("--workers", type=int, default=4)
-    shard.add_argument("--inserts", type=int, default=2_000,
-                       help="stream length for the insert-overhead "
-                            "measurement")
-    shard.add_argument("--scaling", type=int, nargs="*", default=None,
-                       metavar="S",
-                       help="also time the serve path at these shard "
-                            "counts")
-    shard.add_argument("--seed", type=int, default=2015)
-
-    batch = commands.add_parser(
-        "batch-bench",
-        help="benchmark cross-query batch fusion (fused vs sequential "
-             "execute_batch on a correlated statement workload)")
-    batch.add_argument("--rows", type=int, default=40_000)
-    batch.add_argument("--dims", type=int, default=6)
-    batch.add_argument("--queries", type=int, default=64,
-                       help="statements in the batch")
-    batch.add_argument("--intents", type=int, default=6,
-                       help="hidden priority chains behind the workload")
-    batch.add_argument("--algorithm", default="osdc",
-                       choices=sorted(REGISTRY))
-    batch.add_argument("--corpus", default=None, metavar="DIR",
-                       help="also replay this regression corpus through "
-                            "the fused-batch metamorphic axis")
-    batch.add_argument("--seed", type=int, default=2015)
-
     serve = commands.add_parser(
         "serve",
         help="run the asyncio Preference SQL server over CSV tables "
@@ -284,6 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=PATH",
                        help="register a CSV file as a table (repeatable)")
 
+    commands.add_parser(
+        "gate", help="pinned-workload performance gate (same arguments "
+                     "as 'python -m repro.bench.perf_gate')",
+        add_help=False)
     commands.add_parser(
         "verify", help="differential/metamorphic correctness fuzzer "
                        "(same flags as 'python -m repro.verify')",
@@ -387,190 +299,6 @@ def _cmd_bench(arguments: argparse.Namespace) -> int:
     print(format_series(
         f"{arguments.workload} workload ({scale.name} scale) by d",
         grouped, PAPER_ALGORITHMS, "d"))
-    return 0
-
-
-def _kernel_backends() -> list[tuple[str, bool, str | None]]:
-    """``(name, available, reason)`` per registered kernel family.
-
-    Enumerated from :data:`repro.core.dominance.KERNELS` so newly
-    registered backends show up without touching the CLI; only the
-    optional compiled backend can currently be unavailable, with the
-    precise reason (``numba missing`` vs ``JIT compile failed``)
-    reported by :func:`repro.core.native.availability`.
-    """
-    from .core import native
-    from .core.dominance import KERNELS
-
-    backends = []
-    for name in KERNELS:
-        if name == "native":
-            ok, reason = native.availability()
-        else:
-            ok, reason = True, None
-        backends.append((name, ok, reason))
-    return backends
-
-
-def _thread_layer_line() -> str:
-    """The ``threads:`` row of ``--list-backends``: which parallel layer
-    serves a multi-thread budget, and the effective budget + source."""
-    from .core import native
-    from .engine.threads import budget_source
-
-    budget, source = budget_source()
-    parallel_ok, parallel_reason = native.parallel_availability()
-    layer = ("prange-native" if parallel_ok
-             else f"tiled (compiled parallel layer unavailable: "
-                  f"{parallel_reason})")
-    return f"budget {budget} ({source}), layer {layer}"
-
-
-def _cmd_bench_kernels(arguments: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
-    from .bench.perf_gate import run_kernel_bench
-    from .engine.threads import thread_budget
-
-    backends = _kernel_backends()
-    if arguments.list_backends:
-        for name, ok, reason in backends:
-            state = "available" if ok else f"unavailable ({reason})"
-            print(f"{name:>8}: {state}")
-        print(f"{'threads':>8}: {_thread_layer_line()}")
-        return 0
-    kernels = []
-    for name, ok, reason in backends:
-        if not ok:
-            print(f"note: skipping {name}: {reason}")
-        elif name == "scalar" and not arguments.scalar:
-            continue  # slow reference kernel is opt-in
-        else:
-            kernels.append(name)
-    for dims in arguments.dims:
-        scope = (thread_budget(arguments.threads)
-                 if arguments.threads is not None else nullcontext())
-        with scope:
-            record = run_kernel_bench(dims, arguments.rows,
-                                      arguments.seed,
-                                      kernels=tuple(kernels))
-        timings = "  ".join(
-            f"{kernel} {seconds * 1000:8.2f}ms"
-            for kernel, seconds in record["timings"].items())
-        suffixes = []
-        speedup = record.get("speedup_native_over_bitmask")
-        if speedup is not None:
-            suffixes.append(f"{speedup:.2f}x native over bitmask")
-        speedup = record.get("speedup_bitmask_over_gemm")
-        if speedup is not None:
-            suffixes.append(f"{speedup:.2f}x bitmask over gemm")
-        suffix = f"  ({', '.join(suffixes)})" if suffixes else ""
-        print(f"d={dims:2d} block={record['block_rows']} "
-              f"against={record['against_rows']} "
-              f"survivors={record['survivors']}: {timings}{suffix}")
-    return 0
-
-
-def _cmd_pool_bench(arguments: argparse.Namespace) -> int:
-    from .bench.pool_bench import (measure_batch, measure_parallel,
-                                   measure_scaling)
-    record = measure_parallel(arguments.rows, arguments.dims,
-                              workers=arguments.workers,
-                              alpha=arguments.alpha, seed=arguments.seed)
-    print(f"{record['name']}: out={record['output_size']} "
-          f"kernel={record['kernel']} "
-          f"chunks={record['chunk_skylines']}")
-    print(f"  serial {record['serial_seconds'] * 1000:8.2f}ms   "
-          f"cold {record['cold_seconds'] * 1000:8.2f}ms   "
-          f"warm {record['warm_seconds'] * 1000:8.2f}ms")
-    print(f"  warm over cold {record['speedup_warm_over_cold']:5.2f}x   "
-          f"warm over serial "
-          f"{record['speedup_warm_over_serial']:5.2f}x")
-    batch = measure_batch(arguments.rows // 8 or 1, arguments.dims,
-                          queries=arguments.queries,
-                          workers=arguments.workers,
-                          alpha=arguments.alpha, seed=arguments.seed)
-    print(f"{batch['name']}: cold {batch['cold_seconds'] * 1000:8.2f}ms  "
-          f"warm {batch['warm_seconds'] * 1000:8.2f}ms  "
-          f"({batch['speedup_batch_over_cold']:.2f}x amortised)")
-    if arguments.scaling is not None:
-        counts = arguments.scaling or [1, 2, 4, 8]
-        for point in measure_scaling(arguments.rows, arguments.dims,
-                                     counts, alpha=arguments.alpha,
-                                     seed=arguments.seed):
-            print(f"  workers={point['workers']:2d}: "
-                  f"{point['seconds'] * 1000:8.2f}ms  "
-                  f"out={point['output_size']}")
-    return 0
-
-
-def _cmd_shard_bench(arguments: argparse.Namespace) -> int:
-    from .bench.shard_bench import (measure_insert_overhead,
-                                    measure_shard_scaling,
-                                    measure_sharded)
-    record = measure_sharded(arguments.rows, arguments.dims,
-                             shards=arguments.shards,
-                             workers=arguments.workers,
-                             alpha=arguments.alpha, seed=arguments.seed)
-    print(f"{record['name']}: out={record['output_size']} "
-          f"version={record['version']} "
-          f"shard skylines={record['shard_skylines']}")
-    print(f"  monolithic {record['monolithic_seconds'] * 1000:8.2f}ms   "
-          f"scatter {record['scatter_seconds'] * 1000:8.2f}ms   "
-          f"serve {record['serve_seconds'] * 1000:8.2f}ms")
-    print(f"  serve over monolithic "
-          f"{record['speedup_serve_over_monolithic']:5.2f}x   "
-          f"scatter over monolithic "
-          f"{record['speedup_scatter_over_monolithic']:5.2f}x")
-    insert = measure_insert_overhead(
-        arguments.rows // 5 or 1, arguments.inserts, arguments.dims,
-        shards=arguments.shards, alpha=arguments.alpha,
-        seed=arguments.seed)
-    print(f"{insert['name']}: single "
-          f"{insert['single_seconds'] * 1000:8.2f}ms  sharded "
-          f"{insert['sharded_seconds'] * 1000:8.2f}ms  "
-          f"({insert['insert_overhead']:.2f}x overhead)")
-    if arguments.scaling is not None:
-        counts = arguments.scaling or [2, 4, 8]
-        for point in measure_shard_scaling(arguments.rows,
-                                           arguments.dims, counts,
-                                           workers=arguments.workers,
-                                           alpha=arguments.alpha,
-                                           seed=arguments.seed):
-            print(f"  shards={point['shards']:2d}: serve "
-                  f"{point['serve_seconds'] * 1000:8.2f}ms  "
-                  f"({point['speedup_serve_over_monolithic']:.2f}x)  "
-                  f"skylines={point['shard_skylines']}")
-    return 0
-
-
-def _cmd_batch_bench(arguments: argparse.Namespace) -> int:
-    from .bench.batch_bench import (measure_fused_batch,
-                                    replay_fused_batch_corpus)
-    record = measure_fused_batch(arguments.rows, arguments.dims,
-                                 queries=arguments.queries,
-                                 intents=arguments.intents,
-                                 algorithm=arguments.algorithm,
-                                 seed=arguments.seed)
-    print(f"{record['name']}: {record['queries']} queries -> "
-          f"{record['distinct']} distinct in {record['groups']} "
-          "group(s)")
-    print(f"  sequential {record['unfused_seconds'] * 1000:8.2f}ms   "
-          f"fused {record['fused_seconds'] * 1000:8.2f}ms   "
-          f"({record['speedup_fused_over_unfused']:.2f}x)")
-    print(f"  dedup_hits={record['dedup_hits']} "
-          f"evaluations={record['base_evaluations']} "
-          f"screened={record['screened']} "
-          f"masks={record['mask_hits']}hit/{record['mask_misses']}miss "
-          f"fallbacks={record['fallbacks']}")
-    if arguments.corpus:
-        replay = replay_fused_batch_corpus(arguments.corpus)
-        print(f"  corpus: fused-batch axis over {replay['cases']} "
-              f"case(s), {len(replay['mismatches'])} mismatch(es)")
-        for mismatch in replay["mismatches"]:
-            print(f"    {mismatch}")
-        if replay["mismatches"]:
-            return 1
     return 0
 
 
@@ -721,22 +449,21 @@ def _cmd_shell(arguments: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # Hand everything after these sub-commands to their own parsers
+    # untouched (argparse.REMAINDER drops leading optionals, so the
+    # delegation happens before parsing).
     if argv and argv[0] == "verify":
-        # Hand everything after the sub-command to the repro.verify CLI
-        # untouched (argparse.REMAINDER drops leading optionals, so the
-        # delegation happens before parsing).
         from .verify.cli import main as verify_main
         return verify_main(argv[1:])
+    if argv and argv[0] == "gate":
+        from .bench.perf_gate import main as gate_main
+        return gate_main(argv[1:])
     arguments = _build_parser().parse_args(argv)
     handlers = {
         "query": _cmd_query,
         "generate": _cmd_generate,
         "sample": _cmd_sample,
         "bench": _cmd_bench,
-        "bench-kernels": _cmd_bench_kernels,
-        "pool-bench": _cmd_pool_bench,
-        "shard-bench": _cmd_shard_bench,
-        "batch-bench": _cmd_batch_bench,
         "serve": _cmd_serve,
         "load-gen": _cmd_load_gen,
         "shell": _cmd_shell,

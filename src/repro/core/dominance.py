@@ -874,8 +874,8 @@ def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
     and ``"mask_misses"`` counts and records the concrete replay backend
     under ``"kernel"`` (``"native"`` when the compiled backend serves
     the fused group, ``"bitmask"`` otherwise) plus the applied
-    ``"threads"`` budget, so batch-bench artifacts show which backend
-    did the work.  Falls back to independent
+    ``"threads"`` budget, so ``fusion`` gate artifacts show which
+    backend did the work.  Falls back to independent
     :meth:`~Dominance.screen_block` calls when the dimensionality
     exceeds :data:`BITMASK_WIDTH_LIMIT` (no packed representation
     exists there).

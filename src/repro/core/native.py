@@ -43,7 +43,7 @@ and remain callable -- the test suite uses them to exercise the native
 code path without a compiler) and reports a precise reason string
 (``"numba missing"`` vs ``"JIT compile failed: ..."``) that
 :func:`~repro.core.dominance.select_kernel` callers surface in trace
-events and ``repro-skyline bench-kernels --list-backends``.
+events and in the host tag printed by ``repro-skyline gate``.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ by default:
   ``min(cores, d-aware cap)`` (:func:`auto_budget`);
 * **explicit overrides** win over everything: per-scope via the
   :func:`thread_budget` context manager (which the query API enters for
-  ``ExecutionContext(threads=...)`` and the CLI for ``--threads``), or
+  ``ExecutionContext(threads=...)``, and the ``threads`` gate tier and
+  the ``kernel-threads`` metamorphic axis use directly), or
   process-wide via the ``REPRO_THREAD_BUDGET`` environment variable.
 
 Resolution order (first hit wins): thread-local override -> process

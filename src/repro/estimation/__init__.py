@@ -1,7 +1,6 @@
-"""Output-size estimation and algorithm selection (paper Section 8)."""
+"""Output-size estimation (paper Section 8)."""
 
-from .cardinality import (choose_algorithm, estimate_by_extrapolation,
-                          estimate_pskyline_size,
+from .cardinality import (estimate_by_extrapolation, estimate_pskyline_size,
                           harmonic_skyline_size,
                           harmonic_skyline_size_approx)
 
@@ -10,5 +9,4 @@ __all__ = [
     "harmonic_skyline_size_approx",
     "estimate_pskyline_size",
     "estimate_by_extrapolation",
-    "choose_algorithm",
 ]

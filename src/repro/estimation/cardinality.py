@@ -9,9 +9,11 @@ algorithm case by case.  This module provides:
   and approximated by ``(ln n)^{d-1} / (d-1)!``;
 * a sampling-based estimator for arbitrary p-expressions and data, based
   on the identity ``E|M_pi(D)| = n * P(t maximal)``, with ``P`` estimated
-  by screening a random sample against the whole data set;
-* :func:`choose_algorithm`, a simple cost-model switch implementing the
-  paper's suggestion (BNL for tiny outputs, OSDC otherwise).
+  by screening a random sample against the whole data set.
+
+The paper's suggestion of using the estimate to pick the algorithm case
+by case (BNL for tiny outputs, OSDC otherwise) lives in
+:meth:`repro.planner.Planner.plan`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "estimate_by_extrapolation",
     "harmonic_skyline_size_approx",
     "estimate_pskyline_size",
-    "choose_algorithm",
 ]
 
 
@@ -113,22 +114,3 @@ def estimate_by_extrapolation(ranks: np.ndarray, graph: PGraph,
     beta = min(max(float(beta), 0.0), 1.0)  # v is monotone, sub-linear
     return float(np.exp(intercept) * n ** beta)
 
-
-def choose_algorithm(ranks: np.ndarray, graph: PGraph,
-                     rng: np.random.Generator, *,
-                     sample_size: int = 64,
-                     bnl_threshold: float = 0.002) -> str:
-    """Pick an algorithm name from the estimated selectivity.
-
-    BNL is competitive only when the output is a tiny fraction of the
-    input (Figure 4, right); otherwise OSDC wins.  Returns a key of
-    :data:`repro.algorithms.REGISTRY`.
-    """
-    n = ranks.shape[0]
-    if n == 0:
-        return "bnl"
-    estimate = estimate_pskyline_size(ranks, graph, rng,
-                                      sample_size=sample_size)
-    if estimate <= bnl_threshold * n:
-        return "bnl"
-    return "osdc"

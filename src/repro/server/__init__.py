@@ -23,7 +23,7 @@ sharded MVCC relations) into a network service:
 * :mod:`repro.server.loadgen` -- a concurrent multi-client load
   generator whose correlated p-expression workloads come from the
   elicitation model (:mod:`repro.elicitation.greedy`), driving the
-  ``BENCH_7`` perf gate.
+  ``server`` tier of ``repro-skyline gate``.
 """
 
 from .cache import ResultCache

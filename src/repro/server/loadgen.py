@@ -12,8 +12,8 @@ what exercises the server's result cache.
 
 :func:`run_load` drives a server with N blocking clients on threads and
 reports sustained throughput, latency quantiles and the shed/cached/
-error mix; the ``BENCH_7`` perf gate and the ``repro-skyline load-gen``
-CLI are thin wrappers around it.
+error mix; the ``server`` tier of ``repro-skyline gate`` and the
+``repro-skyline load-gen`` CLI are thin wrappers around it.
 """
 
 from __future__ import annotations

@@ -32,9 +32,9 @@ p-skyline is *exactly predictable* from the original answer:
 ``kernel-threads``
     Identity transform that re-runs the algorithm with a screen thread
     budget of 2 forced (:func:`repro.engine.threads.thread_budget`):
-    tiled screening must reproduce the serial result bit for bit, so
-    the fuzzer cross-checks the intra-worker thread layer on every
-    rotating case.
+    tiled screening must reproduce the serial (budget-1) original bit
+    for bit on any core count, so the fuzzer cross-checks the
+    intra-worker thread layer on every rotating case.
 ``pool-chunked``
     Identity transform executed on the persistent worker pool: the
     case is partitioned into chunks, evaluated by worker processes
@@ -355,8 +355,16 @@ TRANSFORMS: dict[str, MetamorphicTransform] = {
 def run_transform(transform: MetamorphicTransform, ranks: np.ndarray,
                   graph: PGraph, function, rng: random.Random, *,
                   algorithm: str = "?") -> list[Mismatch]:
-    """Check one metamorphic relation for one algorithm on one case."""
-    original = set(int(i) for i in function(ranks, graph))
+    """Check one metamorphic relation for one algorithm on one case.
+
+    The original run is the oracle, so it screens serially (budget 1):
+    under the auto budget ``min(cores, cap)`` a multi-core host would
+    otherwise compare a threaded original with a threaded re-run.
+    """
+    from ..engine.threads import thread_budget
+
+    with thread_budget(1):
+        original = set(int(i) for i in function(ranks, graph))
     new_ranks, new_graph, oracle = transform.apply(ranks, graph, rng)
     expected = oracle(original)
     if transform.executor is not None:
@@ -372,8 +380,6 @@ def run_transform(transform: MetamorphicTransform, ranks: np.ndarray,
         with forced_kernel(transform.kernel):
             got = set(int(i) for i in function(new_ranks, new_graph))
     elif transform.threads is not None:
-        from ..engine.threads import thread_budget
-
         with thread_budget(transform.threads):
             got = set(int(i) for i in function(new_ranks, new_graph))
     else:

@@ -6,8 +6,7 @@ import pytest
 from repro.algorithms import osdc
 from repro.core.expressions import sky
 from repro.core.pgraph import PGraph
-from repro.estimation.cardinality import (choose_algorithm,
-                                          estimate_pskyline_size,
+from repro.estimation.cardinality import (estimate_pskyline_size,
                                           harmonic_skyline_size,
                                           harmonic_skyline_size_approx)
 
@@ -74,26 +73,6 @@ class TestSamplingEstimator:
     def test_empty_input(self, nrng):
         graph = PGraph.from_expression(sky(["A"]), names=["A"])
         assert estimate_pskyline_size(np.empty((0, 1)), graph, nrng) == 0.0
-
-
-class TestChooser:
-    def test_small_output_picks_bnl(self, nrng):
-        from repro.core.parser import parse
-        names = [f"A{i}" for i in range(4)]
-        graph = PGraph.from_expression(parse(" & ".join(names)),
-                                       names=names)
-        ranks = nrng.random((5000, 4))  # lexicographic: v = 1
-        assert choose_algorithm(ranks, graph, nrng) == "bnl"
-
-    def test_large_output_picks_osdc(self, nrng):
-        names = [f"A{i}" for i in range(6)]
-        graph = PGraph.from_expression(sky(names), names=names)
-        ranks = nrng.random((3000, 6))  # 6-d skyline: big v
-        assert choose_algorithm(ranks, graph, nrng) == "osdc"
-
-    def test_empty_input(self, nrng):
-        graph = PGraph.from_expression(sky(["A"]), names=["A"])
-        assert choose_algorithm(np.empty((0, 1)), graph, nrng) == "bnl"
 
 
 class TestExtrapolation:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import Stats
-from repro.bench.perf_gate import compare, run_gate
+from repro.bench.perf_gate import TIERS, evaluate, run_gate
 from repro.core.dominance import (DENSE_TABLE_LIMIT, KERNELS, Dominance,
                                   current_forced_kernel, forced_kernel,
                                   select_kernel)
@@ -242,9 +242,13 @@ def test_perf_gate_quick_run_and_compare():
             "scalar-parity-d4"} <= names
     for record in artifact["algorithms"]:
         assert record["kernel"] in KERNELS
-    # self-comparison passes with a permissive speedup floor (quick
-    # workloads are small; the 2x gate applies to the full run)
-    assert compare(artifact, artifact, min_speedup=0.0) == []
+    tier = TIERS["kernels"]
+    # self-comparison has no failing check; the speedup floors are
+    # unmeasured at quick scale (the 2x gate applies to the full run)
+    verdicts = evaluate(tier, artifact, artifact)
+    assert not [v for v in verdicts.values() if v.startswith("fail")]
+    assert verdicts["floor kernels[screen-d4].speedup_bitmask_over_gemm"] \
+        .startswith("unmeasured: quick scale")
     # a counter regression is caught
     broken = {
         "schema": artifact["schema"],
@@ -252,19 +256,29 @@ def test_perf_gate_quick_run_and_compare():
         "algorithms": [dict(record) for record in artifact["algorithms"]],
     }
     broken["algorithms"][0]["output_size"] += 1
-    violations = compare(broken, artifact, min_speedup=0.0)
-    assert any("output size" in violation for violation in violations)
+    verdicts = evaluate(tier, broken, artifact)
+    assert verdicts["exact algorithms[bnl].output_size"].startswith("fail")
     # a speedup collapse is caught within-run, without any baseline
     slow = dict(artifact["kernels"][0])
     slow["speedup_bitmask_over_gemm"] = 1.01
-    violations = compare({"kernels": [slow], "algorithms": []}, None,
-                         min_speedup=2.0)
-    assert any("below" in violation for violation in violations)
+    verdicts = evaluate(tier, {"kernels": [slow], "algorithms": []}, None)
+    assert verdicts["floor kernels[screen-d4].speedup_bitmask_over_gemm"] \
+        .startswith("fail")
+    assert verdicts["exact kernels[screen-d4].survivors"] == \
+        "unmeasured: no committed baseline"
 
 
-def test_cli_bench_kernels_smoke(capsys):
+def test_cli_gate_kernels_quick_smoke(tmp_path, monkeypatch, capsys):
+    import json
+
     from repro.cli import main
-    assert main(["bench-kernels", "--rows", "300", "--dims", "3",
-                 "--scalar"]) == 0
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["gate", "kernels", "--quick", "--check"]) == 0
     out = capsys.readouterr().out
-    assert "bitmask" in out and "gemm" in out and "scalar" in out
+    assert "kernels (BENCH_4.json)" in out
+    artifact = json.loads(
+        (tmp_path / "bench-out" / "BENCH_4.json").read_text())
+    assert artifact["verdicts"]
+    assert not [v for v in artifact["verdicts"].values()
+                if v.startswith("fail")]

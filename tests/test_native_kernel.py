@@ -7,15 +7,16 @@ outcome in :mod:`repro.core.native`:
 
 * simulated **unavailable** -- every ``"native"`` request must degrade
   to ``"bitmask"`` with a precise reason, surfaced as a
-  ``kernel-fallback`` trace event and by ``--list-backends``;
+  ``kernel-fallback`` trace event and by the ``gate`` host tag;
 * simulated **available** -- the native dispatch runs the (njit-
   compatible, still plain-Python here) kernel sources, which must agree
   bit-for-bit with the scalar and bitmask families, including the
   dense-table limit crossing and the fused multi-graph replay counters.
 
-The ``BENCH_9`` gate logic (:func:`repro.bench.perf_gate.run_native_gate`
-/ :func:`~repro.bench.perf_gate.compare_native`) is exercised on
-synthetic artifacts for both backend states plus a quick real run.
+The ``native`` gate tier (workload
+:func:`repro.bench.perf_gate.run_native_gate`, checks in
+:data:`~repro.bench.perf_gate.TIERS`) is exercised on synthetic
+artifacts for both backend states plus a quick real run.
 """
 
 import random
@@ -24,8 +25,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import Stats, resolve_kernel
-from repro.bench.perf_gate import (NATIVE_SCHEMA, compare_native,
-                                   run_native_gate)
+from repro.bench.perf_gate import TIERS, evaluate, run_native_gate
 from repro.core import native
 from repro.core.dominance import (DENSE_TABLE_LIMIT, Dominance,
                                   forced_kernel, native_available,
@@ -262,7 +262,20 @@ def test_fusion_stats_record_replay_kernel():
     assert fusion["kernel"] == expected
 
 
-# -- BENCH_9 gate ------------------------------------------------------------
+# -- native gate tier --------------------------------------------------------
+
+NATIVE_SCHEMA = "repro-perf-gate-native/1"
+SPEEDUP = "floor screens[native-screen-d4].speedup_native_over_bitmask"
+
+
+def compare_native(current: dict, baseline: dict | None) -> dict:
+    return evaluate(TIERS["native"], current, baseline)
+
+
+def failing(verdicts: dict) -> list[str]:
+    return [key for key, verdict in verdicts.items()
+            if verdict.startswith("fail")]
+
 
 def _fake_artifact(*, available: bool, cores: int = 4) -> dict:
     return {
@@ -283,46 +296,55 @@ def _fake_artifact(*, available: bool, cores: int = 4) -> dict:
 
 
 def test_compare_native_passes_both_backend_states():
-    assert compare_native(_fake_artifact(available=True), None) == []
-    assert compare_native(_fake_artifact(available=False), None) == []
+    verdicts = compare_native(_fake_artifact(available=True), None)
+    assert failing(verdicts) == []
+    assert verdicts[SPEEDUP] == "pass"
+    verdicts = compare_native(_fake_artifact(available=False), None)
+    assert failing(verdicts) == []
+    assert verdicts[SPEEDUP].startswith(
+        "unmeasured: compiled backend unavailable (numba missing")
 
 
 def test_compare_native_catches_speedup_collapse():
     slow = _fake_artifact(available=True)
     slow["screens"][0]["speedup_native_over_bitmask"] = 1.2
-    violations = compare_native(slow, None)
-    assert any("below" in violation for violation in violations)
-    # ...but a single-core host gets the wall-clock waiver
+    assert failing(compare_native(slow, None)) == [SPEEDUP]
+    # ...but a single-core host cannot measure it
     slow["cores"] = 1
-    assert compare_native(slow, None) == []
+    verdicts = compare_native(slow, None)
+    assert failing(verdicts) == []
+    assert verdicts[SPEEDUP].startswith("unmeasured: host has 1 core(s)")
 
 
 def test_compare_native_catches_broken_fallback():
     broken = _fake_artifact(available=False)
     broken["fallback_kernel"] = "native"  # resolution must degrade
-    violations = compare_native(broken, None)
-    assert any("resolved to" in violation for violation in violations)
+    assert failing(compare_native(broken, None)) == [
+        "equal fallback_kernel"]
     silent = _fake_artifact(available=False)
     silent["native_reason"] = None  # the reason is part of the contract
-    violations = compare_native(silent, None)
-    assert any("no reason" in violation for violation in violations)
+    assert failing(compare_native(silent, None)) == ["equal native_reason"]
 
 
 def test_compare_native_baseline_survivors_always_gate():
     current = _fake_artifact(available=False)
     baseline = _fake_artifact(available=True)  # different backend...
     baseline["screens"][0]["survivors"] = 9
-    violations = compare_native(current, baseline)
-    assert any("survivors" in violation for violation in violations)
-    # ...so timings are waived even when wildly different
+    assert failing(compare_native(current, baseline)) == [
+        "exact screens[native-screen-d4].survivors"]
+    # ...so timings are unmeasured even when wildly different
     baseline["screens"][0]["survivors"] = 7
     baseline["screens"][0]["timings"] = {"bitmask": 1e-6, "native": 1e-6}
-    assert compare_native(current, baseline) == []
-    # same backend: the time_factor check applies
+    verdicts = compare_native(current, baseline)
+    assert failing(verdicts) == []
+    assert verdicts["time screens[native-screen-d4].timings"].startswith(
+        "unmeasured: native_available differs")
+    # same backend: the TIME_FACTOR check applies
     same = _fake_artifact(available=False)
     same["screens"][0]["timings"] = {"bitmask": 1e-6, "native": 1e-6}
-    violations = compare_native(current, same)
-    assert any("more than" in violation for violation in violations)
+    assert failing(compare_native(current, same)) == [
+        "time screens[native-screen-d4].timings.bitmask",
+        "time screens[native-screen-d4].timings.native"]
 
 
 def test_run_native_gate_quick_self_check():
@@ -334,24 +356,26 @@ def test_run_native_gate_quick_self_check():
     if not artifact["native_available"]:
         assert artifact["native_reason"].startswith(
             ("numba missing", "JIT compile failed: "))
-        assert artifact["waivers"]
     names = {record["name"] for record in artifact["screens"]}
     assert {"native-screen-d4", "native-screen-d8",
             "native-screen-d16"} <= names
-    # the quick run gates against itself (speedup floor relaxed: quick
-    # workloads are small and this host may be on the fallback)
-    assert compare_native(artifact, artifact,
-                          min_native_speedup=0.0) == []
+    # the quick run gates against itself; the speedup floor is
+    # unmeasured (quick workloads are small, and this host may be on
+    # the fallback)
+    verdicts = compare_native(artifact, artifact)
+    assert failing(verdicts) == []
+    assert verdicts[SPEEDUP].startswith("unmeasured: ")
 
 
 # -- CLI surface -------------------------------------------------------------
 
 def test_cli_list_backends(capsys):
     from repro.cli import main
-    assert main(["bench-kernels", "--list-backends"]) == 0
+    assert main(["gate"]) == 0
     out = capsys.readouterr().out
+    host, _catalogue = out.split("tiers:\n")
     lines = dict(line.strip().split(": ", 1)
-                 for line in out.strip().splitlines())
+                 for line in host.strip().splitlines()[1:])
     assert set(lines) == {"native", "bitmask", "gemm", "scalar",
                           "threads"}
     assert lines["threads"].startswith("budget ")

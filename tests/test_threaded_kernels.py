@@ -7,7 +7,7 @@ honours deadlines/cancellation between tiles, and composes with the
 process pool without oversubscribing (workers pin a budget of 1).  The
 suite also covers the budget-resolution order (override > pin > env >
 auto), the workspace-lease arena (nested kernel entries get distinct
-scratch buffers) and the BENCH_10 perf-gate plumbing.
+scratch buffers) and the ``threads`` perf-gate tier.
 """
 
 import random
@@ -374,10 +374,16 @@ def test_kernel_threads_metamorphic_axis():
     assert mismatches == []
 
 
-def test_kernel_threads_axis_catches_a_budget_sensitive_bug():
+@pytest.mark.parametrize("cores", [1, 2, 8])
+def test_kernel_threads_axis_catches_a_budget_sensitive_bug(monkeypatch,
+                                                           cores):
     """Mutation smoke-check: an algorithm that returns garbage only
-    under a multi-thread budget is caught by the axis."""
+    under a multi-thread budget is caught by the axis, whatever the
+    auto budget ``min(cores, cap)`` resolves to on the host."""
     from repro.verify.metamorphic import TRANSFORMS, run_transform
+
+    monkeypatch.setattr("os.cpu_count", lambda: cores)
+    monkeypatch.delenv(ENV_VAR, raising=False)
 
     graph = sample_graph(4)
     rng = np.random.default_rng(6)
@@ -395,25 +401,41 @@ def test_kernel_threads_axis_catches_a_budget_sensitive_bug():
     assert mismatches != []
 
 
-# -- BENCH_10 perf gate ------------------------------------------------------
+# -- threads gate tier -------------------------------------------------------
+
+SPEEDUP = "floor screens[threaded-screen-d8].speedup_threaded_over_serial"
+
+
+def compare_threaded(current: dict, baseline: dict | None) -> dict:
+    from repro.bench.perf_gate import TIERS, evaluate
+
+    return evaluate(TIERS["threads"], current, baseline)
+
+
+def failing(verdicts: dict) -> list[str]:
+    return [key for key, verdict in verdicts.items()
+            if verdict.startswith("fail")]
+
 
 def test_threaded_gate_quick_self_check():
-    from repro.bench.perf_gate import (THREADS_SCHEMA, compare_threaded,
-                                       run_threaded_gate)
+    from repro.bench.perf_gate import run_threaded_gate
 
     artifact = run_threaded_gate(quick=True)
-    assert artifact["schema"] == THREADS_SCHEMA
+    assert artifact["schema"] == "repro-perf-gate-threads/1"
     assert {"cpu_count", "thread_budget"} <= set(artifact["host"])
     for record in artifact["screens"]:
         assert record["parity"] is True
-    # the quick run gates against itself (speedup floor relaxed: this
-    # host may be single-core or on the tiled fallback)
-    assert compare_threaded(artifact, artifact,
-                            min_threaded_speedup=0.0) == []
+    # the quick run gates against itself; the speedup floor is
+    # unmeasured (this host may be single-core or on the tiled fallback)
+    verdicts = compare_threaded(artifact, artifact)
+    assert failing(verdicts) == []
+    speedups = [verdict for key, verdict in verdicts.items()
+                if key.startswith("floor ")]
+    assert speedups and all(v.startswith("unmeasured: ")
+                            for v in speedups)
     if not (artifact["native_available"]
             and artifact["parallel_native"]):
-        assert any("parity" in waiver
-                   for waiver in artifact.get("waivers", []))
+        assert all("parity" in verdict for verdict in speedups)
 
 
 def _fake_artifact():
@@ -439,63 +461,62 @@ def _fake_artifact():
 
 
 def test_compare_threaded_flags_parity_violation():
-    from repro.bench.perf_gate import compare_threaded
-
     artifact = _fake_artifact()
     artifact["screens"][0]["parity"] = False
-    violations = compare_threaded(artifact, None)
-    assert any("bit-exact" in v for v in violations)
+    assert failing(compare_threaded(artifact, None)) == [
+        "equal screens[threaded-screen-d8].parity"]
 
 
 def test_compare_threaded_flags_slow_speedup_on_compiled_hosts():
-    from repro.bench.perf_gate import compare_threaded
-
     artifact = _fake_artifact()
     artifact["screens"][0]["speedup_threaded_over_serial"] = 1.1
-    violations = compare_threaded(artifact, None)
-    assert any("below the" in v for v in violations)
-    # the speedup gate is waived off compiled-parallel hosts...
+    assert failing(compare_threaded(artifact, None)) == [SPEEDUP]
+    # the speedup is unmeasured off compiled-parallel hosts...
     waived = _fake_artifact()
     waived["parallel_native"] = False
     waived["screens"][0]["speedup_threaded_over_serial"] = 1.1
-    assert compare_threaded(waived, None) == []
+    verdicts = compare_threaded(waived, None)
+    assert failing(verdicts) == []
+    assert verdicts[SPEEDUP].startswith(
+        "unmeasured: compiled parallel layer unavailable")
     # ...and on small hosts
     small = _fake_artifact()
     small["cores"] = 2
     small["screens"][0]["speedup_threaded_over_serial"] = 1.1
-    assert compare_threaded(small, None) == []
+    verdicts = compare_threaded(small, None)
+    assert failing(verdicts) == []
+    assert verdicts[SPEEDUP].startswith("unmeasured: host has 2 core(s)")
 
 
 def test_compare_threaded_flags_pool_budget_mismatch():
-    from repro.bench.perf_gate import compare_threaded
-
     artifact = _fake_artifact()
     artifact["pool"]["worker_thread_budget"] = 4
-    violations = compare_threaded(artifact, None)
-    assert any("pool x threads" in v for v in violations)
+    assert failing(compare_threaded(artifact, None)) == [
+        "equal pool.worker_thread_budget"]
 
 
 def test_compare_threaded_host_shape_gates_timing_drift():
-    from repro.bench.perf_gate import compare_threaded
-
     baseline = _fake_artifact()
     slower = _fake_artifact()
     slower["screens"][0]["timings"] = {"serial": 10.0, "threaded": 5.0}
     slower["screens"][0]["speedup_threaded_over_serial"] = 2.0
     # same host shape: the 10x regression trips the drift gate
-    assert any("more than" in v
-               for v in compare_threaded(slower, baseline))
+    timings = "time screens[threaded-screen-d8].timings"
+    assert failing(compare_threaded(slower, baseline)) == [
+        f"{timings}.serial", f"{timings}.threaded"]
     # different host shape (e.g. CI runner with another core count):
-    # timings are skipped, survivors still gate
+    # timings are unmeasured, survivors still gate
     moved = _fake_artifact()
     moved["host"] = {"cpu_count": 2, "thread_budget": 2}
     moved["screens"][0]["timings"] = {"serial": 10.0, "threaded": 5.0}
-    assert compare_threaded(moved, baseline) == []
+    verdicts = compare_threaded(moved, baseline)
+    assert failing(verdicts) == []
+    assert verdicts[timings].startswith("unmeasured: host shape")
     diverged = _fake_artifact()
     diverged["host"] = {"cpu_count": 2, "thread_budget": 2}
     diverged["screens"][0]["survivors"] = 7
-    assert any("baseline" in v
-               for v in compare_threaded(diverged, baseline))
+    assert failing(compare_threaded(diverged, baseline)) == [
+        "exact screens[threaded-screen-d8].survivors"]
 
 
 def test_threaded_bench_record_shape():
@@ -510,22 +531,13 @@ def test_threaded_bench_record_shape():
 
 # -- CLI surface -------------------------------------------------------------
 
-def test_cli_bench_kernels_threads_flag(capsys):
-    from repro.cli import main
-
-    assert main(["bench-kernels", "--rows", "400", "--dims", "3",
-                 "--threads", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "d= 3" in out
-
-
 def test_cli_list_backends_reports_thread_layer(capsys):
     from repro.cli import main
 
-    assert main(["bench-kernels", "--list-backends"]) == 0
+    assert main(["gate"]) == 0
     out = capsys.readouterr().out
     lines = dict(line.strip().split(": ", 1)
-                 for line in out.strip().splitlines())
+                 for line in out.split("tiers:")[0].splitlines()[1:])
     assert "threads" in lines
     assert lines["threads"].startswith("budget ")
     source = budget_source()[1]
