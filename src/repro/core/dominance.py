@@ -38,18 +38,18 @@ context manager that overrides every selection on the current thread,
 which the verification harness uses to cross-check kernels without
 touching algorithm signatures.
 
-Screening additionally carries an *intra-worker thread layer* under the
-same seam: when the budget resolved through
-:mod:`repro.engine.threads` exceeds 1, :meth:`Dominance.screen_block`
-runs the compiled ``prange`` kernels (native family) or dispatches
-contiguous row tiles onto a shared thread pool (bitmask family; the
-kernels release the GIL in their hot sections).  Rows are screened
-independently, so every budget produces bit-identical survivors, and
-``check`` fires between tiles/chunks so deadline/cancel semantics are
-unchanged.  Workspace arenas are *leased* per kernel entry from
-per-thread free lists (:func:`_lease_workspace`), so concurrent tiles
--- and screens nested inside a tile or ``check`` callback -- never
-share scratch buffers.
+Screening additionally carries an optional *intra-worker thread layer*
+under the same seam: when the budget resolved through
+:mod:`repro.engine.threads` exceeds 1 and the compiled ``prange``
+kernels are up (:func:`repro.core.native.parallel_available`),
+:meth:`Dominance.screen_block` runs the native family's row loop across
+that many threads.  Rows are screened independently, so every budget
+produces bit-identical survivors, and ``check`` fires between chunks so
+deadline/cancel semantics are unchanged.  Everywhere else screening is
+serial.  Workspace arenas are *leased* per kernel entry from per-thread
+free lists (:func:`_lease_workspace`), so concurrent server threads --
+and screens nested inside a ``check`` callback -- never share scratch
+buffers.
 
 All kernels operate on *rank* matrices produced by
 :class:`~repro.core.relation.Relation`.
@@ -95,21 +95,12 @@ SMALL_BLOCK_PAIRS = 256
 #: workspace footprint at ``chunk x AGAINST_CHUNK`` masks.
 AGAINST_CHUNK = 4096
 
-#: Smallest ``block`` the *auto* thread policy tiles across screen
-#: threads; below it the tile dispatch overhead dominates.  An explicit
-#: budget (``threads=`` argument or
-#: :func:`repro.engine.threads.thread_budget` scope) engages the tiled
-#: path regardless of size -- the verification harness relies on that
-#: to tile tiny fuzz cases.
+#: Smallest ``block`` the *auto* thread policy spreads across the
+#: compiled ``prange`` screen; below it the thread start-up cost
+#: dominates.  An explicit budget (``threads=`` argument or
+#: :func:`repro.engine.threads.thread_budget` scope) engages the
+#: ``prange`` path regardless of size.
 THREAD_MIN_ROWS = 2048
-
-
-def _thread_policy():
-    """Lazy accessor for :mod:`repro.engine.threads` (imported on first
-    use -- the engine package imports this module at load time)."""
-    from ..engine import threads
-
-    return threads
 
 
 def _resolve_screen_threads(threads: int | None,
@@ -120,54 +111,15 @@ def _resolve_screen_threads(threads: int | None,
     (argument or thread-local scope), which bypasses
     :data:`THREAD_MIN_ROWS`.
     """
-    if getattr(_TILE_STATE, "active", False):
-        # a screen nested inside a running tile never re-tiles: tiles
-        # would submit to the executor they occupy (deadlock risk) and
-        # the outer screen already owns the budget
-        return 1, False
     if threads is not None:
         return max(1, int(threads)), True
-    policy = _thread_policy()
+    # imported on first use: the engine package imports this module
+    from ..engine import threads as policy
+
     override = policy.current_override()
     if override is not None:
         return override, True
     return policy.effective_budget(d), False
-
-
-_TILE_STATE = threading.local()
-_TILE_POOL = None
-_TILE_POOL_SIZE = 0
-_TILE_POOL_LOCK = threading.Lock()
-
-
-def _tile_executor(threads: int):
-    """The shared screen-tile thread pool, grown on demand.
-
-    One process-wide :class:`~concurrent.futures.ThreadPoolExecutor`
-    serves every tiled screen (tiles are short-lived and the budget
-    policy bounds concurrent demand); it is recreated larger when a
-    bigger budget arrives.
-    """
-    global _TILE_POOL, _TILE_POOL_SIZE
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _TILE_POOL_LOCK:
-        if _TILE_POOL is None or _TILE_POOL_SIZE < threads:
-            if _TILE_POOL is not None:
-                _TILE_POOL.shutdown(wait=False)
-            _TILE_POOL_SIZE = max(threads, _TILE_POOL_SIZE, 4)
-            _TILE_POOL = ThreadPoolExecutor(
-                max_workers=_TILE_POOL_SIZE,
-                thread_name_prefix="repro-screen-tile")
-        return _TILE_POOL
-
-
-def _tile_bounds(n: int, tiles: int) -> list[tuple[int, int]]:
-    """Balanced contiguous row tiles (never empty, at most ``tiles``)."""
-    tiles = max(1, min(tiles, n))
-    edges = [round(i * n / tiles) for i in range(tiles + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(tiles)
-            if edges[i + 1] > edges[i]]
 
 
 def _mask_dtype_for(d: int) -> np.dtype:
@@ -288,13 +240,12 @@ class _Workspace:
         return backing[:size].reshape(shape)
 
 
-#: Per-thread free lists of workspace arenas.  Thread tiles each see
-#: their own list (so tiles never share scratch buffers), and *leasing*
-#: -- rather than handing every caller the one arena of its thread --
-#: keeps nested kernel entries safe: a tile that re-enters
-#: ``screen_block`` mid-loop (e.g. a fusion replay inside a tile, or a
-#: ``check`` callback that runs another screen) pops a *distinct* arena
-#: because the outer entry still holds its lease.
+#: Per-thread free lists of workspace arenas.  Threads each see their
+#: own list (so concurrent server threads never share scratch buffers),
+#: and *leasing* -- rather than handing every caller the one arena of
+#: its thread -- keeps nested kernel entries safe: a ``check`` callback
+#: that runs another screen mid-loop pops a *distinct* arena because
+#: the outer entry still holds its lease.
 _WORKSPACES = threading.local()
 
 
@@ -688,15 +639,13 @@ class Dominance:
         the early exit below keeps firing on the first inner block.
 
         ``threads`` overrides the screen thread budget for this call
-        (``None`` resolves through :mod:`repro.engine.threads`).  A
-        budget above 1 engages the intra-worker parallel layer for the
-        native/bitmask families: the compiled ``prange`` screen when
-        available, otherwise contiguous row tiles dispatched onto a
-        shared thread pool (the kernels release the GIL in their hot
-        sections, so tiles genuinely overlap).  Both layers produce
-        bit-identical survivors -- rows are screened independently --
-        and fire ``check`` between tiles/chunks so deadline/cancel
-        semantics are unchanged.
+        (``None`` resolves through :mod:`repro.engine.threads`).  The
+        budget reaches only the compiled ``prange`` screen of the native
+        family: where :func:`repro.core.native.parallel_available`, a
+        budget above 1 spreads the row loop across that many threads
+        (bit-identical survivors -- rows are screened independently --
+        with ``check`` still firing between chunks).  Every other
+        screen runs serially.
         """
         n = block.shape[0]
         m = against.shape[0]
@@ -705,50 +654,48 @@ class Dominance:
             return survivors
         kernel = select_kernel(kernel, d=self.graph.d,
                                pairs=min(chunk, n) * min(AGAINST_CHUNK, m))
-        budget, forced = _resolve_screen_threads(threads, self.graph.d)
-        budget = min(budget, n)
-        threaded = (budget > 1 and kernel in ("native", "bitmask")
-                    and (forced or n >= THREAD_MIN_ROWS))
         if kernel == "native":
             block = np.ascontiguousarray(block, dtype=np.float64)
             against = np.ascontiguousarray(against, dtype=np.float64)
-            if threaded and _native.parallel_available():
+            budget, forced = _resolve_screen_threads(threads,
+                                                     self.graph.d)
+            budget = min(budget, n)
+            if (budget > 1 and (forced or n >= THREAD_MIN_ROWS)
+                    and _native.parallel_available()):
                 return self._native_screen_parallel(
                     block, against, survivors, chunk=chunk, check=check,
                     threads=budget)
-        if threaded:
-            return self._screen_tiled(block, against, survivors,
-                                      chunk=chunk, check=check,
-                                      kernel=kernel, threads=budget)
-        self._screen_span(block, against, survivors, 0, n, chunk=chunk,
+        self._screen_span(block, against, survivors, chunk=chunk,
                           check=check, kernel=kernel)
         return survivors
 
     def _screen_span(self, block: np.ndarray, against: np.ndarray,
-                     survivors: np.ndarray, lo: int, hi: int, *,
-                     chunk: int, check, kernel: str) -> None:
-        """Screen rows ``[lo, hi)`` of ``block`` into ``survivors``.
+                     survivors: np.ndarray, *, chunk: int, check,
+                     kernel: str, parallel: bool = False) -> None:
+        """The screening loop behind :meth:`screen_block`, writing into
+        ``survivors``.
 
-        The single-threaded screening loop shared by the serial path
-        (``lo=0, hi=n``) and each thread tile.  Holds one workspace
-        lease for its whole run (:func:`_lease_workspace`), so
-        concurrent tiles -- and screens nested inside a ``check``
-        callback -- each operate on distinct scratch buffers.  For the
-        native family, packing and Proposition 1 are fused per pair
-        inside :func:`repro.core.native.screen_chunk` with a per-row
-        early exit; the only per-chunk temporary is the arena-backed
-        ``dominated`` vector, so the steady-state loop performs zero
-        Python-level allocations.
+        Holds one workspace lease for its whole run
+        (:func:`_lease_workspace`), so screens nested inside a ``check``
+        callback operate on distinct scratch buffers.  For the native
+        family, packing and Proposition 1 are fused per pair inside
+        :func:`repro.core.native.screen_chunk` (its ``prange`` variant
+        when ``parallel``) with a per-row early exit; the only per-chunk
+        temporary is the arena-backed ``dominated`` vector, so the
+        steady-state loop performs zero Python-level allocations.
         """
+        n = block.shape[0]
         m = against.shape[0]
         use_native = kernel == "native"
         if use_native:
             closures, table, use_table = self._native_tables()
+            screen = (_native.screen_chunk_parallel if parallel
+                      else _native.screen_chunk)
         with _lease_workspace() as arena:
-            for start in range(lo, hi, chunk):
+            for start in range(0, n, chunk):
                 if check is not None:
                     check("screen-block")
-                stop = min(start + chunk, hi)
+                stop = min(start + chunk, n)
                 sub = block[start:stop]  # (c, d)
                 if use_native:
                     dominated = arena.get("dom", (stop - start,),
@@ -761,8 +708,8 @@ class Dominance:
                         check("screen-block")
                     part = against[a_start:a_start + AGAINST_CHUNK]
                     if use_native:
-                        _native.screen_chunk(sub, part, closures, table,
-                                             use_table, dominated)
+                        screen(sub, part, closures, table, use_table,
+                               dominated)
                     else:
                         flags = self._pair_flags(sub, part, kernel,
                                                  arena)
@@ -775,8 +722,7 @@ class Dominance:
                                 against: np.ndarray,
                                 survivors: np.ndarray, *, chunk: int,
                                 check, threads: int) -> np.ndarray:
-        """The compiled ``prange`` screening loop behind
-        :meth:`screen_block`.
+        """The compiled ``prange`` screen behind :meth:`screen_block`.
 
         Outer blocks grow to ``chunk * threads`` rows so every runtime
         thread owns a ``chunk``-sized row slice of the ``prange`` loop;
@@ -785,72 +731,9 @@ class Dominance:
         the serial kernel.  ``check`` still fires between outer blocks
         and inner ``against`` chunks.
         """
-        n = block.shape[0]
-        m = against.shape[0]
         applied = _native.set_thread_count(threads)
-        step = max(chunk, chunk * applied)
-        closures, table, use_table = self._native_tables()
-        with _lease_workspace() as arena:
-            for start in range(0, n, step):
-                if check is not None:
-                    check("screen-block")
-                stop = min(start + step, n)
-                sub = block[start:stop]
-                dominated = arena.get("dom", (stop - start,), np.bool_)
-                dominated[...] = False
-                for a_start in range(0, m, AGAINST_CHUNK):
-                    if a_start and check is not None:
-                        check("screen-block")
-                    part = against[a_start:a_start + AGAINST_CHUNK]
-                    _native.screen_chunk_parallel(sub, part, closures,
-                                                  table, use_table,
-                                                  dominated)
-                    if dominated.all():
-                        break
-                survivors[start:stop] = ~dominated
-        return survivors
-
-    def _screen_tiled(self, block: np.ndarray, against: np.ndarray,
-                      survivors: np.ndarray, *, chunk: int, check,
-                      kernel: str, threads: int) -> np.ndarray:
-        """Thread-tiled screening: contiguous row tiles on the shared
-        executor.
-
-        Each tile runs :meth:`_screen_span` under its own workspace
-        lease (per-thread arena pools), writes a disjoint ``survivors``
-        slice, and fires ``check`` between its chunks -- a deadline or
-        cancellation raised inside any tile propagates here after all
-        tiles settle.  Screens nested inside a tile never re-tile (see
-        :func:`_resolve_screen_threads`).
-        """
-        n = block.shape[0]
-        spans = _tile_bounds(n, threads)
-        if len(spans) <= 1:
-            self._screen_span(block, against, survivors, 0, n,
-                              chunk=chunk, check=check, kernel=kernel)
-            return survivors
-
-        def run_tile(lo: int, hi: int) -> None:
-            _TILE_STATE.active = True
-            try:
-                self._screen_span(block, against, survivors, lo, hi,
-                                  chunk=chunk, check=check,
-                                  kernel=kernel)
-            finally:
-                _TILE_STATE.active = False
-
-        executor = _tile_executor(len(spans))
-        futures = [executor.submit(run_tile, lo, hi)
-                   for lo, hi in spans]
-        error = None
-        for future in futures:
-            try:
-                future.result()
-            except BaseException as exc:  # deadline/cancel from a tile
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
+        self._screen_span(block, against, survivors, chunk=chunk * applied,
+                          check=check, kernel="native", parallel=True)
         return survivors
 
 

@@ -1,14 +1,13 @@
 """The intra-worker thread-budget policy (pool x threads coordination).
 
 Two parallelism layers exist below the query API: the process-level
-:class:`~repro.engine.pool.WorkerPool` (PR 4) and the intra-process
-thread tiling of the dominance screen (:mod:`repro.core.dominance` --
-a ``prange`` loop inside the compiled native kernels, a
-``ThreadPoolExecutor`` over row tiles for the interpreted bitmask
-family).  Left uncoordinated they multiply: 8 pool workers each running
-8 screen threads oversubscribe a 16-core host 4x.  This module is the
-single policy both layers consult, so oversubscription is impossible
-by default:
+:class:`~repro.engine.pool.WorkerPool` and the optional compiled
+``prange`` screen of the native kernels (:mod:`repro.core.native`,
+dispatched by :meth:`repro.core.dominance.Dominance.screen_block`).
+Left uncoordinated they multiply: 8 pool workers each running 8 screen
+threads oversubscribe a 16-core host 4x.  This module is the single
+policy both layers consult, so oversubscription is impossible by
+default:
 
 * **pool workers pin a budget of 1 at spawn**
   (:func:`pin_thread_budget`): a pooled query parallelises across
@@ -17,21 +16,25 @@ by default:
   ``min(cores, d-aware cap)`` (:func:`auto_budget`);
 * **explicit overrides** win over everything: per-scope via the
   :func:`thread_budget` context manager (which the query API enters for
-  ``ExecutionContext(threads=...)``, and the ``threads`` gate tier and
-  the ``kernel-threads`` metamorphic axis use directly), or
-  process-wide via the ``REPRO_THREAD_BUDGET`` environment variable.
+  ``ExecutionContext(threads=...)`` and the ``threads`` gate tier uses
+  directly), or process-wide via the ``REPRO_THREAD_BUDGET``
+  environment variable.
 
 Resolution order (first hit wins): thread-local override -> process
-pin -> environment -> auto.  The effective budget is recorded in
-``Stats.extra["thread_budget"]`` and the ``kernel-select`` trace event
-by :func:`repro.algorithms.base.resolve_kernel`, so every artifact and
+pin -> environment -> auto.  Where the compiled ``prange`` layer is
+unavailable (:func:`repro.core.native.parallel_availability`) every
+screen is serial, so the resolved budget is 1 whatever the override,
+pin or environment asks for, and the source names the reason.  The
+budget applied is recorded in ``Stats.extra["thread_budget"]`` and the
+``kernel-select`` trace event by
+:func:`repro.algorithms.base.resolve_kernel`, so every artifact and
 ``explain`` output shows how many threads served the query.
 
 An *explicit* override (context manager / ``threads=`` argument) also
-forces the tiled screen to engage regardless of block size; the auto
-policy only threads blocks of at least
-:data:`repro.core.dominance.THREAD_MIN_ROWS` rows, where the tile
-dispatch overhead amortises.
+engages the ``prange`` screen regardless of block size; the auto policy
+only threads blocks of at least
+:data:`repro.core.dominance.THREAD_MIN_ROWS` rows, where the thread
+start-up cost amortises.
 """
 
 from __future__ import annotations
@@ -47,12 +50,12 @@ __all__ = ["DEFAULT_THREAD_CAP", "WIDE_THREAD_CAP", "ENV_VAR",
 
 #: Auto-policy thread cap for dense-table dimensionalities
 #: (``d <= DENSE_TABLE_LIMIT``): the per-pair work is a table gather,
-#: cheap enough that tiles stay load-balanced at this width.
+#: cheap enough that row slices stay load-balanced at this width.
 DEFAULT_THREAD_CAP = 8
 
 #: Auto-policy cap above the dense-table limit: the OR-reduction over
 #: set-bit columns does more (and more cache-hostile) work per pair, so
-#: wider problems get fewer, larger tiles.
+#: wider problems get fewer, larger row slices.
 WIDE_THREAD_CAP = 4
 
 #: Environment override consulted by :func:`effective_budget` (parsed
@@ -82,10 +85,9 @@ def thread_budget(budget: int):
     """Force the screening thread budget inside this scope (this thread).
 
     Wins over the process pin, the environment and the auto policy, and
-    forces the tiled screen to engage even on small blocks (an explicit
-    request is honoured exactly -- the verification harness relies on
-    this to tile tiny fuzz cases).  Nestable; restores the previous
-    override on exit.
+    engages the compiled ``prange`` screen even on small blocks (an
+    explicit request is honoured exactly where that layer is up).
+    Nestable; restores the previous override on exit.
     """
     budget = _validate(budget)
     previous = current_override()
@@ -144,13 +146,20 @@ def auto_budget(d: int | None = None) -> int:
 
 
 def effective_budget(d: int | None = None) -> int:
-    """Resolve the budget: override -> pin -> environment -> auto."""
+    """The budget applied: override -> pin -> environment -> auto, or 1
+    without the compiled ``prange`` layer."""
     return budget_source(d)[0]
 
 
 def budget_source(d: int | None = None) -> tuple[int, str]:
     """``(budget, source)`` where source names the winning policy layer
-    (``"override"`` / ``"pinned"`` / ``"env"`` / ``"auto"``)."""
+    (``"override"`` / ``"pinned"`` / ``"env"`` / ``"auto"``), or why
+    the budget is 1 when the compiled ``prange`` layer is unavailable."""
+    from ..core.native import parallel_availability
+
+    available, reason = parallel_availability()
+    if not available:
+        return 1, f"compiled parallel layer unavailable: {reason}"
     override = current_override()
     if override is not None:
         return override, "override"

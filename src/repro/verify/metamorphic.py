@@ -29,12 +29,6 @@ p-skyline is *exactly predictable* from the original answer:
     on every rotating case with no algorithm-specific plumbing (the
     ``native`` axis degrades to the bitmask fallback on hosts without
     numba, which is itself a path worth covering).
-``kernel-threads``
-    Identity transform that re-runs the algorithm with a screen thread
-    budget of 2 forced (:func:`repro.engine.threads.thread_budget`):
-    tiled screening must reproduce the serial (budget-1) original bit
-    for bit on any core count, so the fuzzer cross-checks the
-    intra-worker thread layer on every rotating case.
 ``pool-chunked``
     Identity transform executed on the persistent worker pool: the
     case is partitioned into chunks, evaluated by worker processes
@@ -100,11 +94,6 @@ class MetamorphicTransform:
     #: pool with this many partitions instead of calling the algorithm
     #: under test directly.
     pool_chunks: int | None = None
-    #: When set, the transformed run executes under
-    #: :func:`~repro.engine.threads.thread_budget` with this screen
-    #: thread budget forced (an explicit budget engages the tiled
-    #: screening path regardless of input size).
-    threads: int | None = None
     #: When set, the transformed run is delegated entirely to this
     #: callable -- ``executor(new_ranks, new_graph, function, rng)``
     #: returns the result indices (the sharded and snapshot axes).
@@ -327,10 +316,6 @@ TRANSFORMS: dict[str, MetamorphicTransform] = {
         _kernel_transform("gemm"),
         _kernel_transform("scalar"),
         MetamorphicTransform(
-            "kernel-threads",
-            "re-run with a screen thread budget of 2 forced (tiled "
-            "screening); the result is unchanged", _identity, threads=2),
-        MetamorphicTransform(
             "pool-chunked",
             "re-evaluate on the persistent worker pool (2 chunks, "
             "shared memory, tree merge); the result is unchanged",
@@ -357,9 +342,9 @@ def run_transform(transform: MetamorphicTransform, ranks: np.ndarray,
                   algorithm: str = "?") -> list[Mismatch]:
     """Check one metamorphic relation for one algorithm on one case.
 
-    The original run is the oracle, so it screens serially (budget 1):
-    under the auto budget ``min(cores, cap)`` a multi-core host would
-    otherwise compare a threaded original with a threaded re-run.
+    The original run is the oracle, so it screens serially (budget 1)
+    on every host: where the compiled ``prange`` layer is up, the auto
+    budget ``min(cores, cap)`` would otherwise thread it.
     """
     from ..engine.threads import thread_budget
 
@@ -378,9 +363,6 @@ def run_transform(transform: MetamorphicTransform, ranks: np.ndarray,
             min_chunk=8))
     elif transform.kernel is not None:
         with forced_kernel(transform.kernel):
-            got = set(int(i) for i in function(new_ranks, new_graph))
-    elif transform.threads is not None:
-        with thread_budget(transform.threads):
             got = set(int(i) for i in function(new_ranks, new_graph))
     else:
         got = set(int(i) for i in function(new_ranks, new_graph))

@@ -1,13 +1,14 @@
 """Thread-equivalence property suite for the intra-worker screen layer.
 
 The screening thread budget must never change an answer: for every
-kernel family, chunk size, dimensionality and budget the tiled (or
-``prange``) screen returns bit-identical survivors and exact counters,
-honours deadlines/cancellation between tiles, and composes with the
-process pool without oversubscribing (workers pin a budget of 1).  The
-suite also covers the budget-resolution order (override > pin > env >
-auto), the workspace-lease arena (nested kernel entries get distinct
-scratch buffers) and the ``threads`` perf-gate tier.
+kernel family, chunk size, dimensionality and budget the ``prange``
+screen returns bit-identical survivors and exact counters, the budget
+reaches no other screen, deadlines/cancellation are honoured between
+chunks, and the layer composes with the process pool without
+oversubscribing (workers pin a budget of 1).  The suite also covers the
+budget-resolution order (override > pin > env > auto, or 1 without the
+compiled layer), the workspace-lease arena (nested kernel entries get
+distinct scratch buffers) and the ``threads`` perf-gate tier.
 """
 
 import random
@@ -20,8 +21,8 @@ import repro.core.dominance as dominance_module
 from repro.core import native
 from repro.core.dominance import (DENSE_TABLE_LIMIT, KERNELS, Dominance,
                                   _lease_workspace,
-                                  _resolve_screen_threads, _tile_bounds,
-                                  _TILE_STATE, screen_block_multi)
+                                  _resolve_screen_threads,
+                                  screen_block_multi)
 from repro.engine.context import CancellationToken, ExecutionContext
 from repro.engine.errors import QueryCancelled, QueryTimeout
 from repro.engine.threads import (DEFAULT_THREAD_CAP, ENV_VAR,
@@ -48,8 +49,36 @@ def _clean_policy(monkeypatch):
     pin_thread_budget(None)
 
 
+@pytest.fixture
+def parallel_layer(monkeypatch):
+    """The compiled ``prange`` layer switched on.
+
+    With numba this is the real layer.  Without it the njit-compatible
+    Python sources stand in for the compiled kernels (``prange`` is
+    plain ``range`` there), so a budget above 1 still routes
+    ``screen_block`` through ``_native_screen_parallel`` and the parity
+    checks below compare two distinct code paths on every host.
+    Returns the thread counts requested from the ``prange`` path.
+    """
+    requested = []
+    compiled = native.parallel_available()
+    apply = native.set_thread_count
+    if not compiled:
+        monkeypatch.setattr(native, "availability", lambda: (True, None))
+        monkeypatch.setattr(native, "parallel_availability",
+                            lambda: (True, None))
+
+    def set_thread_count(threads):
+        requested.append(threads)
+        return apply(threads) if compiled else threads
+
+    monkeypatch.setattr(native, "set_thread_count", set_thread_count)
+    return requested
+
+
 # -- budget resolution -------------------------------------------------------
 
+@pytest.mark.usefixtures("parallel_layer")
 class TestBudgetResolution:
     def test_auto_is_cores_capped(self):
         budget, source = budget_source(4)
@@ -105,24 +134,6 @@ class TestBudgetResolution:
             assert _resolve_screen_threads(5, 4) == (5, True)
             assert _resolve_screen_threads(None, 4) == (2, True)
 
-    def test_nested_tile_never_retiles(self):
-        _TILE_STATE.active = True
-        try:
-            assert _resolve_screen_threads(None, 4) == (1, False)
-            assert _resolve_screen_threads(8, 4) == (1, False)
-            with thread_budget(8):
-                assert _resolve_screen_threads(None, 4) == (1, False)
-        finally:
-            _TILE_STATE.active = False
-
-    def test_tile_bounds_cover_exactly(self):
-        for n in (0, 1, 7, 100, 101):
-            for tiles in (1, 2, 3, 8, 200):
-                spans = _tile_bounds(n, tiles)
-                assert len(spans) <= max(1, min(tiles, n))
-                flat = [i for lo, hi in spans for i in range(lo, hi)]
-                assert flat == list(range(n))
-
 
 # -- thread equivalence ------------------------------------------------------
 
@@ -139,31 +150,36 @@ def _case(d: int, n: int, m: int, seed: int = 0):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("chunk", [16, 64])
 @pytest.mark.parametrize("budget", [2, 5])
-def test_screen_block_thread_equivalence(d, kernel, chunk, budget):
+def test_screen_block_thread_equivalence(parallel_layer, d, kernel, chunk,
+                                         budget):
     dominance, block, against = _case(d, 200, 240)
     serial = dominance.screen_block(block, against, chunk=chunk,
                                     kernel=kernel, threads=1)
     threaded = dominance.screen_block(block, against, chunk=chunk,
                                       kernel=kernel, threads=budget)
     assert np.array_equal(serial, threaded)
+    # the budget reaches the native prange screen and nothing else
+    assert parallel_layer == ([budget] if kernel == "native" else [])
 
 
-def test_screen_block_budget_scope_equivalence():
+def test_screen_block_budget_scope_equivalence(parallel_layer):
     dominance, block, against = _case(6, 300, 300)
     serial = dominance.screen_block(block, against)
     with thread_budget(4):
         scoped = dominance.screen_block(block, against)
     assert np.array_equal(serial, scoped)
+    assert parallel_layer == [4]
 
 
-def test_screen_block_oversized_budget_clamps_to_rows():
+def test_screen_block_oversized_budget_clamps_to_rows(parallel_layer):
     dominance, block, against = _case(4, 9, 50)
     serial = dominance.screen_block(block, against, threads=1)
     huge = dominance.screen_block(block, against, threads=64)
     assert np.array_equal(serial, huge)
+    assert parallel_layer == [9]
 
 
-def test_screen_block_multi_equivalence_and_exact_counters():
+def test_screen_block_multi_equivalence_and_exact_counters(parallel_layer):
     graphs = [sample_graph(6, seed) for seed in range(3)]
     dominances = [Dominance(g).prepare() for g in graphs]
     rng = np.random.default_rng(7)
@@ -178,12 +194,12 @@ def test_screen_block_multi_equivalence_and_exact_counters():
     # identical chunk structure at every budget => exact counters
     for key in ("mask_hits", "mask_misses", "kernel"):
         assert serial_counters[key] == threaded_counters[key]
+    assert serial_counters["kernel"] == "native"
     assert serial_counters["threads"] == 1
-    if not native.parallel_available():
-        assert threaded_counters["threads"] == 1
+    assert parallel_layer == [4]
 
 
-def test_deadline_honoured_between_tiles():
+def test_deadline_honoured_between_chunks():
     dominance, block, against = _case(5, 400, 400)
     context = ExecutionContext(deadline=time.monotonic() - 1.0)
     with pytest.raises(QueryTimeout):
@@ -191,7 +207,7 @@ def test_deadline_honoured_between_tiles():
                                check=context.check, threads=4)
 
 
-def test_cancel_honoured_mid_screen_between_tiles():
+def test_cancel_honoured_mid_screen_between_chunks():
     dominance, block, against = _case(5, 400, 400)
     token = CancellationToken()
     context = ExecutionContext(cancel=token)
@@ -239,23 +255,6 @@ def test_reentrant_screen_inside_check_callback(monkeypatch):
 
     got = dominance.screen_block(block, against, chunk=8,
                                  check=nosy_check)
-    assert np.array_equal(expected, got)
-
-
-def test_reentrant_screen_inside_tile(monkeypatch):
-    """The same re-entrancy while tiled: the nested screen must neither
-    deadlock on the tile executor nor corrupt the tile's buffers."""
-    monkeypatch.setattr(dominance_module, "AGAINST_CHUNK", 32)
-    dominance, block, against = _case(5, 200, 120)
-    expected = dominance.screen_block(block, against, chunk=16,
-                                      threads=1)
-
-    def nosy_check(phase):
-        inner, inner_block, inner_against = _case(5, 30, 30, seed=9)
-        inner.screen_block(inner_block, inner_against, threads=4)
-
-    got = dominance.screen_block(block, against, chunk=16,
-                                 check=nosy_check, threads=3)
     assert np.array_equal(expected, got)
 
 
@@ -325,6 +324,7 @@ def test_pool_workers_pin_thread_budget():
     assert stats.extra["pool"]["thread_budget"] == WORKER_THREAD_BUDGET
 
 
+@pytest.mark.usefixtures("parallel_layer")
 def test_plan_records_thread_budget():
     from repro.planner import Plan
 
@@ -341,6 +341,7 @@ def test_plan_records_thread_budget():
     assert stats.extra["plan"]["thread_budget"] == 6
 
 
+@pytest.mark.usefixtures("parallel_layer")
 def test_context_threads_scopes_the_query():
     from repro.algorithms.base import Stats
     from repro.core.query import p_skyline
@@ -357,48 +358,30 @@ def test_context_threads_scopes_the_query():
     assert stats.extra["thread_budget"] == 3
 
 
-# -- verification axis -------------------------------------------------------
+def test_budget_is_one_without_the_parallel_layer(monkeypatch):
+    """Without the compiled layer every screen is serial, so whatever
+    the context, pin or environment asks for, the budget recorded is
+    the one applied -- 1 -- with the reason."""
+    from repro.algorithms.base import Stats
+    from repro.core.query import p_skyline
 
-def test_kernel_threads_metamorphic_axis():
-    from repro.algorithms.base import get_algorithm
-    from repro.verify.metamorphic import TRANSFORMS, run_transform
-
-    transform = TRANSFORMS["kernel-threads"]
-    assert transform.threads == 2
-    graph = sample_graph(6)
-    rng = np.random.default_rng(5)
-    ranks = rng.integers(0, 2, size=(24, 6)).astype(float)
-    mismatches = run_transform(transform, ranks, graph,
-                               get_algorithm("osdc"),
-                               random.Random(0), algorithm="osdc")
-    assert mismatches == []
-
-
-@pytest.mark.parametrize("cores", [1, 2, 8])
-def test_kernel_threads_axis_catches_a_budget_sensitive_bug(monkeypatch,
-                                                           cores):
-    """Mutation smoke-check: an algorithm that returns garbage only
-    under a multi-thread budget is caught by the axis, whatever the
-    auto budget ``min(cores, cap)`` resolves to on the host."""
-    from repro.verify.metamorphic import TRANSFORMS, run_transform
-
-    monkeypatch.setattr("os.cpu_count", lambda: cores)
-    monkeypatch.delenv(ENV_VAR, raising=False)
-
-    graph = sample_graph(4)
-    rng = np.random.default_rng(6)
-    ranks = rng.integers(0, 2, size=(16, 4)).astype(float)
-
-    def buggy(r, g, **_):
-        if effective_budget() > 1:
-            return np.arange(r.shape[0])  # "everything survives"
-        serial = Dominance(g).prepare().screen_block(r, r, threads=1)
-        return np.flatnonzero(serial)
-
-    mismatches = run_transform(TRANSFORMS["kernel-threads"], ranks,
-                               graph, buggy, random.Random(0),
-                               algorithm="buggy")
-    assert mismatches != []
+    why = "numba missing (test)"
+    monkeypatch.setattr(native, "parallel_availability",
+                        lambda: (False, why))
+    monkeypatch.setenv(ENV_VAR, "7")
+    pin_thread_budget(3)
+    source = f"compiled parallel layer unavailable: {why}"
+    assert budget_source() == (1, source)
+    stats = Stats()
+    context = ExecutionContext.create(stats=stats, trace=16, threads=4)
+    p_skyline(np.random.default_rng(3).normal(size=(80, 5)).round(2),
+              "A0 & A1 & A2 & A3 & A4", algorithm="osdc", context=context)
+    assert stats.extra["thread_budget"] == 1
+    events = [event.counters for event in context.trace.events()
+              if event.phase == "kernel-select"]
+    assert events and all(event["threads"] == 1
+                          and event["threads_source"] == source
+                          for event in events)
 
 
 # -- threads gate tier -------------------------------------------------------
@@ -426,7 +409,7 @@ def test_threaded_gate_quick_self_check():
     for record in artifact["screens"]:
         assert record["parity"] is True
     # the quick run gates against itself; the speedup floor is
-    # unmeasured (this host may be single-core or on the tiled fallback)
+    # unmeasured (this host may be single-core or serial)
     verdicts = compare_threaded(artifact, artifact)
     assert failing(verdicts) == []
     speedups = [verdict for key, verdict in verdicts.items()
@@ -435,7 +418,14 @@ def test_threaded_gate_quick_self_check():
                             for v in speedups)
     if not (artifact["native_available"]
             and artifact["parallel_native"]):
-        assert all("parity" in verdict for verdict in speedups)
+        # both budgets ran the same serial screen: parity is vacuous
+        assert all(record["layer"] == "serial"
+                   for record in artifact["screens"])
+        parities = [verdict for key, verdict in verdicts.items()
+                    if key.endswith(".parity")]
+        assert parities and all(v.startswith(
+            "unmeasured: compiled parallel layer unavailable")
+            for v in parities)
 
 
 def _fake_artifact():
@@ -525,7 +515,7 @@ def test_threaded_bench_record_shape():
     record = run_threaded_bench(6, 1_500, budget=2)
     assert record["parity"] is True
     assert record["budget"] == 2
-    assert record["layer"] in ("prange-native", "tiled")
+    assert record["layer"] in ("prange-native", "serial")
     assert set(record["timings"]) == {"serial", "threaded"}
 
 
@@ -545,4 +535,5 @@ def test_cli_list_backends_reports_thread_layer(capsys):
     if native.parallel_available():
         assert "prange-native" in lines["threads"]
     else:
-        assert "tiled" in lines["threads"]
+        assert "layer serial (compiled parallel layer unavailable" in \
+            lines["threads"]
