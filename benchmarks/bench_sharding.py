@@ -12,10 +12,10 @@ Four comparisons:
   (``bench/workloads.py``), covering real sampled p-expressions rather
   than a single pinned one.
 
-Like ``bench_parallel_pool.py``, the structural claims are asserted
-directly (the serve path answers from the maintained per-shard
-skylines and matches OSDC exactly), so the acceptance criterion is
-checked by the benchmark itself, not only eyeballed.
+The structural claims are asserted directly (the serve path answers
+from the maintained per-shard skylines and matches OSDC exactly), so
+the acceptance criterion is checked by the benchmark itself, not only
+eyeballed.
 """
 
 from __future__ import annotations

@@ -27,7 +27,8 @@ from ..engine.context import ExecutionContext
 
 __all__ = ["Stats", "Algorithm", "AlgorithmInfo", "REGISTRY",
            "REGISTRY_INFO", "register", "get_algorithm", "get_info",
-           "check_input", "ensure_context", "resolve_kernel"]
+           "check_input", "check_columns", "project_columns",
+           "run_on_columns", "ensure_context", "resolve_kernel"]
 
 
 @dataclass
@@ -115,6 +116,9 @@ class AlgorithmInfo:
         and cancellation tokens are honoured *on* the parallel path:
         the pool ships the absolute deadline and mirrors the token
         into a shared cancel event (see :mod:`repro.engine.pool`).
+        It also accepts ``columns=``: given a base matrix and the
+        columns the query reads, it ships the pair to the pool instead
+        of a projected copy (see :func:`run_on_columns`).
     ``counts_dominance``
         ``Stats.dominance_tests`` reflects every tuple-vs-tuple test,
         so work lower bounds (each eliminated tuple was tested at
@@ -268,3 +272,55 @@ def check_input(ranks: np.ndarray, graph: PGraph) -> np.ndarray:
     if np.isnan(ranks).any():
         raise ValueError("rank matrix contains NaNs")
     return ranks
+
+
+def check_columns(ranks: np.ndarray, graph: PGraph,
+                  columns) -> np.ndarray:
+    """:func:`check_input` for the columns ``columns`` of ``ranks``,
+    without projecting them: the width must match the p-graph and only
+    the referenced columns may not hold NaNs.  Returns ``ranks`` as a
+    float64 matrix (the base matrix, not a projection)."""
+    ranks = np.asarray(ranks, dtype=np.float64)
+    if ranks.ndim != 2:
+        raise ValueError("expected a 2-d rank matrix")
+    if len(columns) != graph.d:
+        raise ValueError(
+            f"{len(columns)} columns selected but the p-graph has "
+            f"{graph.d} attributes"
+        )
+    # one contiguous pass settles the common NaN-free case; per-column
+    # views (no copy) find out whether a NaN sits in a column we read
+    if np.isnan(ranks).any() and any(np.isnan(ranks[:, column]).any()
+                                     for column in columns):
+        raise ValueError("rank matrix contains NaNs")
+    return ranks
+
+
+def project_columns(ranks: np.ndarray, columns) -> np.ndarray:
+    """The copy ``ranks[:, columns]``; ``ranks`` itself when ``columns``
+    is ``None`` or selects every column in order.
+
+    NumPy lays the copy out column by column.  It is kept that way: the
+    sampling estimator screens one column at a time and reads it about
+    1.4x faster than a row-major copy, and :func:`check_input` makes
+    the row-major copy the algorithms need.
+    """
+    if columns is None or tuple(columns) == tuple(range(ranks.shape[1])):
+        return ranks
+    return ranks[:, list(columns)]
+
+
+def run_on_columns(algorithm: str, ranks: np.ndarray, graph: PGraph,
+                   columns, **kwargs) -> np.ndarray:
+    """Run the registered ``algorithm`` on the columns ``columns`` of
+    the base matrix ``ranks``.
+
+    A ``parallel`` algorithm receives the base matrix and ``columns``:
+    the worker pool registers each base matrix into shared memory once
+    and workers slice the columns.  Every other algorithm receives the
+    projection, taken here exactly once.
+    """
+    function = get_algorithm(algorithm)
+    if columns is not None and REGISTRY_INFO[algorithm].parallel:
+        return function(ranks, graph, columns=columns, **kwargs)
+    return function(project_columns(ranks, columns), graph, **kwargs)

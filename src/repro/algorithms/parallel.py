@@ -31,7 +31,8 @@ import numpy as np
 from ..core.pgraph import PGraph
 from ..engine.context import ExecutionContext
 from ..engine.pool import WorkerPool, get_default_pool, pool_available
-from .base import Stats, check_input, ensure_context, register
+from .base import (Stats, check_columns, check_input, ensure_context,
+                   project_columns, register)
 from .osdc import osdc
 
 __all__ = ["parallel_osdc", "auto_processes"]
@@ -61,6 +62,7 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
                   min_chunk: int = 4096,
                   pool: WorkerPool | None = None,
                   fresh_pool: bool = False,
+                  columns=None,
                   **osdc_options) -> np.ndarray:
     """Compute ``M_pi(D)`` partitioned across pool workers.
 
@@ -83,6 +85,13 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
         Fork a dedicated pool for this one call and tear it down after
         (the historical cold-start behaviour; benchmarks use it as the
         cold comparator).
+    columns:
+        Evaluate over these columns of ``ranks`` (one per p-graph
+        attribute, in order).  ``ranks`` is then the base matrix: the
+        pool registers it once and workers slice the columns, so
+        queries over different column subsets of one matrix share one
+        shared-memory segment.  Only the small-input serial fallback
+        takes a projection.
 
     Deadline and cancellation contexts execute on the parallel path:
     the absolute monotonic deadline is shipped with every task and the
@@ -95,14 +104,16 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
         raise ValueError("processes must be positive")
     if min_chunk < 1:
         raise ValueError("min_chunk must be at least 1")
-    ranks = check_input(ranks, graph)
+    ranks = check_input(ranks, graph) if columns is None \
+        else check_columns(ranks, graph, columns)
     context = ensure_context(context, stats)
     n = ranks.shape[0]
     if processes is None:
         processes = auto_processes(n, min_chunk)
     context.check("parallel-setup")
     if processes == 1 or n < 2 * min_chunk or _must_run_serially():
-        return osdc(ranks, graph, context=context, **osdc_options)
+        return osdc(project_columns(ranks, columns), graph,
+                    context=context, **osdc_options)
 
     chunks = min(processes, max(1, n // min_chunk))
     own_pool = False
@@ -113,8 +124,8 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
         pool = get_default_pool()
     try:
         return pool.run_query(ranks, graph, algorithm="osdc",
-                              chunks=chunks, options=osdc_options,
-                              context=context)
+                              chunks=chunks, columns=columns,
+                              options=osdc_options, context=context)
     finally:
         if own_pool:
             pool.close()

@@ -72,6 +72,12 @@ PARALLEL_DIMS = 6
 PARALLEL_WORKERS = 4
 BATCH_ROWS = 64_000
 BATCH_QUERIES = 16
+BATCH_REPEATS = 5
+AUTO_DIMS = 8
+AUTO_WIDTH = 6
+AUTO_QUERIES = 4
+AUTO_REPEATS = 5
+AUTO_ALPHA = 1.0  # independent attributes
 SHARDED_ROWS = 100_000
 SHARDED_DIMS = 6
 SHARDED_SHARDS = 4
@@ -99,15 +105,18 @@ TIME_FACTOR = 10.0
 #: and only the ``SINGLE_CORE_OVERHEAD`` ceiling (which any passing
 #: speedup satisfies too) bounds the orchestration cost.  The
 #: warm-over-cold, batch, cache, fusion and insert ratios measure work
-#: or start-up removed, so they gate on every host.  The native
-#: speedup needs the compiled backend (without it the fallback
-#: contract gates instead); the threaded speedup needs the compiled
-#: parallel layer and ``THREAD_GATE_MIN_CORES`` cores.
+#: or start-up removed, so they gate on every host.  The default path
+#: at the planner's parallel threshold must beat serial ``osdc`` end to
+#: end (``MAX_AUTO_OVER_OSDC``) wherever the host has a core per pool
+#: worker.  The native speedup needs the compiled backend (without it
+#: the fallback contract gates instead); the threaded speedup needs the
+#: compiled parallel layer and ``THREAD_GATE_MIN_CORES`` cores.
 MIN_SPEEDUP = 2.0
 MIN_PARALLEL_SPEEDUP = 2.0
 SINGLE_CORE_OVERHEAD = 2.5
 MIN_WARM_OVER_COLD = 1.5
 MIN_BATCH_SPEEDUP = 2.5
+MAX_AUTO_OVER_OSDC = 1.0
 MIN_SHARDED_SPEEDUP = 1.3
 MAX_INSERT_OVERHEAD = 1.2
 MIN_CACHE_SPEEDUP = 2.0
@@ -416,24 +425,35 @@ def run_threaded_gate(*, quick: bool = False) -> dict:
 
 
 def run_parallel_gate(*, quick: bool = False) -> dict:
-    """The ``pool`` tier (:mod:`repro.bench.pool_bench`)."""
+    """The ``pool`` tier (:mod:`repro.bench.pool_bench`).  The auto
+    workload stays at the planner's parallel threshold in quick mode
+    too: below it no query would reach the pool."""
     from ..core.dominance import native_available
-    from .pool_bench import measure_batch, measure_parallel
+    from ..planner import DEFAULT_PLANNER
+    from .pool_bench import measure_auto, measure_batch, measure_parallel
 
     parallel_rows = 40_000 if quick else PARALLEL_ROWS
     batch_rows = 8_000 if quick else BATCH_ROWS
     batch_queries = 6 if quick else BATCH_QUERIES
+    batch_repeats = 1 if quick else BATCH_REPEATS
+    auto_rows = DEFAULT_PLANNER.parallel_threshold
+    auto_queries = 2 if quick else AUTO_QUERIES
+    auto_repeats = 1 if quick else AUTO_REPEATS
     return _artifact(
         "repro-perf-gate-parallel/1", quick,
         {"parallel_rows": parallel_rows, "batch_rows": batch_rows,
          "batch_queries": batch_queries, "dims": PARALLEL_DIMS,
-         "workers": PARALLEL_WORKERS},
+         "workers": PARALLEL_WORKERS, "auto_rows": auto_rows},
         native_available=native_available(),
         parallel=measure_parallel(parallel_rows, PARALLEL_DIMS,
                                   workers=PARALLEL_WORKERS, seed=SEED),
         batch=measure_batch(batch_rows, PARALLEL_DIMS,
                             queries=batch_queries,
-                            workers=PARALLEL_WORKERS, seed=SEED))
+                            workers=PARALLEL_WORKERS, seed=SEED,
+                            repeats=batch_repeats),
+        auto=measure_auto(auto_rows, AUTO_DIMS, queries=auto_queries,
+                          width=AUTO_WIDTH, repeats=auto_repeats,
+                          alpha=AUTO_ALPHA, seed=SEED))
 
 
 def run_sharded_gate(*, quick: bool = False) -> dict:
@@ -616,6 +636,13 @@ def _pool_off(current, baseline):
         return "worker pool unavailable on this host"
 
 
+def _auto_serial(current, baseline):
+    if not (current.get("auto") or {}).get("pooled", 1):
+        return ("no auto query reached the pool (parallel-osdc runs "
+                "serially with one process per host core): nothing "
+                "registered")
+
+
 def _records(section: str, artifact: dict | None) -> dict[str, dict]:
     """``label -> record`` for one section of an artifact."""
     if not artifact:
@@ -759,8 +786,9 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
                    waivers=(_backend_differs("native_available",
                                              "parallel_native"),)))),
     Tier("pool", "BENCH_5.json",
-         "serial vs cold vs warm worker pool, and a warm query batch vs "
-         "cold calls", run_parallel_gate, (
+         "serial vs cold vs warm worker pool, a warm query batch vs "
+         "cold calls, and auto vs osdc at the parallel threshold",
+         run_parallel_gate, (
              Check("floor", "parallel", "speedup_warm_over_cold",
                    MIN_WARM_OVER_COLD),
              Check("floor", "parallel", "speedup_warm_over_serial",
@@ -773,6 +801,16 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
                    value=lambda r: r["warm_seconds"] / r["serial_seconds"]),
              Check("floor", "batch", "speedup_batch_over_cold",
                    MIN_BATCH_SPEEDUP),
+             # one registration per relation, whatever columns the
+             # queries read
+             Check("equal", "auto", "segments", 1,
+                   waivers=(_auto_serial,)),
+             Check("ceiling", "auto", "auto_over_osdc",
+                   MAX_AUTO_OVER_OSDC, waivers=(_fewer_cores(
+                       lambda a: a.get("auto", {}).get("workers", 0),
+                       " pool workers",
+                       f"the {MAX_AUTO_OVER_OSDC:.1f}x auto-over-osdc "
+                       "ceiling needs a core per worker"), _auto_serial)),
              *_each("exact", "parallel", ("output_size", "chunk_skylines")),
              Check("exact", "parallel", "kernel",
                    waivers=(_backend_differs("native_available"),)),

@@ -19,7 +19,8 @@ from typing import Any
 
 import numpy as np
 
-from ..algorithms.base import Stats, ensure_context, get_algorithm
+from ..algorithms.base import (Stats, ensure_context, get_algorithm,
+                               run_on_columns)
 from ..engine.context import ExecutionContext
 from .attributes import orders_signature
 from .expressions import PExpr
@@ -76,6 +77,13 @@ def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
     -------
     A :class:`Relation` of the maximal tuples (when given a relation) or
     the sorted row-index array (when given a matrix).
+
+    A query the planner sends to the worker pool (``parallel-osdc``)
+    ships the base matrix with the columns it reads: the pool registers
+    each relation's rank matrix -- or each read-only float64 matrix --
+    into shared memory once, whatever columns later queries select.  A
+    writeable matrix could change in place between queries, so its
+    projection is taken here and registered per query.
     """
     from .sharding import ShardedRelation
 
@@ -91,24 +99,8 @@ def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
             raise ValueError("pass either timeout or context, not both")
         context = ExecutionContext.create(stats=stats, timeout=timeout)
     context = ensure_context(context, stats)
-    if algorithm == "auto":
-        from ..planner import DEFAULT_PLANNER
-
-        def function(ranks, graph, stats=None, context=None, **opts):
-            return DEFAULT_PLANNER.execute(ranks, graph, stats=stats,
-                                           context=context)
-    else:
-        function = get_algorithm(algorithm)
-    if getattr(context, "threads", None) is not None:
-        # an explicit per-query budget scopes the whole evaluation: every
-        # screen below resolves to it (see repro.engine.threads)
-        from ..engine.threads import thread_budget
-
-        inner, budget = function, context.threads
-
-        def function(ranks, graph, inner=inner, budget=budget, **kwargs):
-            with thread_budget(budget):
-                return inner(ranks, graph, **kwargs)
+    if algorithm != "auto":
+        get_algorithm(algorithm)  # an unknown name fails first
     if isinstance(data, Relation):
         missing = [name for name in names if name not in data.names]
         if missing:
@@ -116,12 +108,10 @@ def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
                 f"expression uses attributes not in the relation: {missing}"
             )
         columns = [data.names.index(name) for name in names]
-        ranks = data.ranks[:, columns]
         graph = PGraph.from_expression(expr, names=names).with_orders(
             orders_signature([data.schema[c] for c in columns]))
-        indices = function(ranks, graph, stats=stats, context=context,
-                           **options)
-        return data.take(indices)
+        return data.take(_evaluate(algorithm, data.ranks, graph, columns,
+                                   stats, context, options))
     matrix = np.asarray(data, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -134,8 +124,55 @@ def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
         )
     columns = [default_names.index(name) for name in names]
     graph = PGraph.from_expression(expr, names=names)
-    return function(matrix[:, columns], graph, stats=stats,
-                    context=context, **options)
+    if not _frozen(matrix):
+        matrix, columns = matrix[:, columns], None
+    return _evaluate(algorithm, matrix, graph, columns, stats, context,
+                     options)
+
+
+def _frozen(matrix: np.ndarray) -> bool:
+    """Whether neither ``matrix`` nor any array it views is writeable.
+
+    The worker pool caches registrations by array object, so only a
+    matrix that cannot change in place may be registered whole and
+    shared by later queries; any other is projected (copied) per query.
+    """
+    while isinstance(matrix, np.ndarray):
+        if matrix.flags.writeable:
+            return False
+        matrix = matrix.base
+    return matrix is None
+
+
+def _evaluate(algorithm: str, ranks: np.ndarray, graph: PGraph, columns,
+              stats: Stats | None, context: ExecutionContext,
+              options: dict) -> np.ndarray:
+    """Run ``algorithm`` (or the planner) over the columns ``columns``
+    of the base matrix ``ranks``.
+
+    The projection is taken once, by whatever runs serially; pooled
+    evaluation ships ``(ranks, columns)`` so the worker pool registers
+    each base matrix into shared memory once.
+    """
+    if algorithm == "auto":
+        from ..planner import DEFAULT_PLANNER
+
+        def run():
+            return DEFAULT_PLANNER.execute(ranks, graph, stats=stats,
+                                           context=context,
+                                           columns=columns)
+    else:
+        def run():
+            return run_on_columns(algorithm, ranks, graph, columns,
+                                  stats=stats, context=context, **options)
+    if getattr(context, "threads", None) is None:
+        return run()
+    # an explicit per-query budget scopes the whole evaluation: every
+    # screen below resolves to it (see repro.engine.threads)
+    from ..engine.threads import thread_budget
+
+    with thread_budget(context.threads):
+        return run()
 
 
 def p_skyline_batch(data: Relation | np.ndarray,
@@ -210,31 +247,30 @@ def p_skyline_batch(data: Relation | np.ndarray,
 
 
 def _batch_function(algorithm: str, options: dict):
-    """The per-evaluation callable for a fused batch.
+    """The per-evaluation callable ``function(ranks, graph, columns,
+    context=...)`` of a fused batch, over the columns ``columns`` of the
+    base matrix ``ranks``.
 
     ``"auto"`` goes through the planner *per fused group*, so one batch
     resolves its strategy once per distinct base preference -- the
-    planner's parallel rule can still send a large group to the pool.
+    planner's parallel rule can still send a large group to the pool,
+    which then registers the base matrix once for the whole batch.
     """
     if algorithm == "auto":
         from ..planner import DEFAULT_PLANNER
 
-        def function(ranks, graph, *, context=None, **opts):
-            return DEFAULT_PLANNER.execute(ranks, graph, context=context)
+        def function(ranks, graph, columns, *, context=None):
+            return DEFAULT_PLANNER.execute(ranks, graph, context=context,
+                                           columns=columns)
 
         return function
-    concrete = get_algorithm(algorithm)
+    get_algorithm(algorithm)  # an unknown name fails before any work
 
-    def function(ranks, graph, *, context=None, **opts):
-        return concrete(ranks, graph, context=context, **options)
+    def function(ranks, graph, columns, *, context=None):
+        return run_on_columns(algorithm, ranks, graph, columns,
+                              context=context, **options)
 
     return function
-
-
-def _column_matrix(ranks: np.ndarray, key: tuple) -> np.ndarray:
-    if tuple(key) == tuple(range(ranks.shape[1])):
-        return ranks
-    return np.ascontiguousarray(ranks[:, list(key)])
 
 
 def _serial_fused_batch(data, expressions, *, algorithm: str,
@@ -249,11 +285,12 @@ def _serial_fused_batch(data, expressions, *, algorithm: str,
         (graph, tuple(columns) if columns is not None
          else tuple(range(graph.d)))
         for graph, columns in resolved)
+    if not isinstance(data, Relation) and not _frozen(ranks):
+        ranks = ranks.copy()  # a snapshot no caller can write to
     function = _batch_function(algorithm, options)
 
     def evaluate(graph, key):
-        return function(_column_matrix(ranks, key), graph,
-                        context=context)
+        return function(ranks, graph, key, context=context)
 
     def candidates(indices, key):
         return ranks[np.ix_(indices, list(key))]
@@ -300,8 +337,8 @@ def _sharded_batch(data, expressions, *, algorithm: str,
             function = _batch_function(algorithm, options)
 
             def evaluate(graph, key):
-                return function(_column_matrix(snap.relation.ranks, key),
-                                graph, context=context)
+                return function(snap.relation.ranks, graph, key,
+                                context=context)
 
         def candidates(indices, key):
             # lazy: the concatenated snapshot relation materialises only

@@ -12,11 +12,15 @@ that with a warm, reusable execution service:
   pooled merges and batched query service.
 * Rank matrices are registered **once** into
   :mod:`multiprocessing.shared_memory`; chunk dispatch ships only a
-  ``(segment name, shape, dtype, row range)`` descriptor.  Workers map
-  the segment and slice it -- a zero-copy read for row ranges.
-  Registrations are cached per pool (keyed by the array object) and
-  unlinked deterministically on :meth:`WorkerPool.close`, via the
-  context-manager protocol, and from an ``atexit`` hook.
+  ``(segment name, shape, dtype, row range, columns)`` descriptor.
+  Workers map the segment and slice it -- a zero-copy read for row
+  ranges -- and take the query's columns themselves, so every query
+  over a relation shares the registration of its full base matrix.
+  Registrations are cached per pool (keyed by the array object); the
+  parent unmaps each segment as soon as it has written it, and unlinks
+  it when its array is garbage-collected (at the next registration),
+  on :meth:`WorkerPool.close`, via the context-manager protocol, and
+  from an ``atexit`` hook.
 * Interruption propagates *into* workers: each task ships the absolute
   :func:`time.monotonic` deadline (CLOCK_MONOTONIC is system-wide on
   every platform we support, so parent and worker read the same clock)
@@ -147,10 +151,15 @@ class ShardedArraySpec:
 class SharedRegistration:
     """A parent-side handle on one shared-memory copy of an array.
 
+    The parent writes the copy and then unmaps the segment at once:
+    workers attach by name and the parent never reads the segment
+    again, so a registered matrix does not stay in the parent's
+    resident set.  Only the name is kept, for the unlink.
+
     The registration owns the segment: :meth:`close` (idempotent, also
-    run by ``with``-blocks and the pool's own shutdown) closes *and
-    unlinks* it, so no segment outlives the process even when a query
-    raises mid-flight.
+    run by ``with``-blocks and the pool's own shutdown) unlinks it, so
+    no segment outlives the process even when a query raises
+    mid-flight.
     """
 
     __slots__ = ("spec", "_shm", "__weakref__")
@@ -158,13 +167,16 @@ class SharedRegistration:
     def __init__(self, array: np.ndarray):
         name = f"{SEGMENT_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:12]}"
         nbytes = max(1, array.nbytes)
-        self._shm = shared_memory.SharedMemory(create=True, size=nbytes,
-                                               name=name)
+        shm = shared_memory.SharedMemory(create=True, size=nbytes,
+                                         name=name)
+        self._shm = shm
         self.spec = SharedArraySpec(name, tuple(array.shape),
                                     array.dtype.str)
-        view = np.ndarray(array.shape, dtype=array.dtype,
-                          buffer=self._shm.buf)
-        view[...] = array
+        try:
+            np.ndarray(array.shape, dtype=array.dtype,
+                       buffer=shm.buf)[...] = array
+        finally:
+            shm.close()  # unmap; the segment lives on until unlinked
 
     @property
     def name(self) -> str:
@@ -175,17 +187,14 @@ class SharedRegistration:
         return self._shm is None
 
     def close(self) -> None:
-        """Close and unlink the segment (idempotent)."""
+        """Unlink the segment (idempotent)."""
         shm, self._shm = self._shm, None
         if shm is None:
             return
         try:
-            shm.close()
-        finally:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
     def __enter__(self) -> "SharedRegistration":
         return self
@@ -523,8 +532,9 @@ class WorkerPool:
 
         The cache keys on the array *object* (arrays are assumed frozen
         once registered, as :class:`~repro.core.relation.Relation`
-        guarantees); registrations whose array has been garbage
-        collected are unlinked on the next call.
+        guarantees; a raw matrix handed to a pooled query must not be
+        written in place afterwards); registrations whose array has
+        been garbage collected are unlinked on the next call.
         """
         if self._closed:
             raise RuntimeError("pool is closed")

@@ -18,6 +18,13 @@ measurable rules:
    divide-and-conquer set-up cost), everything else -> ``osdc``.
 
 ``p_skyline(..., algorithm="auto")`` routes through a default planner.
+It hands the planner the relation's base matrix and the columns the
+query reads.  The rules before the estimator need no data, so
+:meth:`Planner.execute` checks them before it projects: a
+``parallel-osdc`` plan never takes the projection in this process --
+the pool registers the base matrix once and workers slice the columns
+-- and every other plan estimates and runs on one projection, taken
+once.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algorithms import Stats, ensure_context, get_algorithm
+from .algorithms import Stats, ensure_context
+from .algorithms.base import project_columns, run_on_columns
 from .algorithms.layered import layered
 from .core.pgraph import PGraph
 from .engine.context import ExecutionContext
@@ -54,11 +62,18 @@ class Plan:
 
     def execute(self, ranks: np.ndarray, graph: PGraph,
                 stats: Stats | None = None,
-                context: ExecutionContext | None = None) -> np.ndarray:
+                context: ExecutionContext | None = None,
+                columns=None) -> np.ndarray:
+        """Run the plan over the columns ``columns`` of ``ranks`` (all
+        of them when ``None``); see
+        :func:`~repro.algorithms.base.run_on_columns`."""
         context = ensure_context(context, stats)
         self.record(context)
-        function = self._function or get_algorithm(self.algorithm)
-        return function(ranks, graph, context=context, **self.options)
+        if self._function is not None:
+            return self._function(project_columns(ranks, columns), graph,
+                                  context=context, **self.options)
+        return run_on_columns(self.algorithm, ranks, graph, columns,
+                              context=context, **self.options)
 
     def record(self, context: ExecutionContext) -> None:
         """Expose the decision in ``stats.extra["plan"]`` and the trace."""
@@ -125,7 +140,13 @@ class Planner:
     def plan(self, ranks: np.ndarray, graph: PGraph,
              context: ExecutionContext | None = None) -> Plan:
         """Decide how to evaluate ``M_pi(ranks)``."""
-        n = ranks.shape[0]
+        return self._by_rule(ranks.shape[0], graph, context) \
+            or self._by_estimate(ranks, graph)
+
+    def _by_rule(self, n: int, graph: PGraph,
+                 context: ExecutionContext | None) -> Plan | None:
+        """The plans decided by input size and p-graph shape alone;
+        ``None`` when the choice needs the sampling estimator."""
         is_weak_order = (context.compiled(graph).is_weak_order
                          if context is not None
                          else graph.is_weak_order())
@@ -156,6 +177,10 @@ class Planner:
                 options={"processes": None},
                 thread_budget=1,  # one screen thread per pool worker
             )
+        return None
+
+    def _by_estimate(self, ranks: np.ndarray, graph: PGraph) -> Plan:
+        n = ranks.shape[0]
         estimate = estimate_pskyline_size(ranks, graph, self.rng,
                                           sample_size=self.sample_size)
         if estimate <= self.bnl_selectivity * n:
@@ -224,11 +249,16 @@ class Planner:
 
     def execute(self, ranks: np.ndarray, graph: PGraph,
                 stats: Stats | None = None,
-                context: ExecutionContext | None = None) -> np.ndarray:
-        """Plan and run in one call."""
+                context: ExecutionContext | None = None,
+                columns=None) -> np.ndarray:
+        """Plan and run in one call, over the columns ``columns`` of
+        ``ranks`` (all of them when ``None``)."""
         context = ensure_context(context, stats)
+        rule = self._by_rule(ranks.shape[0], graph, context)
+        if rule is None or rule.algorithm != "parallel-osdc":
+            ranks, columns = project_columns(ranks, columns), None
         return self.plan(ranks, graph, context).execute(
-            ranks, graph, context=context)
+            ranks, graph, context=context, columns=columns)
 
 
 #: The planner behind ``p_skyline(..., algorithm="auto")``.

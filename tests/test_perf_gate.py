@@ -161,3 +161,43 @@ def test_bare_gate_prints_host_and_catalogue(capsys):
     catalogue = out.split("tiers:\n")[1]
     for tier in TIERS.values():
         assert f"  {tier.name}: {tier.baseline} -- " in catalogue
+
+
+def _with_auto(cores: int, **auto) -> dict:
+    """The committed pool baseline plus an ``auto`` record (the
+    committed file predates that workload)."""
+    artifact = baseline("pool")
+    artifact["cores"] = cores
+    artifact["auto"] = {"name": "auto-q4-n200000-d8-k6", "workers": 2,
+                        "pooled": 4, "segments": 1, "auto_over_osdc": 0.8,
+                        **auto}
+    return artifact
+
+
+@pytest.mark.parametrize("auto,check", [
+    ({}, None),
+    ({"segments": 4}, "equal auto.segments"),
+    ({"auto_over_osdc": 1.2}, "ceiling auto.auto_over_osdc"),
+])
+def test_pool_auto_checks(auto, check):
+    artifact = _with_auto(2, **auto)
+    verdicts = evaluate(TIERS["pool"], artifact, baseline("pool"))
+    assert failing(verdicts) == ([check] if check else [])
+
+
+def test_pool_auto_ceiling_unmeasured_below_a_core_per_worker():
+    artifact = _with_auto(1, auto_over_osdc=1.2)
+    verdicts = evaluate(TIERS["pool"], artifact, baseline("pool"))
+    assert failing(verdicts) == []
+    assert verdicts["ceiling auto.auto_over_osdc"].startswith(
+        "unmeasured: host has 1 core(s) < 2 pool workers")
+
+
+def test_pool_auto_checks_unmeasured_when_no_query_was_pooled():
+    # one core: parallel-osdc takes its serial fallback, so nothing is
+    # registered and auto is serial osdc plus planning
+    artifact = _with_auto(1, pooled=0, segments=0, auto_over_osdc=1.05)
+    verdicts = evaluate(TIERS["pool"], artifact, baseline("pool"))
+    assert failing(verdicts) == []
+    assert verdicts["equal auto.segments"].startswith(
+        "unmeasured: no auto query reached the pool")

@@ -77,6 +77,39 @@ class TestExecution:
         expected = set(naive(ranks, graph).tolist())
         assert set(planner.execute(ranks, graph).tolist()) == expected
 
+    def test_serial_plan_projects_columns_once(self, monkeypatch, nrng):
+        # the estimator and the chosen algorithm read one projection
+        import repro.planner as planner_module
+        from repro.algorithms import base
+
+        seen = []
+        estimate, get_algorithm = (planner_module.estimate_pskyline_size,
+                                   base.get_algorithm)
+
+        def spy_estimate(ranks, graph, rng, **kwargs):
+            seen.append(ranks)
+            return estimate(ranks, graph, rng, **kwargs)
+
+        def spy_get_algorithm(name):
+            function = get_algorithm(name)
+
+            def run(ranks, graph, **kwargs):
+                seen.append(ranks)
+                return function(ranks, graph, **kwargs)
+            return run
+
+        monkeypatch.setattr(planner_module, "estimate_pskyline_size",
+                            spy_estimate)
+        monkeypatch.setattr(base, "get_algorithm", spy_get_algorithm)
+        graph = PGraph.from_expression(parse("(A & B) * C"))
+        ranks = nrng.integers(0, 20, size=(3000, 5)).astype(float)
+        got = Planner(parallel_threshold=None).execute(ranks, graph,
+                                                       columns=[4, 0, 2])
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert np.array_equal(seen[0], ranks[:, [4, 0, 2]])
+        assert set(got.tolist()) == set(
+            naive(ranks[:, [4, 0, 2]], graph).tolist())
+
     def test_plan_dataclass(self):
         plan = Plan("osdc", "why", estimated_output=12.0)
         assert "osdc" in plan.explain() and "12" in plan.explain()

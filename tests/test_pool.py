@@ -182,6 +182,18 @@ class TestSharedMemoryLifecycle:
                 not os.path.isdir("/dev/shm")
         assert not glob.glob(f"/dev/shm/{name}")
 
+    def test_registration_round_trips_any_layout(self, nrng):
+        from repro.engine.pool import SharedRegistration, _attach
+        for array in (np.empty((0, 3)), nrng.random((5, 4))[:, ::2]):
+            with SharedRegistration(array) as registration:
+                shm = _attach(registration.name)
+                try:
+                    copy = np.ndarray(array.shape, dtype=array.dtype,
+                                      buffer=shm.buf).copy()
+                finally:
+                    shm.close()
+                assert np.array_equal(copy, array)
+
     def test_closed_pool_rejects_queries(self, nrng):
         pool = WorkerPool(2)
         pool.close()
@@ -269,6 +281,144 @@ class TestPlannerParallelRule:
         result = planner.execute(ranks, graph, stats=stats)
         assert stats.extra["plan"]["algorithm"] == "parallel-osdc"
         assert set(result.tolist()) == set(naive(ranks, graph).tolist())
+
+
+#: Non-weak-order preferences over four distinct column subsets of
+#: A0..A5, so the planner's layered rule cannot shadow the parallel one.
+SUBSET_QUERIES = ("(A0 & A1) * A2", "(A1 & A3) * A4 * A5",
+                  "A0 * (A2 & A5) * A3", "A1 * (A2 & A3) * (A4 & A5)")
+
+
+@pytest.fixture
+def pooled_auto(monkeypatch):
+    """``algorithm="auto"`` sends inputs of 8k+ rows to a fresh default
+    pool in two chunks, whatever the host's core count; yields the
+    names of the shared-memory segments registered meanwhile."""
+    from repro.algorithms import parallel
+    from repro.engine import pool as pool_module
+    from repro.planner import DEFAULT_PLANNER
+
+    created = []
+
+    class Counted(pool_module.SharedRegistration):
+        __slots__ = ()
+
+        def __init__(self, array):
+            super().__init__(array)
+            created.append(self.name)
+
+    monkeypatch.setattr(DEFAULT_PLANNER, "parallel_threshold", 8_192)
+    monkeypatch.setattr(parallel, "auto_processes", lambda n, chunk: 2)
+    monkeypatch.setattr(pool_module, "SharedRegistration", Counted)
+    shutdown_default_pool()
+    yield created
+    shutdown_default_pool()
+
+
+def _mapped(name: str) -> bool:
+    """Whether this process maps the segment ``name``."""
+    with open("/proc/self/maps") as maps:
+        return name in maps.read()
+
+
+class TestOneRegistrationPerRelation:
+    """Pooled queries ship ``(matrix, columns)``: every auto query over
+    a relation shares one registration of its full rank matrix."""
+
+    def _run(self, data, take, created):
+        for text in SUBSET_QUERIES:
+            stats = Stats()
+            got = p_skyline(data, text, algorithm="auto", stats=stats)
+            assert stats.extra["plan"]["algorithm"] == "parallel-osdc"
+            assert np.array_equal(
+                take(got), take(p_skyline(data, text, algorithm="osdc")))
+        assert len(created) == 1
+        assert get_default_pool().live_segments() == tuple(created)
+
+    def test_relation(self, pooled_auto, nrng):
+        relation = Relation.from_array(
+            nrng.integers(0, 40, size=(9_000, 6)).astype(float))
+        self._run(relation, lambda result: result.ranks, pooled_auto)
+
+    def test_read_only_float64_matrix(self, pooled_auto, nrng):
+        matrix = nrng.integers(0, 40, size=(9_000, 6)).astype(float)
+        matrix.setflags(write=False)
+        self._run(matrix, lambda result: result, pooled_auto)
+
+    def test_writeable_matrix_written_between_queries(self, pooled_auto,
+                                                      nrng):
+        # the registration cache keys on the array object: a writeable
+        # matrix must not be registered whole, or the second query
+        # would read the stale shared copy
+        matrix = nrng.integers(0, 40, size=(9_000, 6)).astype(float)
+        text = SUBSET_QUERIES[0]
+        for _ in range(2):
+            got = p_skyline(matrix, text, algorithm="auto")
+            assert np.array_equal(got, p_skyline(matrix, text,
+                                                 algorithm="osdc"))
+            matrix[got[:1], :] += 100.0  # demote one skyline row
+        assert len(pooled_auto) == 2
+
+    def test_writeable_matrix_in_a_batch(self, pooled_auto, nrng):
+        matrix = nrng.integers(0, 40, size=(9_000, 6)).astype(float)
+        for _ in range(2):
+            batch = p_skyline_batch(matrix, SUBSET_QUERIES,
+                                    algorithm="auto")
+            for text, got in zip(SUBSET_QUERIES, batch):
+                assert np.array_equal(got, p_skyline(matrix, text,
+                                                     algorithm="osdc"))
+            matrix[batch[0][:1], :] += 100.0
+
+    def test_auto_batch(self, pooled_auto, nrng):
+        relation = Relation.from_array(
+            nrng.integers(0, 40, size=(9_000, 6)).astype(float))
+        stats = Stats()
+        batch = p_skyline_batch(relation, SUBSET_QUERIES,
+                                algorithm="auto", stats=stats)
+        assert stats.extra["plan"]["algorithm"] == "parallel-osdc"
+        for text, got in zip(SUBSET_QUERIES, batch):
+            expected = p_skyline(relation, text, algorithm="osdc")
+            assert np.array_equal(got.ranks, expected.ranks)
+        assert len(pooled_auto) == 1
+        assert get_default_pool().live_segments() == tuple(pooled_auto)
+
+    def test_nan_only_in_used_columns_is_rejected(self, pooled_auto, nrng):
+        matrix = nrng.integers(0, 40, size=(9_000, 6)).astype(float)
+        matrix[17, 5] = np.nan
+        matrix.setflags(write=False)  # shipped whole, with its columns
+        text = "(A0 & A1) * A2"  # never reads A5
+        stats = Stats()
+        got = p_skyline(matrix, text, algorithm="auto", stats=stats)
+        assert stats.extra["plan"]["algorithm"] == "parallel-osdc"
+        assert np.array_equal(got, p_skyline(matrix, text,
+                                             algorithm="osdc"))
+        with pytest.raises(ValueError, match="NaN"):
+            p_skyline(matrix, "(A4 & A5) * A0", algorithm="auto")
+
+    def test_segments_unlinked_after_gc_and_on_close(self, pooled_auto,
+                                                     nrng):
+        import gc
+
+        before = set(_our_segments())
+        relation = Relation.from_array(
+            nrng.integers(0, 40, size=(9_000, 6)).astype(float))
+        p_skyline(relation, SUBSET_QUERIES[0], algorithm="auto")
+        (name,) = get_default_pool().live_segments()
+        assert f"/dev/shm/{name}" in _our_segments() or \
+            not os.path.isdir("/dev/shm")
+        if os.path.exists("/proc/self/maps"):
+            assert not _mapped(name)  # the parent unmapped its copy
+        del relation
+        gc.collect()
+        # the next registration prunes the collected relation's segment
+        other = Relation.from_array(
+            nrng.integers(0, 40, size=(9_000, 6)).astype(float))
+        p_skyline(other, SUBSET_QUERIES[1], algorithm="auto")
+        live = get_default_pool().live_segments()
+        assert name not in live and len(live) == 1
+        assert f"/dev/shm/{name}" not in _our_segments()
+        shutdown_default_pool()
+        assert set(_our_segments()) <= before
 
 
 class TestCancellationTokenMirrors:

@@ -12,6 +12,8 @@ duplicate          drops duplicate rows before evaluating
 monotone-rescale   sum-based dominance (compares attribute sums)
 relabel            hard-coded column-order chain (ignores the p-graph)
 append-dominated   unconditionally includes the last tuple
+pool-chunked       a worker pool that skips its merge tree (returns the
+                   union of the chunk skylines)
 =================  =====================================================
 """
 
@@ -113,6 +115,20 @@ class TestMutantsAreCaught:
         graph = PGraph.from_expression(parse("A * B"))
         assert _catches("append-dominated", mutant_include_last,
                         ranks, graph)
+
+
+    def test_pool_chunked_catches_a_skipped_merge(self, monkeypatch):
+        from repro.engine.pool import WorkerPool
+
+        def union_of_chunks(pool, query_id, parts, *args):
+            return [np.concatenate(parts)], 0
+
+        monkeypatch.setattr(WorkerPool, "_tree_merge", union_of_chunks)
+        # the last row dominates every other: each chunk keeps its own
+        # best row, and only the merge removes the first chunk's
+        ranks = np.array([[float(i), float(i)] for i in range(40)])[::-1]
+        graph = PGraph.from_expression(parse("A * B"))
+        assert _catches("pool-chunked", osdc, ranks, graph, seeds=[0])
 
 
 class TestCorrectAlgorithmsPass:
