@@ -227,8 +227,13 @@ def p_skyline_batch(data: Relation | np.ndarray,
         return _sharded_batch(data, expressions, algorithm=algorithm,
                               context=context, min_chunk=min_chunk,
                               options=options)
-    n = len(data) if isinstance(data, Relation) else \
-        np.asarray(data).shape[0]
+    if not isinstance(data, Relation):
+        data = np.asarray(data, dtype=np.float64)
+        if not _frozen(data):
+            # the pool caches registrations by array object: evaluate a
+            # snapshot no caller can write to between two batches
+            data = data.copy()
+    n = len(data)
     if pool_available() and n >= 2 * min_chunk and algorithm != "auto":
         pool = get_default_pool()
         chunks = None if processes is None else \
@@ -285,8 +290,6 @@ def _serial_fused_batch(data, expressions, *, algorithm: str,
         (graph, tuple(columns) if columns is not None
          else tuple(range(graph.d)))
         for graph, columns in resolved)
-    if not isinstance(data, Relation) and not _frozen(ranks):
-        ranks = ranks.copy()  # a snapshot no caller can write to
     function = _batch_function(algorithm, options)
 
     def evaluate(graph, key):

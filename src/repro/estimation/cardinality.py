@@ -9,11 +9,12 @@ algorithm case by case.  This module provides:
   and approximated by ``(ln n)^{d-1} / (d-1)!``;
 * a sampling-based estimator for arbitrary p-expressions and data, based
   on the identity ``E|M_pi(D)| = n * P(t maximal)``, with ``P`` estimated
-  by screening a random sample against the whole data set.
+  by screening a random sample against the whole data set in growing
+  row windows;
+* a power-law extrapolation from exact skylines of small subsamples.
 
-The paper's suggestion of using the estimate to pick the algorithm case
-by case (BNL for tiny outputs, OSDC otherwise) lives in
-:meth:`repro.planner.Planner.plan`.
+:class:`repro.planner.Planner` records the sampling estimate with every
+``osdc`` plan (``Plan.estimated_output``); it does not choose by it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ __all__ = [
     "harmonic_skyline_size_approx",
     "estimate_pskyline_size",
 ]
+
+#: Rows in the sampling estimator's first screening window; each later
+#: window doubles, so an ``n``-row input takes ``O(log n)`` screens.
+FIRST_WINDOW = 256
 
 
 def harmonic_skyline_size(n: int, d: int) -> float:
@@ -60,24 +65,38 @@ def harmonic_skyline_size_approx(n: int, d: int) -> float:
 
 def estimate_pskyline_size(ranks: np.ndarray, graph: PGraph,
                            rng: np.random.Generator,
-                           sample_size: int = 64) -> float:
+                           sample_size: int = 64, *,
+                           columns=None) -> float:
     """Estimate ``|M_pi(D)|`` by checking maximality of a random sample.
 
-    Each sampled tuple is tested against the full input with one
-    vectorised pass, so the cost is ``O(sample_size * n)``; the estimate
-    ``n * (#maximal in sample) / sample_size`` is unbiased.
+    The sample is screened (:meth:`Dominance.screen_block`) against
+    windows of the input that start at :data:`FIRST_WINDOW` rows and
+    double each step; after each window the sampled rows it dominates
+    are dropped, and the scan stops once none are left or the input is
+    used up.  A sampled row survives every window iff no row dominates
+    it, so the estimate ``n * (#maximal in sample) / sample_size`` is
+    unbiased.  The cost is at most ``O(sample_size * n)`` pair tests,
+    and far less when most sampled rows are dominated early.
+
+    ``columns`` names the columns of ``ranks`` the preference reads
+    (all of them when ``None``); only the sampled rows and the windows
+    the scan reaches are sliced, never the whole projection.
     """
     n = ranks.shape[0]
     if n == 0:
         return 0.0
-    dominance = Dominance(graph)
     sample_size = min(sample_size, n)
     rows = rng.choice(n, size=sample_size, replace=False)
-    maximal = 0
-    for row in rows:
-        if not dominance.dominators_mask(ranks, ranks[row]).any():
-            maximal += 1
-    return n * maximal / sample_size
+    columns = slice(None) if columns is None else list(columns)
+    dominance = Dominance(graph)
+    alive = ranks[rows][:, columns]
+    start, width = 0, FIRST_WINDOW
+    while start < n and len(alive):
+        window = ranks[start:start + width, columns]
+        alive = alive[dominance.screen_block(alive, window)]
+        start += width
+        width *= 2
+    return n * len(alive) / sample_size
 
 
 def estimate_by_extrapolation(ranks: np.ndarray, graph: PGraph,

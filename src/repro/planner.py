@@ -1,8 +1,8 @@
-"""A small cost-based planner for p-skyline queries.
+"""A small rule-based planner for p-skyline queries.
 
 Section 8 of the paper suggests using output-size estimation "for
 choosing the most convenient algorithm for answering [a query], on a
-case-by-case basis".  :class:`Planner` implements that idea with simple,
+case-by-case basis".  :class:`Planner` chooses case by case with simple,
 measurable rules:
 
 1. tiny inputs -> the quadratic ``naive`` kernel (lowest constant);
@@ -12,10 +12,12 @@ measurable rules:
 4. inputs at or beyond ``parallel_threshold`` -> ``parallel-osdc`` on
    the persistent worker pool (the per-query cost of shipping
    shared-memory descriptors is negligible at that scale);
-5. otherwise estimate the output size by sampling
-   (:func:`repro.estimation.estimate_pskyline_size`): very selective
-   queries -> ``bnl`` (a short scan with a one-tuple window beats the
-   divide-and-conquer set-up cost), everything else -> ``osdc``.
+5. everything else -> ``osdc``, recording an output-size estimate
+   (:func:`repro.estimation.estimate_pskyline_size`) as
+   ``estimated_output``.  The estimate does not steer the choice:
+   picking ``bnl`` for estimated near-singleton outputs measured
+   several times slower than ``osdc`` end to end, because the 64-row
+   sample reads 0 for most queries whose output is not tiny.
 
 ``p_skyline(..., algorithm="auto")`` routes through a default planner.
 It hands the planner the relation's base matrix and the columns the
@@ -23,8 +25,8 @@ query reads.  The rules before the estimator need no data, so
 :meth:`Planner.execute` checks them before it projects: a
 ``parallel-osdc`` plan never takes the projection in this process --
 the pool registers the base matrix once and workers slice the columns
--- and every other plan estimates and runs on one projection, taken
-once.
+-- and every other plan records its estimate from, and runs on, one
+projection, taken once.
 """
 
 from __future__ import annotations
@@ -103,8 +105,6 @@ class Planner:
     ----------
     naive_threshold:
         Inputs up to this many tuples go to the quadratic kernel.
-    bnl_selectivity:
-        Estimated ``v/n`` at or below which BNL is chosen.
     memory_budget:
         Inputs beyond this many tuples use the external-memory OSDC
         (``None`` disables the rule -- everything is assumed to fit).
@@ -114,7 +114,7 @@ class Planner:
         process policy).  ``None`` disables the rule; it is also
         skipped in daemonic processes, which cannot host workers.
     sample_size:
-        Sample size for the output estimator.
+        Sample size for the output estimate recorded with each plan.
     sharded_threshold:
         Snapshots of a sharded relation with at least this many tuples
         (and more than one non-empty shard) are scattered across the
@@ -123,14 +123,12 @@ class Planner:
     """
 
     def __init__(self, *, naive_threshold: int = 128,
-                 bnl_selectivity: float = 0.002,
                  memory_budget: int | None = None,
                  parallel_threshold: int | None = 200_000,
                  sample_size: int = 64,
                  sharded_threshold: int = 50_000,
                  rng: np.random.Generator | None = None):
         self.naive_threshold = naive_threshold
-        self.bnl_selectivity = bnl_selectivity
         self.memory_budget = memory_budget
         self.parallel_threshold = parallel_threshold
         self.sample_size = sample_size
@@ -146,7 +144,7 @@ class Planner:
     def _by_rule(self, n: int, graph: PGraph,
                  context: ExecutionContext | None) -> Plan | None:
         """The plans decided by input size and p-graph shape alone;
-        ``None`` when the choice needs the sampling estimator."""
+        ``None`` for the general case (:meth:`_by_estimate`)."""
         is_weak_order = (context.compiled(graph).is_weak_order
                          if context is not None
                          else graph.is_weak_order())
@@ -180,16 +178,9 @@ class Planner:
         return None
 
     def _by_estimate(self, ranks: np.ndarray, graph: PGraph) -> Plan:
-        n = ranks.shape[0]
+        """The general case: ``osdc``, with the output estimate recorded."""
         estimate = estimate_pskyline_size(ranks, graph, self.rng,
                                           sample_size=self.sample_size)
-        if estimate <= self.bnl_selectivity * n:
-            return Plan(
-                "bnl",
-                "estimated output is a tiny fraction of the input; a "
-                "scan with a small window wins",
-                estimated_output=estimate,
-            )
         return Plan(
             "osdc",
             "general case: output-sensitive divide and conquer",
@@ -226,12 +217,9 @@ class Planner:
             estimate = None
             if n and (columns is not None
                       or snapshot.relation.arity == graph.d):
-                sample = snapshot.relation.ranks
-                if columns is not None:
-                    sample = sample[:, list(columns)]
                 estimate = estimate_pskyline_size(
-                    sample, graph, self.rng,
-                    sample_size=self.sample_size)
+                    snapshot.relation.ranks, graph, self.rng,
+                    sample_size=self.sample_size, columns=columns)
             return Plan(
                 "sharded-scatter-gather",
                 f"snapshot of {n} tuples across {len(populated)} "

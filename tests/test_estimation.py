@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import random_expression
 from repro.algorithms import osdc
+from repro.core.dominance import Dominance
 from repro.core.expressions import sky
 from repro.core.pgraph import PGraph
 from repro.estimation.cardinality import (estimate_pskyline_size,
@@ -73,6 +75,97 @@ class TestSamplingEstimator:
     def test_empty_input(self, nrng):
         graph = PGraph.from_expression(sky(["A"]), names=["A"])
         assert estimate_pskyline_size(np.empty((0, 1)), graph, nrng) == 0.0
+
+
+def _per_row_estimate(ranks, graph, rng, sample_size=64):
+    """The estimator as one ``dominators_mask`` pass per sampled row:
+    the reference the windowed screen must reproduce bit for bit."""
+    n = ranks.shape[0]
+    if n == 0:
+        return 0.0
+    dominance = Dominance(graph)
+    sample_size = min(sample_size, n)
+    rows = rng.choice(n, size=sample_size, replace=False)
+    maximal = sum(1 for row in rows
+                  if not dominance.dominators_mask(ranks,
+                                                   ranks[row]).any())
+    return n * maximal / sample_size
+
+
+def _case(seed, n, d, levels):
+    """A seeded p-graph over ``d`` attributes and ``n`` rows drawn from
+    ``levels`` values per column (few levels: ties and duplicates)."""
+    import random
+    names = [f"A{i}" for i in range(d)]
+    graph = PGraph.from_expression(
+        random_expression(names, random.Random(seed)), names=names)
+    ranks = np.random.default_rng(seed).integers(
+        0, levels, size=(n, d)).astype(float)
+    return ranks, graph
+
+
+#: Input sizes on and around every window boundary (256, 768 = 256 +
+#: 512) and the per-row reference's boundary at 64 sampled rows.
+WINDOW_SIZES = (1, 63, 64, 255, 256, 257, 767, 768, 769, 5000)
+
+
+class TestWindowedEstimator:
+    @pytest.mark.parametrize("n", WINDOW_SIZES)
+    @pytest.mark.parametrize("levels", [2, 6, 1000])
+    def test_bit_identical_to_per_row_reference(self, n, levels):
+        for seed in range(3):
+            ranks, graph = _case(seed, n, (2, 4, 6)[seed], levels)
+            got = estimate_pskyline_size(ranks, graph,
+                                         np.random.default_rng(seed))
+            expected = _per_row_estimate(ranks, graph,
+                                         np.random.default_rng(seed))
+            assert got == expected, (n, levels, seed)
+
+    def test_bit_identical_on_duplicate_rows(self):
+        ranks, graph = _case(11, 300, 4, 1000)
+        ranks = np.concatenate([ranks, ranks[:200], ranks[:50]])
+        for seed in range(4):
+            for sample_size in (64, 400):
+                got = estimate_pskyline_size(
+                    ranks, graph, np.random.default_rng(seed),
+                    sample_size=sample_size)
+                assert got == _per_row_estimate(
+                    ranks, graph, np.random.default_rng(seed),
+                    sample_size=sample_size)
+
+    @pytest.mark.parametrize("position", [0, 255, 256, 767, 768, 999])
+    def test_a_lone_dominator_on_a_window_edge_is_seen(self, position):
+        # one row dominates every other: the scan must read each row
+        ranks, graph = _case(position, 1000, 3, 1000)
+        ranks += 1.0
+        ranks[position] = 0.0
+        for sample_size in (64, 1000):
+            got = estimate_pskyline_size(ranks, graph,
+                                         np.random.default_rng(position),
+                                         sample_size=sample_size)
+            assert got == _per_row_estimate(
+                ranks, graph, np.random.default_rng(position),
+                sample_size=sample_size)
+        assert got == 1.0
+
+    @pytest.mark.parametrize("n", [100, 769, 5000])
+    def test_columns_match_the_projection(self, n):
+        base, _ = _case(n, n, 7, 5)
+        columns = [5, 0, 3, 6]
+        _, graph = _case(n, 1, len(columns), 5)
+        got = estimate_pskyline_size(base, graph, np.random.default_rng(n),
+                                     columns=columns)
+        expected = estimate_pskyline_size(
+            base[:, columns], graph, np.random.default_rng(n))
+        assert got == expected
+
+    @pytest.mark.parametrize("n", [1, 255, 257, 769, 2000])
+    def test_exact_when_sample_covers_the_input(self, n):
+        ranks, graph = _case(n, n, 5, 4)
+        estimate = estimate_pskyline_size(ranks, graph,
+                                          np.random.default_rng(0),
+                                          sample_size=n + 3)
+        assert estimate == osdc(ranks, graph).size
 
 
 class TestExtrapolation:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_expression
+from repro import Relation
 from repro.algorithms import naive
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
 from repro.core.query import p_skyline
+from repro.core.sharding import ShardedRelation
 from repro.planner import Plan, Planner
 
 
@@ -24,15 +26,20 @@ class TestRules:
         plan = planner.plan(nrng.random((5000, 3)), graph)
         assert plan.algorithm == "layered"
 
-    def test_selective_query_goes_bnl(self, nrng):
+    def test_selective_query_goes_osdc(self, nrng):
         planner = Planner()
-        # not a weak order, but still a nearly-singleton output
+        # not a weak order, but still a nearly-singleton output: there
+        # is no BNL rule, the estimate is only recorded
         graph = PGraph.from_expression(parse("(A & B & C) * D"))
         ranks = nrng.random((5000, 4))
         ranks[:, 3] = 0.0  # constant: the lexicographic part decides
         plan = planner.plan(ranks, graph)
-        assert plan.algorithm == "bnl"
+        assert plan.algorithm == "osdc"
         assert plan.estimated_output is not None
+
+    def test_bnl_selectivity_is_gone(self):
+        with pytest.raises(TypeError):
+            Planner(bnl_selectivity=0.5)
 
     def test_general_case_goes_osdc(self, nrng):
         planner = Planner()
@@ -115,6 +122,90 @@ class TestExecution:
         assert "osdc" in plan.explain() and "12" in plan.explain()
 
 
+class TestShardedPlan:
+    def test_estimator_reads_the_base_matrix_with_columns(
+            self, monkeypatch, nrng):
+        import repro.planner as planner_module
+
+        seen = []
+        estimate = planner_module.estimate_pskyline_size
+
+        def spy_estimate(ranks, graph, rng, **kwargs):
+            seen.append((ranks, kwargs.get("columns")))
+            return estimate(ranks, graph, rng, **kwargs)
+
+        monkeypatch.setattr(planner_module, "estimate_pskyline_size",
+                            spy_estimate)
+        relation = ShardedRelation.from_array(
+            nrng.integers(0, 20, size=(3000, 5)).astype(float),
+            names=[f"A{i}" for i in range(5)], shards=3)
+        graph = PGraph.from_expression(parse("(A & B) * C"))
+        planner = Planner(sharded_threshold=1000)
+        with relation.snapshot() as snapshot:
+            plan = planner.plan_sharded(snapshot, graph, columns=[4, 0, 2])
+            (ranks, columns), = seen
+            assert ranks is snapshot.relation.ranks  # no projection
+            assert list(columns) == [4, 0, 2]
+            assert plan.algorithm == "sharded-scatter-gather"
+            assert plan.estimated_output == estimate(
+                ranks[:, [4, 0, 2]], graph, np.random.default_rng(0))
+
+
+def _weak_order(names, rng):
+    """A prioritized chain of Pareto groups over two or more ``names``."""
+    names = list(names)
+    rng.shuffle(names)
+    cuts = sorted(rng.sample(range(1, len(names)),
+                             rng.randint(1, len(names) - 1)))
+    groups = [names[a:b] for a, b in zip([0] + cuts,
+                                         cuts + [len(names)])]
+    return " & ".join("(" + " * ".join(group) + ")" for group in groups)
+
+
+class TestAutoMatchesOsdc:
+    """``auto`` may pick any plan, but its answer is ``osdc``'s."""
+
+    def _case(self, seed):
+        import random
+        rng = random.Random(seed)
+        nrng = np.random.default_rng(seed)
+        names = [f"A{i}" for i in range(7)]
+        used = rng.sample(names, rng.randint(2, 6))
+        text = (_weak_order(used, rng) if seed % 3 == 0
+                else str(random_expression(used, rng)))
+        n = rng.randint(300, 3000)
+        ranks = nrng.integers(0, rng.choice([3, 20, 1000]),
+                              size=(n, 7)).astype(float)
+        return ranks, names, text
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_relation_with_a_column_subset(self, seed):
+        ranks, names, text = self._case(seed)
+        relation = Relation.from_array(ranks, names=names)
+        auto = p_skyline(relation, text, algorithm="auto")
+        assert np.array_equal(
+            auto.ranks, p_skyline(relation, text, algorithm="osdc").ranks)
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_raw_matrix(self, seed):
+        ranks, _names, text = self._case(seed)
+        if seed % 2:
+            ranks.setflags(write=False)  # planned on (matrix, columns)
+        assert np.array_equal(p_skyline(ranks, text, algorithm="auto"),
+                              p_skyline(ranks, text, algorithm="osdc"))
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_sharded_snapshot_with_columns(self, seed):
+        ranks, names, text = self._case(seed)
+        relation = ShardedRelation.from_array(ranks, names=names,
+                                              shards=3)
+        planner = Planner(sharded_threshold=1000)
+        auto = relation.p_skyline(text, planner=planner)
+        expected = p_skyline(Relation.from_array(ranks, names=names),
+                             text, algorithm="osdc")
+        assert np.array_equal(auto.ranks, expected.ranks)
+
+
 class TestAutoQuery:
     def test_auto_on_relation(self):
         from repro import Relation, lowest
@@ -154,7 +245,7 @@ class TestPlanRecording:
         stats = Stats()
         planner.execute(nrng.random((5000, 5)), graph, stats=stats)
         plan = stats.extra["plan"]
-        assert plan["algorithm"] in ("bnl", "osdc")
+        assert plan["algorithm"] == "osdc"
         assert plan["estimated_output"] is not None
 
     def test_plan_lands_in_trace(self, nrng):

@@ -228,6 +228,23 @@ class TestBatchService:
             assert sorted(map(tuple, got.ranks.tolist())) == \
                 sorted(map(tuple, expected.ranks.tolist()))
 
+    def test_p_skyline_batch_over_a_matrix_written_between_batches(
+            self, nrng):
+        # the registration cache keys on the array object: a writeable
+        # matrix edited in place must not be answered from the shared
+        # copy the previous batch registered
+        matrix = nrng.integers(0, 25, size=(9000, 4)).astype(float)
+        queries = ["A0 & A1", "A2 * A3"]
+        for _ in range(2):
+            stats = Stats()
+            batch = p_skyline_batch(matrix, queries, stats=stats,
+                                    min_chunk=1000)
+            assert "chunk_skylines" in stats.extra  # ran on the pool
+            for text, got in zip(queries, batch):
+                assert np.array_equal(got, p_skyline(matrix, text,
+                                                     algorithm="osdc"))
+            matrix[batch[0][:1], :] += 100.0  # demote one skyline row
+
     def test_p_skyline_batch_small_inputs_fall_back(self, nrng):
         relation = Relation.from_array(nrng.random((50, 3)))
         batch = p_skyline_batch(relation, ["A0 & A1", "A1 * A2"])
