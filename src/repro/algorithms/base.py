@@ -228,10 +228,6 @@ def resolve_kernel(dominance, context: ExecutionContext,
     and as a ``kernel-select`` trace event so bench artifacts and
     ``explain`` output show which family did the work.  ``pairs`` is the
     expected per-block comparison count the auto policy sizes against.
-    The effective screen thread budget (and the policy layer it came
-    from -- see :func:`repro.engine.threads.budget_source`) is recorded
-    alongside, under ``Stats.extra["thread_budget"]`` and in the
-    ``kernel-select`` event.
 
     When ``"native"`` was requested (explicitly or through
     :func:`~repro.core.dominance.forced_kernel`) but its compiled
@@ -240,7 +236,6 @@ def resolve_kernel(dominance, context: ExecutionContext,
     lands in the trace ring as a ``kernel-fallback`` event.
     """
     from ..core.dominance import current_forced_kernel, select_kernel
-    from ..engine.threads import budget_source
 
     requested = current_forced_kernel() or kernel
     resolved = select_kernel(kernel, d=dominance.graph.d, pairs=pairs)
@@ -250,12 +245,9 @@ def resolve_kernel(dominance, context: ExecutionContext,
         context.event("kernel-fallback", requested="native",
                       kernel=resolved,
                       reason=unavailable_reason() or "width limit")
-    budget, source = budget_source(dominance.graph.d)
     if context.stats is not None:
         context.stats.extra["kernel"] = resolved
-        context.stats.extra["thread_budget"] = budget
-    context.event("kernel-select", kernel=resolved, threads=budget,
-                  threads_source=source)
+    context.event("kernel-select", kernel=resolved)
     return resolved
 
 

@@ -4,10 +4,10 @@
 ``python -m repro.bench.perf_gate``, the same parser) runs the named
 tiers and writes one JSON artifact per tier into ``--out`` (default
 ``bench-out/``), named after the tier's committed baseline
-(``BENCH_4.json`` ... ``BENCH_10.json`` at the repo root), so a baseline
+(``BENCH_4.json`` ... ``BENCH_9.json`` at the repo root), so a baseline
 is only regenerated by an explicit ``--out .``.  With no tier named it
-prints the host tag -- cores, per-backend availability with its reason,
-the thread budget with its source and layer -- and the tier catalogue.
+prints the host tag -- cores and per-backend availability with its
+reason -- and the tier catalogue.
 
 Every tier is declared once in :data:`TIERS`: its baseline file, a
 workload function returning the artifact payload, and a tuple of
@@ -25,8 +25,8 @@ declarative :class:`Check` objects of five kinds:
   shift slightly across NumPy versions);
 * ``time`` -- wall time under :data:`TIME_FACTOR` times the
   baseline's, applied only between identically shaped hosts
-  (``cpu_count`` + ``thread_budget`` of the ``host`` tag; untagged
-  baselines always compare).
+  (``cpu_count`` of the ``host`` tag; untagged baselines always
+  compare).
 
 A check that cannot be measured on this host or at this scale -- fewer
 cores than workers, no compiled backend, quick workloads, no comparable
@@ -54,8 +54,8 @@ from ..core.bitsets import iter_bits
 
 __all__ = ["Check", "Tier", "TIERS", "host_tag", "evaluate", "render",
            "kernel_workload", "run_kernel_bench", "run_algorithm_bench",
-           "run_threaded_bench", "run_gate", "run_native_gate",
-           "run_threaded_gate", "run_parallel_gate", "run_sharded_gate",
+           "run_gate", "run_native_gate", "run_parallel_gate",
+           "run_sharded_gate",
            "run_server_gate", "run_batch_gate", "main"]
 
 #: Pinned workload parameters.  Changing any of these invalidates the
@@ -93,7 +93,6 @@ FUSION_DIMS = 6
 FUSION_QUERIES = 64
 FUSION_INTENTS = 6
 FUSION_CORPUS = "tests/corpus"
-THREAD_GATE_BUDGET = 4
 
 #: Baseline tolerances: structural counters may drift by this relative
 #: amount; wall time must stay under this factor (shared CI runners).
@@ -109,8 +108,7 @@ TIME_FACTOR = 10.0
 #: at the planner's parallel threshold must beat serial ``osdc`` end to
 #: end (``MAX_AUTO_OVER_OSDC``) wherever the host has a core per pool
 #: worker.  The native speedup needs the compiled backend (without it
-#: the fallback contract gates instead); the threaded speedup needs the
-#: compiled parallel layer and ``THREAD_GATE_MIN_CORES`` cores.
+#: the fallback contract gates instead).
 MIN_SPEEDUP = 2.0
 MIN_PARALLEL_SPEEDUP = 2.0
 SINGLE_CORE_OVERHEAD = 2.5
@@ -122,8 +120,6 @@ MAX_INSERT_OVERHEAD = 1.2
 MIN_CACHE_SPEEDUP = 2.0
 MIN_FUSED_SPEEDUP = 2.0
 MIN_NATIVE_SPEEDUP = 2.0
-MIN_THREADED_SPEEDUP = 1.5
-THREAD_GATE_MIN_CORES = 4
 
 
 # -- host tag ----------------------------------------------------------------
@@ -131,33 +127,26 @@ THREAD_GATE_MIN_CORES = 4
 def host_tag() -> dict:
     """The ``host`` stamped into every artifact.
 
-    ``cpu_count`` and ``thread_budget`` are the host *shape* that
-    wall-time checks compare; the rest reports each kernel backend's
-    availability (with the reason an optional one is off) and the
-    thread budget's source and parallel layer.
+    ``cpu_count`` is the host *shape* that wall-time checks compare;
+    ``backends`` reports each kernel backend's availability (with the
+    reason an optional one is off).
     """
     from ..core import native
     from ..core.dominance import KERNELS
-    from ..engine.threads import budget_source
 
-    budget, source = budget_source()
     backends = {}
     for name in KERNELS:
         ok, reason = (native.availability() if name == "native"
                       else (True, None))
         backends[name] = "available" if ok else f"unavailable ({reason})"
-    parallel, why = native.parallel_availability()
-    return {"cpu_count": os.cpu_count() or 1, "thread_budget": budget,
-            "budget_source": source,
-            "layer": "prange-native" if parallel
-            else f"serial (compiled parallel layer unavailable: {why})",
-            "backends": backends}
+    return {"cpu_count": os.cpu_count() or 1, "backends": backends}
 
 
 def _shape(artifact: dict) -> dict | None:
+    """The host shape wall-time checks compare: the core count.  Older
+    baselines also carry a thread budget, which no check reads."""
     host = artifact.get("host")
-    return host and {key: host.get(key)
-                     for key in ("cpu_count", "thread_budget")}
+    return host and {"cpu_count": host.get("cpu_count")}
 
 
 def _artifact(schema: str, quick: bool, workload: dict, **payload) -> dict:
@@ -315,113 +304,6 @@ def run_native_gate(*, quick: bool = False) -> dict:
         fallback_kernel=select_kernel("native", d=KERNEL_DIMS[0],
                                       pairs=1 << 20),
         screens=screens)
-
-
-def run_threaded_bench(dims: int, rows: int, seed: int = SEED,
-                       budget: int = THREAD_GATE_BUDGET) -> dict:
-    """Time one BENCH_4 screening workload at budgets 1 and ``budget``.
-
-    Both passes run the same resolved kernel (``native`` where compiled,
-    its ``bitmask`` fallback otherwise); the threaded pass requests the
-    budget through an explicit
-    :func:`repro.engine.threads.thread_budget` scope, which engages the
-    compiled ``prange`` screen even on quick-mode workloads.  Without
-    that layer both passes run the same serial screen (``layer:
-    "serial"``).  Survivor masks must be bit-identical -- the record
-    carries the parity verdict, not just counts.
-    """
-    from ..core import native as native_backend
-    from ..core.dominance import Dominance, select_kernel
-    from ..engine.threads import thread_budget
-
-    ranks, graph = _pinned_case(rows, dims, seed)
-    dominance = Dominance(graph).prepare()
-    block, against = kernel_workload(ranks, graph)
-    kernel = select_kernel("native", d=dims, pairs=1 << 20)
-    record = {
-        "name": f"threaded-screen-d{dims}",
-        "d": dims,
-        "rows": int(rows),
-        "block_rows": int(block.shape[0]),
-        "against_rows": int(against.shape[0]),
-        "kernel": kernel,
-        "budget": int(budget),
-        "layer": ("prange-native"
-                  if kernel == "native"
-                  and native_backend.parallel_available()
-                  else "serial"),
-        "timings": {},
-    }
-    # warm kernels and workspaces off the clock
-    with thread_budget(1):
-        dominance.screen_block(block[:512], against[:512], kernel=kernel)
-    with thread_budget(budget):
-        dominance.screen_block(block[:512], against[:512], kernel=kernel)
-    with thread_budget(1):
-        start = time.perf_counter()
-        serial = dominance.screen_block(block, against, kernel=kernel)
-        record["timings"]["serial"] = time.perf_counter() - start
-    serial = np.array(serial, copy=True)
-    with thread_budget(budget):
-        start = time.perf_counter()
-        threaded = dominance.screen_block(block, against, kernel=kernel)
-        record["timings"]["threaded"] = time.perf_counter() - start
-    record["parity"] = bool(np.array_equal(serial, threaded))
-    record["survivors"] = int(serial.sum())
-    record["speedup_threaded_over_serial"] = (
-        record["timings"]["serial"] / record["timings"]["threaded"])
-    return record
-
-
-def _pool_thread_budget_probe(quick: bool) -> dict:
-    """One pooled query asserting the pool x threads topology.
-
-    Pool workers own the cores; each must screen single-threaded.  The
-    probe runs a small ``parallel-osdc`` query on a fresh 2-worker pool
-    and reads the per-worker budget the pool recorded in
-    ``stats.extra["pool"]["thread_budget"]``.
-    """
-    from ..algorithms.base import Stats
-    from ..algorithms.parallel import parallel_osdc
-    from ..engine import ExecutionContext
-    from ..engine.pool import WORKER_THREAD_BUDGET, pool_available
-
-    if not pool_available():
-        return {"available": False, "worker_thread_budget": None,
-                "expected_budget": WORKER_THREAD_BUDGET}
-    rows = 4_000 if quick else 20_000
-    ranks, graph = _pinned_case(rows, PARALLEL_DIMS, SEED)
-    stats = Stats()
-    context = ExecutionContext.create(stats=stats)
-    result = parallel_osdc(ranks, graph, context=context, processes=2,
-                           min_chunk=rows // 4, fresh_pool=True)
-    return {
-        "available": True,
-        "rows": rows,
-        "output_size": int(np.asarray(result).size),
-        "worker_thread_budget": stats.extra.get("pool", {}).get(
-            "thread_budget"),
-        "expected_budget": WORKER_THREAD_BUDGET,
-    }
-
-
-def run_threaded_gate(*, quick: bool = False) -> dict:
-    """The ``threads`` tier: BENCH_4's screens at budget 1 versus
-    :data:`THREAD_GATE_BUDGET`, plus the pool topology probe."""
-    from ..core import native as native_backend
-
-    rows = 4_000 if quick else KERNEL_ROWS
-    available, reason = native_backend.availability()
-    parallel_native, parallel_reason = \
-        native_backend.parallel_availability()
-    return _artifact(
-        "repro-perf-gate-threads/1", quick,
-        {"kernel_rows": rows, "kernel_dims": list(KERNEL_DIMS),
-         "budget": THREAD_GATE_BUDGET},
-        native_available=available, native_reason=reason,
-        parallel_native=parallel_native, parallel_reason=parallel_reason,
-        screens=[run_threaded_bench(dims, rows) for dims in KERNEL_DIMS],
-        pool=_pool_thread_budget_probe(quick))
 
 
 def run_parallel_gate(*, quick: bool = False) -> dict:
@@ -584,11 +466,10 @@ def _quick_scale(current, baseline):
         return "quick scale: workloads too small for a stable ratio"
 
 
-def _backend_differs(*keys: str) -> Waiver:
+def _backend_differs(key: str) -> Waiver:
     def waiver(current, baseline):
-        if any(current.get(key, False) != baseline.get(key, False)
-               for key in keys):
-            return f"{'/'.join(keys)} differs from the baseline's"
+        if current.get(key, False) != baseline.get(key, False):
+            return f"{key} differs from the baseline's"
     return waiver
 
 
@@ -619,21 +500,6 @@ def _native_off(current, baseline):
 def _native_on(current, baseline):
     if current.get("native_available"):
         return "compiled backend available: no fallback reason to record"
-
-
-def _parallel_off(tail: str) -> Waiver:
-    def waiver(current, baseline):
-        if not (current.get("native_available")
-                and current.get("parallel_native")):
-            why = (current.get("parallel_reason")
-                   or current.get("native_reason"))
-            return f"compiled parallel layer unavailable ({why}): {tail}"
-    return waiver
-
-
-def _pool_off(current, baseline):
-    if not (current.get("pool") or {}).get("available"):
-        return "worker pool unavailable on this host"
 
 
 def _auto_serial(current, baseline):
@@ -760,31 +626,6 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
              Check("exact", "screens", "survivors"),
              Check("time", "screens", "timings",
                    waivers=(_backend_differs("native_available"),)))),
-    Tier("threads", "BENCH_10.json",
-         f"screens at thread budget 1 vs {THREAD_GATE_BUDGET}, plus the "
-         "one-thread-per-pool-worker invariant", run_threaded_gate, (
-             Check("equal", "screens", "parity", True,
-                   waivers=(_parallel_off(
-                       "both budgets run the same serial screen"),)),
-             Check("floor", "screens", "speedup_threaded_over_serial",
-                   MIN_THREADED_SPEEDUP, waivers=(
-                       # BENCH_10.json records this wording: change both
-                       _parallel_off(
-                           f"the {MIN_THREADED_SPEEDUP:.1f}x "
-                           "threaded-over-serial check is replaced by "
-                           "bit-exact survivor parity across budgets"),
-                       _fewer_cores(THREAD_GATE_MIN_CORES, "",
-                                    f"the {MIN_THREADED_SPEEDUP:.1f}x "
-                                    "threaded-over-serial check is "
-                                    "advisory; parity and the pool budget "
-                                    "invariant still gate"))),
-             Check("equal", "pool", "worker_thread_budget",
-                   lambda r: r.get("expected_budget"),
-                   waivers=(_pool_off,)),
-             Check("exact", "screens", "survivors"),
-             Check("time", "screens", "timings",
-                   waivers=(_backend_differs("native_available",
-                                             "parallel_native"),)))),
     Tier("pool", "BENCH_5.json",
          "serial vs cold vs warm worker pool, a warm query batch vs "
          "cold calls, and auto vs osdc at the parallel threshold",
@@ -885,8 +726,6 @@ def _render_host(host: dict) -> str:
     lines = [f"host: {host['cpu_count']} core(s)"]
     lines += [f"  {name}: {state}"
               for name, state in host["backends"].items()]
-    lines.append(f"  threads: budget {host['thread_budget']} "
-                 f"({host['budget_source']}), layer {host['layer']}")
     return "\n".join(lines)
 
 

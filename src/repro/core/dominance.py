@@ -38,17 +38,11 @@ context manager that overrides every selection on the current thread,
 which the verification harness uses to cross-check kernels without
 touching algorithm signatures.
 
-Screening additionally carries an optional *intra-worker thread layer*
-under the same seam: when the budget resolved through
-:mod:`repro.engine.threads` exceeds 1 and the compiled ``prange``
-kernels are up (:func:`repro.core.native.parallel_available`),
-:meth:`Dominance.screen_block` runs the native family's row loop across
-that many threads.  Rows are screened independently, so every budget
-produces bit-identical survivors, and ``check`` fires between chunks so
-deadline/cancel semantics are unchanged.  Everywhere else screening is
-serial.  Workspace arenas are *leased* per kernel entry from per-thread
-free lists (:func:`_lease_workspace`), so concurrent server threads --
-and screens nested inside a ``check`` callback -- never share scratch
+Screening is serial: one kernel call per chunk, with ``check`` firing
+between chunks so deadlines and cancellation interrupt long screens.
+Workspace arenas are *leased* per kernel entry from per-thread free
+lists (:func:`_lease_workspace`), so concurrent server threads -- and
+screens nested inside a ``check`` callback -- never share scratch
 buffers.
 
 All kernels operate on *rank* matrices produced by
@@ -95,31 +89,9 @@ SMALL_BLOCK_PAIRS = 256
 #: workspace footprint at ``chunk x AGAINST_CHUNK`` masks.
 AGAINST_CHUNK = 4096
 
-#: Smallest ``block`` the *auto* thread policy spreads across the
-#: compiled ``prange`` screen; below it the thread start-up cost
-#: dominates.  An explicit budget (``threads=`` argument or
-#: :func:`repro.engine.threads.thread_budget` scope) engages the
-#: ``prange`` path regardless of size.
+#: Block size splitting the end-to-end tracer's ``small`` and ``large``
+#: screen counts.  Nothing in the library branches on it.
 THREAD_MIN_ROWS = 2048
-
-
-def _resolve_screen_threads(threads: int | None,
-                            d: int) -> tuple[int, bool]:
-    """``(budget, forced)`` for one screening call.
-
-    ``forced`` is True when the budget came from an explicit request
-    (argument or thread-local scope), which bypasses
-    :data:`THREAD_MIN_ROWS`.
-    """
-    if threads is not None:
-        return max(1, int(threads)), True
-    # imported on first use: the engine package imports this module
-    from ..engine import threads as policy
-
-    override = policy.current_override()
-    if override is not None:
-        return override, True
-    return policy.effective_budget(d), False
 
 
 def _mask_dtype_for(d: int) -> np.dtype:
@@ -625,8 +597,7 @@ class Dominance:
 
     def screen_block(self, block: np.ndarray, against: np.ndarray,
                      chunk: int = 256, check=None,
-                     kernel: str | None = None,
-                     threads: int | None = None) -> np.ndarray:
+                     kernel: str | None = None) -> np.ndarray:
         """Boolean survivors mask: rows of ``block`` not dominated by any
         row of ``against``.
 
@@ -637,15 +608,6 @@ class Dominance:
         invoked once per outer chunk and between inner ``against`` blocks,
         so deadlines and cancellations interrupt long screenings even when
         the early exit below keeps firing on the first inner block.
-
-        ``threads`` overrides the screen thread budget for this call
-        (``None`` resolves through :mod:`repro.engine.threads`).  The
-        budget reaches only the compiled ``prange`` screen of the native
-        family: where :func:`repro.core.native.parallel_available`, a
-        budget above 1 spreads the row loop across that many threads
-        (bit-identical survivors -- rows are screened independently --
-        with ``check`` still firing between chunks).  Every other
-        screen runs serially.
         """
         n = block.shape[0]
         m = against.shape[0]
@@ -657,21 +619,13 @@ class Dominance:
         if kernel == "native":
             block = np.ascontiguousarray(block, dtype=np.float64)
             against = np.ascontiguousarray(against, dtype=np.float64)
-            budget, forced = _resolve_screen_threads(threads,
-                                                     self.graph.d)
-            budget = min(budget, n)
-            if (budget > 1 and (forced or n >= THREAD_MIN_ROWS)
-                    and _native.parallel_available()):
-                return self._native_screen_parallel(
-                    block, against, survivors, chunk=chunk, check=check,
-                    threads=budget)
         self._screen_span(block, against, survivors, chunk=chunk,
                           check=check, kernel=kernel)
         return survivors
 
     def _screen_span(self, block: np.ndarray, against: np.ndarray,
                      survivors: np.ndarray, *, chunk: int, check,
-                     kernel: str, parallel: bool = False) -> None:
+                     kernel: str) -> None:
         """The screening loop behind :meth:`screen_block`, writing into
         ``survivors``.
 
@@ -679,18 +633,16 @@ class Dominance:
         (:func:`_lease_workspace`), so screens nested inside a ``check``
         callback operate on distinct scratch buffers.  For the native
         family, packing and Proposition 1 are fused per pair inside
-        :func:`repro.core.native.screen_chunk` (its ``prange`` variant
-        when ``parallel``) with a per-row early exit; the only per-chunk
-        temporary is the arena-backed ``dominated`` vector, so the
-        steady-state loop performs zero Python-level allocations.
+        :func:`repro.core.native.screen_chunk` with a per-row early
+        exit; the only per-chunk temporary is the arena-backed
+        ``dominated`` vector, so the steady-state loop performs zero
+        Python-level allocations.
         """
         n = block.shape[0]
         m = against.shape[0]
         use_native = kernel == "native"
         if use_native:
             closures, table, use_table = self._native_tables()
-            screen = (_native.screen_chunk_parallel if parallel
-                      else _native.screen_chunk)
         with _lease_workspace() as arena:
             for start in range(0, n, chunk):
                 if check is not None:
@@ -708,8 +660,8 @@ class Dominance:
                         check("screen-block")
                     part = against[a_start:a_start + AGAINST_CHUNK]
                     if use_native:
-                        screen(sub, part, closures, table, use_table,
-                               dominated)
+                        _native.screen_chunk(sub, part, closures, table,
+                                             use_table, dominated)
                     else:
                         flags = self._pair_flags(sub, part, kernel,
                                                  arena)
@@ -718,28 +670,9 @@ class Dominance:
                         break
                 survivors[start:stop] = ~dominated
 
-    def _native_screen_parallel(self, block: np.ndarray,
-                                against: np.ndarray,
-                                survivors: np.ndarray, *, chunk: int,
-                                check, threads: int) -> np.ndarray:
-        """The compiled ``prange`` screen behind :meth:`screen_block`.
-
-        Outer blocks grow to ``chunk * threads`` rows so every runtime
-        thread owns a ``chunk``-sized row slice of the ``prange`` loop;
-        rows are independent (each writes only ``dominated[i]`` and
-        keeps its own early exit), so the result is bit-identical to
-        the serial kernel.  ``check`` still fires between outer blocks
-        and inner ``against`` chunks.
-        """
-        applied = _native.set_thread_count(threads)
-        self._screen_span(block, against, survivors, chunk=chunk * applied,
-                          check=check, kernel="native", parallel=True)
-        return survivors
-
 
 def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
-                       check=None, counters=None,
-                       threads: int | None = None) -> list:
+                       check=None, counters=None) -> list:
     """Self-screen ``rows`` under many p-graphs, packing each block once.
 
     ``dominances`` is a sequence of :class:`Dominance` oracles whose
@@ -756,19 +689,11 @@ def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
     ``counters`` (a mutable mapping) accumulates exact ``"mask_hits"``
     and ``"mask_misses"`` counts and records the concrete replay backend
     under ``"kernel"`` (``"native"`` when the compiled backend serves
-    the fused group, ``"bitmask"`` otherwise) plus the applied
-    ``"threads"`` budget, so ``fusion`` gate artifacts show which
-    backend did the work.  Falls back to independent
-    :meth:`~Dominance.screen_block` calls when the dimensionality
-    exceeds :data:`BITMASK_WIDTH_LIMIT` (no packed representation
-    exists there).
-
-    ``threads`` above 1 (or an unforced budget resolved through
-    :mod:`repro.engine.threads`) switches the native replay onto the
-    ``prange`` pack/eval kernels when the compiled parallel layer is
-    up.  The chunk structure -- and therefore the exact mask hit/miss
-    counts -- is identical at every budget; only the row loops inside
-    the compiled kernels fan out.
+    the fused group, ``"bitmask"`` otherwise), so ``fusion`` gate
+    artifacts show which backend did the work.  Falls back to
+    independent :meth:`~Dominance.screen_block` calls when the
+    dimensionality exceeds :data:`BITMASK_WIDTH_LIMIT` (no packed
+    representation exists there).
     """
     dominances = list(dominances)
     n = rows.shape[0]
@@ -780,33 +705,19 @@ def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
         if counters is not None:
             counters["kernel"] = select_kernel(
                 None, d=d, pairs=n * n if n else None)
-            counters["threads"] = 1
-        return [dom.screen_block(rows, rows, chunk=chunk, check=check,
-                                 threads=threads)
+        return [dom.screen_block(rows, rows, chunk=chunk, check=check)
                 for dom in dominances]
     # the packed replay runs natively when the compiled backend is up
     # and no interpreted kernel is forced on this thread; a forced
     # "native" without the backend degrades to the bitmask replay
     forced = current_forced_kernel()
     use_native = forced in (None, "native") and native_available()
-    budget, _ = _resolve_screen_threads(threads, d)
-    budget = max(1, min(budget, n))
-    parallel_native = (use_native and budget > 1
-                       and _native.parallel_available())
-    if parallel_native:
-        budget = _native.set_thread_count(budget)
-        parallel_native = budget > 1
     if counters is not None:
         counters["kernel"] = "native" if use_native else "bitmask"
-        counters["threads"] = budget if parallel_native else 1
     mdtype = _mask_dtype_for(d)
     if use_native:
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         tables = [dom._native_tables() for dom in dominances]
-        pack = (_native.pack_masks_parallel if parallel_native
-                else _native.pack_masks)
-        eval_any = (_native.eval_any_parallel if parallel_native
-                    else _native.eval_any)
     else:
         for dom in dominances:
             dom._dense_table()  # build outside the hot loop
@@ -832,7 +743,7 @@ def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
                     bvu = arena.get("nbvu",
                                     (block.shape[0], part.shape[0]),
                                     np.uint64)
-                    pack(block, part, buv, bvu)
+                    _native.pack_masks(block, part, buv, bvu)
                 else:
                     buv, bvu = _pack_better_masks(block, part, mdtype,
                                                   arena)
@@ -844,8 +755,9 @@ def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
                 for idx in active:
                     if use_native:
                         closures, table, use_table = tables[idx]
-                        eval_any(buv, bvu, closures, table, use_table,
-                                 dominated[idx][start:stop])
+                        _native.eval_any(buv, bvu, closures, table,
+                                         use_table,
+                                         dominated[idx][start:stop])
                     else:
                         flags = dominances[idx]._eval_packed(buv, bvu,
                                                              arena)

@@ -161,18 +161,14 @@ class FusionPlan:
     def execute(self, *, evaluate, candidates, context=None,
                 chunk: int = 256,
                 max_candidates: int = MAX_SHARED_CANDIDATES,
-                counters: dict | None = None,
-                threads: int | None = None) -> list:
+                counters: dict | None = None) -> list:
         """Run the plan; one sorted index array per original query.
 
         ``evaluate(graph, key)`` must return the sorted row indices of
         the skyline under ``graph`` over the columns described by
         ``key``; ``candidates(indices, key)`` the corresponding rank
         rows.  Counters land in ``counters`` (if given) and in
-        ``context.stats.extra["fusion"]``.  ``threads`` forwards to
-        :func:`~repro.core.dominance.screen_block_multi` (``None``
-        resolves through the engine thread policy); the applied budget
-        comes back under ``counters["threads"]``.
+        ``context.stats.extra["fusion"]``.
         """
         results = [None] * self.count
         if counters is None:
@@ -225,8 +221,7 @@ class FusionPlan:
             dominances = [_oracle(entry.graph, context)
                           for entry in members]
             masks = screen_block_multi(dominances, rows, chunk=chunk,
-                                       check=check, counters=counters,
-                                       threads=threads)
+                                       check=check, counters=counters)
             counters["screened"] += len(members)
             for entry, mask in zip(members, masks):
                 _assign(results, entry, base_indices[mask])

@@ -19,15 +19,7 @@ module compiles the same Proposition 1 test --
   ``dominators_mask`` / ``dominated_mask`` entry points;
 * :func:`pack_masks` / :func:`eval_any` split packing from evaluation so
   :func:`~repro.core.dominance.screen_block_multi` can pack each block
-  once and replay it for many p-graphs (the fused batch path);
-* each kernel also exists as a ``*_parallel`` variant whose row loop is
-  a ``numba.prange`` (compiled with ``parallel=True``): rows are
-  independent -- every write lands at the row's own index -- so the
-  row-tile decomposition is race-free, per-row early exits survive
-  inside each tile, and the result is bit-identical to the serial
-  kernel at any thread count.  The worker thread count is applied per
-  call through :func:`set_thread_count` (bounded by the budget policy
-  in :mod:`repro.engine.threads`).
+  once and replay it for many p-graphs (the fused batch path).
 
 All mask operands are ``uint64`` (one compiled signature per function,
 ``d <= 64`` guaranteed by the caller); descendant unions come from the
@@ -53,25 +45,11 @@ import threading
 import numpy as np
 
 __all__ = ["availability", "available", "unavailable_reason", "warmup",
-           "pair_flags", "screen_chunk", "pack_masks", "eval_any",
-           "screen_chunk_parallel", "pair_flags_parallel",
-           "pack_masks_parallel", "eval_any_parallel",
-           "parallel_availability", "parallel_available",
-           "set_thread_count"]
+           "pair_flags", "screen_chunk", "pack_masks", "eval_any"]
 
 _PROBE_LOCK = threading.Lock()
 _AVAILABLE: bool | None = None  # None = not probed yet
 _REASON: str | None = None
-_PARALLEL_AVAILABLE: bool | None = None
-_PARALLEL_REASON: str | None = None
-
-#: Rebound to ``numba.prange`` by ``_probe`` before the ``*_parallel``
-#: sources are compiled with ``parallel=True`` (numba resolves the
-#: global at compile time).  The interpreted fallback keeps plain
-#: ``range``: the parallel sources then *are* the serial sources, which
-#: is exactly the single-thread parity the thread-equivalence suite
-#: pins.
-prange = range
 
 #: Placeholder passed for the dense table when ``d`` exceeds the dense
 #: table limit (numba cannot take ``None`` for an array argument).
@@ -219,143 +197,10 @@ def _eval_any(buv, bvu, closures, table, use_table, dominated):
                 break
 
 
-# -- parallel (prange) kernel sources ----------------------------------------
-# Row-tile decompositions of the serial kernels: the outer row loop is a
-# ``prange``, every write lands at the row's own index and the per-row
-# early exits live inside each tile, so the compiled ``parallel=True``
-# versions are race-free and bit-identical to the serial kernels.
-
-def _screen_chunk_parallel(block, against, closures, table, use_table,
-                           dominated):
-    """:func:`_screen_chunk` with the row loop as a ``prange``."""
-    b, d = block.shape
-    a = against.shape[0]
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for i in prange(b):
-        if dominated[i]:
-            continue
-        for j in range(a):
-            buv = zero
-            bvu = zero
-            for k in range(d):
-                x = block[i, k]
-                y = against[j, k]
-                if x > y:
-                    buv |= one << np.uint64(k)
-                elif x < y:
-                    bvu |= one << np.uint64(k)
-            if (buv | bvu) == zero:
-                continue
-            if use_table:
-                union = table[buv]
-            else:
-                union = zero
-                mask = buv
-                k = 0
-                while mask != zero:
-                    if (mask & one) != zero:
-                        union |= closures[k]
-                    mask >>= one
-                    k += 1
-            if (bvu & ~union) == zero:
-                dominated[i] = True
-                break
-
-
-def _pair_flags_parallel(block, against, closures, table, use_table,
-                         out):
-    """:func:`_pair_flags` with the row loop as a ``prange``."""
-    b, d = block.shape
-    a = against.shape[0]
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for i in prange(b):
-        for j in range(a):
-            buv = zero
-            bvu = zero
-            for k in range(d):
-                x = block[i, k]
-                y = against[j, k]
-                if x > y:
-                    buv |= one << np.uint64(k)
-                elif x < y:
-                    bvu |= one << np.uint64(k)
-            if (buv | bvu) == zero:
-                out[i, j] = False
-                continue
-            if use_table:
-                union = table[buv]
-            else:
-                union = zero
-                mask = buv
-                k = 0
-                while mask != zero:
-                    if (mask & one) != zero:
-                        union |= closures[k]
-                    mask >>= one
-                    k += 1
-            out[i, j] = (bvu & ~union) == zero
-
-
-def _pack_masks_parallel(block, against, buv, bvu):
-    """:func:`_pack_masks` with the row loop as a ``prange``."""
-    b, d = block.shape
-    a = against.shape[0]
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for i in prange(b):
-        for j in range(a):
-            mu = zero
-            mv = zero
-            for k in range(d):
-                x = block[i, k]
-                y = against[j, k]
-                if x > y:
-                    mu |= one << np.uint64(k)
-                elif x < y:
-                    mv |= one << np.uint64(k)
-            buv[i, j] = mu
-            bvu[i, j] = mv
-
-
-def _eval_any_parallel(buv, bvu, closures, table, use_table, dominated):
-    """:func:`_eval_any` with the row loop as a ``prange``."""
-    b, a = buv.shape
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for i in prange(b):
-        if dominated[i]:
-            continue
-        for j in range(a):
-            mu = buv[i, j]
-            mv = bvu[i, j]
-            if (mu | mv) == zero:
-                continue
-            if use_table:
-                union = table[mu]
-            else:
-                union = zero
-                mask = mu
-                k = 0
-                while mask != zero:
-                    if (mask & one) != zero:
-                        union |= closures[k]
-                    mask >>= one
-                    k += 1
-            if (mv & ~union) == zero:
-                dominated[i] = True
-                break
-
-
 pair_flags = _pair_flags
 screen_chunk = _screen_chunk
 pack_masks = _pack_masks
 eval_any = _eval_any
-pair_flags_parallel = _pair_flags_parallel
-screen_chunk_parallel = _screen_chunk_parallel
-pack_masks_parallel = _pack_masks_parallel
-eval_any_parallel = _eval_any_parallel
 
 
 # -- probe / availability ----------------------------------------------------
@@ -389,53 +234,14 @@ def warmup() -> None:
             raise AssertionError("native packed replay disagrees at warmup")
 
 
-def _warm_parallel() -> None:
-    """Run every ``*_parallel`` kernel on a miniature workload.
-
-    Under numba this triggers (or loads) the ``parallel=True``
-    compilation *and* spins up the threading layer, so neither cost is
-    ever paid on the query path; pool workers inherit the warm cache at
-    spawn.  The serial kernels are the reference the parallel results
-    must match bit for bit.
-    """
-    block = np.asarray([[0.0, 1.0], [1.0, 0.0]])
-    against = np.asarray([[0.0, 0.0]])
-    closures = np.zeros(2, dtype=np.uint64)
-    table = np.zeros(4, dtype=np.uint64)
-    for use_table in (True, False):
-        serial = np.zeros(2, dtype=bool)
-        screen_chunk(block, against, closures, table, use_table, serial)
-        dominated = np.zeros(2, dtype=bool)
-        screen_chunk_parallel(block, against, closures, table, use_table,
-                              dominated)
-        out = np.zeros((2, 1), dtype=bool)
-        pair_flags_parallel(block, against, closures, table, use_table,
-                            out)
-        if not ((dominated == serial).all()
-                and (out[:, 0] == serial).all()):  # pragma: no cover
-            raise AssertionError("parallel kernels disagree at warmup")
-        buv = np.zeros((2, 1), dtype=np.uint64)
-        bvu = np.zeros((2, 1), dtype=np.uint64)
-        pack_masks_parallel(block, against, buv, bvu)
-        packed = np.zeros(2, dtype=bool)
-        eval_any_parallel(buv, bvu, closures, table, use_table, packed)
-        if not (packed == serial).all():  # pragma: no cover
-            raise AssertionError(
-                "parallel packed replay disagrees at warmup")
-
-
 def _probe() -> None:
-    global _AVAILABLE, _REASON, _PARALLEL_AVAILABLE, _PARALLEL_REASON
+    global _AVAILABLE, _REASON
     global pair_flags, screen_chunk, pack_masks, eval_any
-    global pair_flags_parallel, screen_chunk_parallel
-    global pack_masks_parallel, eval_any_parallel, prange
     try:
         import numba
     except Exception as error:
         _AVAILABLE = False
-        _PARALLEL_AVAILABLE = False
         _REASON = f"numba missing ({type(error).__name__}: {error})"
-        _PARALLEL_REASON = _REASON
         return
     try:
         jit = numba.njit(cache=True, nogil=True)
@@ -456,40 +262,11 @@ def _probe() -> None:
         pack_masks = _pack_masks
         eval_any = _eval_any
         _AVAILABLE = False
-        _PARALLEL_AVAILABLE = False
         message = f"{type(error).__name__}: {error}"
         _REASON = f"JIT compile failed: {message[:300]}"
-        _PARALLEL_REASON = _REASON
         return
     _AVAILABLE = True
     _REASON = None
-    # the prange layer compiles separately: a broken threading layer must
-    # not take the serial compiled kernels down with it
-    try:
-        prange = numba.prange  # resolved at compile time by parallel=True
-        pjit = numba.njit(cache=True, nogil=True, parallel=True)
-        parallel = {name: pjit(function) for name, function in (
-            ("pair_flags_parallel", _pair_flags_parallel),
-            ("screen_chunk_parallel", _screen_chunk_parallel),
-            ("pack_masks_parallel", _pack_masks_parallel),
-            ("eval_any_parallel", _eval_any_parallel))}
-        pair_flags_parallel = parallel["pair_flags_parallel"]
-        screen_chunk_parallel = parallel["screen_chunk_parallel"]
-        pack_masks_parallel = parallel["pack_masks_parallel"]
-        eval_any_parallel = parallel["eval_any_parallel"]
-        _warm_parallel()
-    except Exception as error:
-        prange = range
-        pair_flags_parallel = _pair_flags_parallel
-        screen_chunk_parallel = _screen_chunk_parallel
-        pack_masks_parallel = _pack_masks_parallel
-        eval_any_parallel = _eval_any_parallel
-        _PARALLEL_AVAILABLE = False
-        message = f"{type(error).__name__}: {error}"
-        _PARALLEL_REASON = f"parallel JIT compile failed: {message[:300]}"
-        return
-    _PARALLEL_AVAILABLE = True
-    _PARALLEL_REASON = None
 
 
 def availability() -> tuple[bool, str | None]:
@@ -514,42 +291,3 @@ def available() -> bool:
 def unavailable_reason() -> str | None:
     """Why the backend is off (``None`` when it is on)."""
     return availability()[1]
-
-
-def parallel_availability() -> tuple[bool, str | None]:
-    """``(available, reason)`` for the ``prange`` layer.
-
-    Compiled separately from the serial kernels (a broken threading
-    layer degrades only the parallel variants); probing is shared with
-    :func:`availability`.
-    """
-    availability()
-    return bool(_PARALLEL_AVAILABLE), _PARALLEL_REASON
-
-
-def parallel_available() -> bool:
-    """True iff the compiled ``prange`` variants imported and warmed."""
-    return parallel_availability()[0]
-
-
-def set_thread_count(threads: int) -> int:
-    """Bound numba's worker-thread count for the next parallel kernels.
-
-    Returns the count actually applied.  numba caps
-    ``set_num_threads`` at the launch-time ``NUMBA_NUM_THREADS``, so
-    the request is clamped rather than erroring; without the compiled
-    parallel layer this is a no-op returning 1 (the interpreted
-    fallback is serial by construction).
-    """
-    threads = max(1, int(threads))
-    if not parallel_available():
-        return 1
-    import numba
-
-    limit = getattr(numba.config, "NUMBA_NUM_THREADS", 1)
-    applied = max(1, min(threads, int(limit)))
-    try:
-        numba.set_num_threads(applied)
-    except Exception:  # pragma: no cover - layer-specific edge cases
-        return 1
-    return applied

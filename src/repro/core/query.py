@@ -157,22 +157,10 @@ def _evaluate(algorithm: str, ranks: np.ndarray, graph: PGraph, columns,
     if algorithm == "auto":
         from ..planner import DEFAULT_PLANNER
 
-        def run():
-            return DEFAULT_PLANNER.execute(ranks, graph, stats=stats,
-                                           context=context,
-                                           columns=columns)
-    else:
-        def run():
-            return run_on_columns(algorithm, ranks, graph, columns,
-                                  stats=stats, context=context, **options)
-    if getattr(context, "threads", None) is None:
-        return run()
-    # an explicit per-query budget scopes the whole evaluation: every
-    # screen below resolves to it (see repro.engine.threads)
-    from ..engine.threads import thread_budget
-
-    with thread_budget(context.threads):
-        return run()
+        return DEFAULT_PLANNER.execute(ranks, graph, stats=stats,
+                                       context=context, columns=columns)
+    return run_on_columns(algorithm, ranks, graph, columns,
+                          stats=stats, context=context, **options)
 
 
 def p_skyline_batch(data: Relation | np.ndarray,

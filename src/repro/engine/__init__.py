@@ -21,8 +21,6 @@ from .errors import (EngineError, MemoryBudgetExceeded, QueryCancelled,
 from .pool import (SharedRegistration, WorkerPool, default_worker_count,
                    get_default_pool, pool_available,
                    shutdown_default_pool)
-from .threads import (effective_budget, pin_thread_budget,
-                      thread_budget)
 from .trace import TraceBuffer, TraceEvent
 
 __all__ = [
@@ -44,7 +42,4 @@ __all__ = [
     "shutdown_default_pool",
     "pool_available",
     "default_worker_count",
-    "thread_budget",
-    "pin_thread_budget",
-    "effective_budget",
 ]

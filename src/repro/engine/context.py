@@ -91,15 +91,14 @@ class ExecutionContext:
     """Per-query state shared by every operator the query touches."""
 
     __slots__ = ("stats", "deadline", "cancel", "memory_budget", "trace",
-                 "cache", "threads", "_start_ns")
+                 "cache", "_start_ns")
 
     def __init__(self, *, stats: "Stats | None" = None,
                  deadline: float | None = None,
                  cancel: CancellationToken | None = None,
                  memory_budget: int | None = None,
                  trace: TraceBuffer | None = None,
-                 cache: "PreferenceCache | None" = None,
-                 threads: int | None = None):
+                 cache: "PreferenceCache | None" = None):
         self.stats = stats
         #: Absolute :func:`time.monotonic` instant after which evaluation
         #: raises :class:`QueryTimeout` (``None`` = no deadline).
@@ -108,11 +107,6 @@ class ExecutionContext:
         self.memory_budget = memory_budget
         self.trace = trace
         self.cache = cache
-        #: Explicit screen thread budget for this query (``None`` defers
-        #: to the :mod:`repro.engine.threads` policy).  The query API
-        #: enters a :func:`repro.engine.threads.thread_budget` scope for
-        #: the evaluation when set.
-        self.threads = threads
         self._start_ns = time.monotonic_ns()
 
     # -- construction ----------------------------------------------------------
@@ -123,15 +117,13 @@ class ExecutionContext:
                cancel: CancellationToken | None = None,
                memory_budget: int | None = None,
                trace: "TraceBuffer | bool | int | None" = None,
-               cache: "PreferenceCache | None" = None,
-               threads: int | None = None
+               cache: "PreferenceCache | None" = None
                ) -> "ExecutionContext":
         """Build a context from user-facing knobs.
 
         ``timeout`` is relative seconds from now (converted to an
         absolute monotonic ``deadline``); ``trace`` may be an existing
-        buffer, ``True`` (default capacity) or a capacity in events;
-        ``threads`` forces the screen thread budget for this query.
+        buffer, ``True`` (default capacity) or a capacity in events.
         """
         if timeout is not None:
             if timeout <= 0:
@@ -146,8 +138,7 @@ class ExecutionContext:
         elif trace is False:
             trace = None
         return cls(stats=stats, deadline=deadline, cancel=cancel,
-                   memory_budget=memory_budget, trace=trace, cache=cache,
-                   threads=threads)
+                   memory_budget=memory_budget, trace=trace, cache=cache)
 
     # -- deadline / cancellation -----------------------------------------------
     @property

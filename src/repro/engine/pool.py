@@ -20,7 +20,9 @@ that with a warm, reusable execution service:
   parent unmaps each segment as soon as it has written it, and unlinks
   it when its array is garbage-collected (at the next registration),
   on :meth:`WorkerPool.close`, via the context-manager protocol, and
-  from an ``atexit`` hook.
+  from an ``atexit`` hook.  Every task names the pool's live segments,
+  and a worker unmaps any cached segment outside that set before it
+  runs the task.
 * Interruption propagates *into* workers: each task ships the absolute
   :func:`time.monotonic` deadline (CLOCK_MONOTONIC is system-wide on
   every platform we support, so parent and worker read the same clock)
@@ -63,12 +65,10 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from .context import ExecutionContext
-from .threads import pin_thread_budget, thread_budget
 
 __all__ = ["SharedArraySpec", "ShardedArraySpec", "SharedRegistration",
            "WorkerPool", "get_default_pool", "shutdown_default_pool",
-           "pool_available", "default_worker_count",
-           "WORKER_THREAD_BUDGET"]
+           "pool_available", "default_worker_count"]
 
 #: Shared-memory segments created by this module are named
 #: ``repro-pool-<pid>-<nonce>`` so leak checks can find strays.
@@ -80,12 +80,6 @@ DEFAULT_MAX_WORKERS = 8
 
 #: Seconds between parent-side context checks while waiting on workers.
 _POLL_INTERVAL = 0.02
-
-#: Screen thread budget inside each pool worker.  A pooled query
-#: parallelises across *processes*; pool x threads must not multiply, so
-#: workers pin this at spawn and every task spec ships it explicitly
-#: (see :mod:`repro.engine.threads`).
-WORKER_THREAD_BUDGET = 1
 
 
 def default_worker_count() -> int:
@@ -264,6 +258,22 @@ def _attach_view(array_spec: SharedArraySpec,
     return cached[1]
 
 
+def _drop_attachments(attachments: dict, keep) -> None:
+    """Unmap every cached segment whose name is not in ``keep``.
+
+    The parent unlinks a segment when its registration is released; a
+    worker's mapping would otherwise keep the pages allocated until the
+    worker exits.
+    """
+    for name in [name for name in attachments if name not in keep]:
+        shm, view = attachments.pop(name)
+        del view  # the segment cannot unmap while a view exports it
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - a caller still holds rows
+            pass
+
+
 def _gather_sharded(spec: ShardedArraySpec, kind: str, payload,
                     attachments: dict):
     """Gather rows of a virtually concatenated array across its part
@@ -310,11 +320,16 @@ def _gather_sharded(spec: ShardedArraySpec, kind: str, payload,
 
 
 def _run_task(spec: dict, attachments: dict, cancel_event):
-    """Execute one task spec; returns ``(global_indices, stats)``."""
+    """Execute one task spec; returns ``(global_indices, stats)``.
+
+    First unmaps the cached segments the parent no longer owns
+    (``spec["live"]`` names the ones it does).
+    """
     from .. import algorithms as _algorithms  # fills the registry
     from ..core.dominance import forced_kernel
     from ..core.pgraph import PGraph
 
+    _drop_attachments(attachments, spec["live"])
     array_spec = spec["array"]
     kind, payload = spec["rows"]
     if isinstance(array_spec, ShardedArraySpec):
@@ -351,34 +366,20 @@ def _run_task(spec: dict, attachments: dict, cancel_event):
     function = _algorithms.REGISTRY[spec["algorithm"]]
     guard = forced_kernel(spec["forced_kernel"]) \
         if spec["forced_kernel"] else nullcontext()
-    budget = thread_budget(spec.get("thread_budget")
-                           or WORKER_THREAD_BUDGET)
-    with guard, budget:
+    with guard:
         local = function(rows, graph, context=context, **spec["options"])
     return to_global(np.asarray(local, dtype=np.intp)), stats
 
 
 def _worker_main(worker_id: int, tasks, results, cancel_event) -> None:
     """The worker loop: pull task specs until the ``None`` sentinel."""
-    # Pin the screen thread budget *before* anything else: a pooled
-    # query parallelises across processes, never twice, and the pin is
-    # read at every budget resolution -- so later changes to
-    # REPRO_THREAD_BUDGET / NUMBA_NUM_THREADS in the parent can never
-    # oversubscribe an already-running worker.
-    try:
-        pin_thread_budget(WORKER_THREAD_BUDGET)
-    except Exception:  # pragma: no cover - policy is best effort
-        pass
     # JIT-warm the compiled native kernel backend once at spawn (a no-op
     # when numba is absent) so queries never pay compile latency and the
-    # compiled speedup compounds across workers.  The parallel layer is
-    # warmed too (availability() compiles both), then clamped to the
-    # pinned single-thread budget.
+    # compiled speedup compounds across workers.
     try:
-        from ..core.native import availability, set_thread_count
+        from ..core.native import availability
 
         availability()
-        set_thread_count(WORKER_THREAD_BUDGET)
     except Exception:  # pragma: no cover - warmup is best effort
         pass
     attachments: dict = {}
@@ -400,11 +401,7 @@ def _worker_main(worker_id: int, tasks, results, cancel_event) -> None:
                     results.put((query_id, task_id, worker_id, False,
                                  RuntimeError(repr(error)), None))
     finally:
-        for shm, _view in attachments.values():
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - shutdown best effort
-                pass
+        _drop_attachments(attachments, ())
 
 
 # -- parent side -------------------------------------------------------------
@@ -709,7 +706,7 @@ class WorkerPool:
             "deadline": context.deadline,
             "memory_budget": context.memory_budget,
             "forced_kernel": current_forced_kernel(),
-            "thread_budget": WORKER_THREAD_BUDGET,
+            "live": self.live_segments(),
         }
         worker_stats: list = []
         try:
@@ -884,7 +881,6 @@ class WorkerPool:
             "chunks": chunks,
             "merge_rounds": merge_rounds,
             "tasks": len(worker_stats),
-            "thread_budget": WORKER_THREAD_BUDGET,
             "per_worker_dominance_tests": {
                 str(worker_id): count
                 for worker_id, count in sorted(per_worker.items())},

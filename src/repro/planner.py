@@ -55,11 +55,6 @@ class Plan:
     reason: str
     estimated_output: float | None = None
     options: dict = field(default_factory=dict)
-    #: Screen threads the plan grants the evaluation.  ``None`` defers
-    #: to the :mod:`repro.engine.threads` policy (serial execution gets
-    #: the full auto budget); process-parallel plans set 1 -- each pool
-    #: worker screens single-threaded, the pool owns the cores.
-    thread_budget: int | None = None
     _function: Callable | None = None
 
     def execute(self, ranks: np.ndarray, graph: PGraph,
@@ -80,15 +75,10 @@ class Plan:
     def record(self, context: ExecutionContext) -> None:
         """Expose the decision in ``stats.extra["plan"]`` and the trace."""
         if context.stats is not None:
-            from .engine.threads import effective_budget
-
-            threads = (self.thread_budget if self.thread_budget
-                       is not None else effective_budget())
             context.stats.extra["plan"] = {
                 "algorithm": self.algorithm,
                 "reason": self.reason,
                 "estimated_output": self.estimated_output,
-                "thread_budget": threads,
             }
         context.event("plan", chosen=self.algorithm)
 
@@ -173,7 +163,6 @@ class Planner:
                 f"threshold of {self.parallel_threshold}: partition "
                 "across the worker pool",
                 options={"processes": None},
-                thread_budget=1,  # one screen thread per pool worker
             )
         return None
 
@@ -226,7 +215,6 @@ class Planner:
                 "populated shards: scatter per shard and tree-merge on "
                 "the pool",
                 estimated_output=estimate,
-                thread_budget=1,  # one screen thread per pool worker
             )
         return Plan(
             "sharded-serial",

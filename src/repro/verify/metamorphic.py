@@ -343,18 +343,14 @@ def run_transform(transform: MetamorphicTransform, ranks: np.ndarray,
                   algorithm: str = "?") -> list[Mismatch]:
     """Check one metamorphic relation for one algorithm on one case.
 
-    The original run is the oracle, so it screens serially (budget 1)
-    on every host: where the compiled ``prange`` layer is up, the auto
-    budget ``min(cores, cap)`` would otherwise thread it.  For the
-    kernel and pool axes it also screens with the ``bitmask`` kernel
-    forced, so the configuration under test never depends on which
-    kernel the host's auto policy would pick for the oracle.
+    The original run is the oracle.  For the kernel and pool axes it
+    screens with the ``bitmask`` kernel forced, so the configuration
+    under test never depends on which kernel the host's auto policy
+    would pick for the oracle.
     """
-    from ..engine.threads import thread_budget
-
     pinned = forced_kernel("bitmask") if transform.kernel is not None \
         or transform.pool_chunks is not None else nullcontext()
-    with thread_budget(1), pinned:
+    with pinned:
         original = set(int(i) for i in function(ranks, graph))
     new_ranks, new_graph, oracle = transform.apply(ranks, graph, rng)
     expected = oracle(original)

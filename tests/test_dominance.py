@@ -6,13 +6,22 @@ prioritized accumulation *definitions* of Section 2.1, independent of
 p-graphs.
 """
 
+import random
+import time
+
 import numpy as np
 import pytest
 
+import repro.core.dominance as dominance_module
 from conftest import as_dicts, random_expression, semantic_compare
-from repro.core.dominance import Dominance
+from repro.core import native
+from repro.core.dominance import (Dominance, _lease_workspace,
+                                  screen_block_multi)
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
+from repro.engine.context import CancellationToken, ExecutionContext
+from repro.engine.errors import QueryCancelled, QueryTimeout
+from repro.sampling.random_pexpr import PExpressionSampler
 
 
 def oracle_pair(expr_text, u_values, v_values):
@@ -174,3 +183,98 @@ class TestBulkKernels:
         block = np.array([[2.0, 2.0], [1.0, 9.0]])
         assert dom.any_dominator(block, np.array([2.0, 3.0]))
         assert not dom.any_dominator(block, np.array([0.0, 0.0]))
+
+
+# -- chunked screening: interruption, workspace leases, fused replay ---------
+
+def sample_graph(d: int, seed: int = 0):
+    rng = random.Random(f"threads:{d}:{seed}")
+    sampler = PExpressionSampler([f"A{i}" for i in range(d)],
+                                 method="counting")
+    return sampler.sample_graph(rng)
+
+
+def _case(d: int, n: int, m: int, seed: int = 0):
+    graph = sample_graph(d, seed)
+    rng = np.random.default_rng(seed * 31 + d)
+    block = rng.integers(0, 4, size=(n, d)).astype(float)
+    against = np.vstack([block[: m // 2],
+                         rng.normal(size=(m - m // 2, d)).round(1)])
+    return Dominance(graph).prepare(), block, against
+
+
+def test_deadline_honoured_between_chunks():
+    dominance, block, against = _case(5, 400, 400)
+    context = ExecutionContext(deadline=time.monotonic() - 1.0)
+    with pytest.raises(QueryTimeout):
+        dominance.screen_block(block, against, chunk=16,
+                               check=context.check)
+
+
+def test_cancel_honoured_mid_screen_between_chunks():
+    dominance, block, against = _case(5, 400, 400)
+    token = CancellationToken()
+    context = ExecutionContext(cancel=token)
+    calls = [0]
+
+    def check(phase):
+        calls[0] += 1
+        if calls[0] > 3:
+            token.cancel()
+        context.check(phase)
+
+    with pytest.raises(QueryCancelled):
+        dominance.screen_block(block, against, chunk=16, check=check)
+    assert calls[0] > 3
+
+
+def test_nested_leases_are_distinct_arenas():
+    with _lease_workspace() as outer:
+        with _lease_workspace() as inner:
+            assert inner is not outer
+            a = outer.get("buv", (4, 4), np.uint32)
+            b = inner.get("buv", (4, 4), np.uint32)
+            assert not np.shares_memory(a, b)
+    # steady state re-leases a warm arena instead of allocating
+    with _lease_workspace() as warm:
+        assert warm in (outer, inner)
+
+
+def test_reentrant_screen_inside_check_callback(monkeypatch):
+    """Regression: a screen nested inside a ``check`` callback used to
+    share the single per-thread workspace with the outer screen,
+    clobbering its live ``buv``/``bvu``/``dom`` buffers.  Leasing gives
+    the nested entry a distinct arena, so the outer answer is unchanged.
+    """
+    monkeypatch.setattr(dominance_module, "AGAINST_CHUNK", 16)
+    dominance, block, against = _case(6, 120, 200)
+    other, other_block, other_against = _case(6, 40, 60, seed=3)
+    expected = dominance.screen_block(block, against, chunk=8)
+
+    def nosy_check(phase):
+        other.screen_block(other_block, other_against, chunk=8)
+
+    got = dominance.screen_block(block, against, chunk=8,
+                                 check=nosy_check)
+    assert np.array_equal(expected, got)
+
+
+@pytest.mark.parametrize("backend", ["native", "bitmask"])
+def test_screen_block_multi_exact_counters(monkeypatch, backend):
+    """One packing per ``(block, against)`` chunk pair and one replay per
+    still-active graph: 150 rows in chunks of 32 pack 5 blocks once each
+    and replay them for the other two graphs.  The native replay runs
+    the njit-compatible Python sources where numba is absent."""
+    monkeypatch.setattr(native, "_AVAILABLE", backend == "native")
+    monkeypatch.setattr(native, "_REASON", None)
+    graphs = [sample_graph(6, seed) for seed in range(3)]
+    dominances = [Dominance(g).prepare() for g in graphs]
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 3, size=(150, 6)).astype(float)
+    counters = {}
+    masks = screen_block_multi(dominances, rows, chunk=32,
+                               counters=counters)
+    for dominance, mask in zip(dominances, masks):
+        assert np.array_equal(mask, dominance.screen_block(rows, rows))
+    assert counters == {"kernel": backend, "mask_misses": 5,
+                        "mask_hits": 10}

@@ -376,10 +376,7 @@ def test_cli_list_backends(capsys):
     host, _catalogue = out.split("tiers:\n")
     lines = dict(line.strip().split(": ", 1)
                  for line in host.strip().splitlines()[1:])
-    assert set(lines) == {"native", "bitmask", "gemm", "scalar",
-                          "threads"}
-    assert lines["threads"].startswith("budget ")
-    assert "layer" in lines["threads"]
+    assert set(lines) == {"native", "bitmask", "gemm", "scalar"}
     for name in ("bitmask", "gemm", "scalar"):
         assert lines[name] == "available"
     if native_available():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.perf_gate import TIERS, evaluate, main
+from repro.bench.perf_gate import TIERS, _shape, evaluate, host_tag, main
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = {"floor", "ceiling", "equal", "exact", "close", "time"}
@@ -29,11 +29,11 @@ def failing(verdicts: dict) -> list[str]:
             if verdict.startswith("fail")]
 
 
-def test_registry_declares_the_seven_tiers():
-    assert list(TIERS) == ["kernels", "native", "threads", "pool",
-                           "shards", "server", "fusion"]
+def test_registry_declares_the_six_tiers():
+    assert list(TIERS) == ["kernels", "native", "pool", "shards",
+                           "server", "fusion"]
     assert sorted(tier.baseline for tier in TIERS.values()) == sorted(
-        f"BENCH_{n}.json" for n in range(4, 11))
+        f"BENCH_{n}.json" for n in range(4, 10))
     for tier in TIERS.values():
         assert {check.kind for check in tier.checks} <= KINDS
 
@@ -154,10 +154,51 @@ def test_unknown_tier_is_rejected(capsys):
     assert "warp-drive" in capsys.readouterr().err
 
 
+def test_threads_tier_is_gone(capsys):
+    from repro.cli import main as cli_main
+
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["gate", "threads"])
+    assert exit_info.value.code != 0
+    assert "unknown tier(s) threads" in capsys.readouterr().err
+
+
+def _kernels_on(host: dict) -> dict:
+    artifact = baseline("kernels")
+    artifact["host"] = host
+    return artifact
+
+
+def test_host_shape_compares_cpu_count_only():
+    """A fresh host tag against a baseline tagged before the thread
+    layer was deleted (that tag also named the screen budget and its
+    layer): same core count compares the timings, another core count
+    waives them, and no other host key enters the shape."""
+    fresh = host_tag()
+    assert set(fresh) == {"cpu_count", "backends"}
+    cores = fresh["cpu_count"]
+    old = dict(fresh, layer="serial (compiled parallel layer "
+                            "unavailable: numba missing)")
+    assert _shape({"host": old}) == {"cpu_count": cores}
+    verdicts = evaluate(TIERS["kernels"], _kernels_on(fresh),
+                        _kernels_on(old))
+    timed = {key: verdict for key, verdict in verdicts.items()
+             if key.startswith("time ")}
+    assert timed and all(verdict == "pass" for verdict in timed.values())
+    moved = dict(old, cpu_count=cores + 1)
+    verdicts = evaluate(TIERS["kernels"], _kernels_on(fresh),
+                        _kernels_on(moved))
+    assert failing(verdicts) == []
+    assert verdicts["time algorithms[osdc].seconds"] == (
+        f"unmeasured: host shape {{'cpu_count': {cores}}} differs from "
+        f"the baseline's {{'cpu_count': {cores + 1}}}")
+
+
 def test_bare_gate_prints_host_and_catalogue(capsys):
     assert main([]) == 0
     out = capsys.readouterr().out
     assert out.startswith("host: ")
+    assert "threads" not in out
     catalogue = out.split("tiers:\n")[1]
     for tier in TIERS.values():
         assert f"  {tier.name}: {tier.baseline} -- " in catalogue

@@ -194,6 +194,43 @@ class TestSharedMemoryLifecycle:
                     shm.close()
                 assert np.array_equal(copy, array)
 
+    def test_task_drops_attachments_of_unlinked_segments(self, nrng):
+        """Before each task a worker unmaps every cached segment the
+        parent no longer names live, so an unregistered relation's
+        pages do not stay mapped until the worker exits."""
+        from repro.engine.pool import (SharedRegistration,
+                                       _drop_attachments, _run_task)
+        graph = PGraph.from_expression(parse("A & B"))
+        ranks = nrng.integers(0, 30, size=(50, 2)).astype(float)
+        expected = set(osdc(ranks, graph).tolist())
+        attachments = {}
+
+        def run(registration):
+            spec = {"array": registration.spec,
+                    "rows": ("slice", (0, 50)), "columns": None,
+                    "graph": (graph.names, graph.closure, graph.orders),
+                    "algorithm": "osdc", "options": {}, "deadline": None,
+                    "memory_budget": None, "forced_kernel": None,
+                    "live": (registration.name,)}
+            indices, _stats = _run_task(spec, attachments,
+                                        threading.Event())
+            return set(indices.tolist())
+
+        old = SharedRegistration(ranks)
+        assert run(old) == expected
+        stale = attachments[old.name][0]
+        assert _mapped(old.name)
+        old.close()  # the parent unregisters and unlinks
+        with SharedRegistration(ranks) as new:
+            try:
+                assert run(new) == expected
+                assert set(attachments) == {new.name}
+                assert stale.buf is None  # closed, not just forgotten
+                assert not _mapped(old.name)
+            finally:
+                _drop_attachments(attachments, ())
+        assert attachments == {}
+
     def test_closed_pool_rejects_queries(self, nrng):
         pool = WorkerPool(2)
         pool.close()

@@ -14,6 +14,9 @@ relabel            hard-coded column-order chain (ignores the p-graph)
 append-dominated   unconditionally includes the last tuple
 pool-chunked       a worker pool that skips its merge tree (returns the
                    union of the chunk skylines)
+kernel-gemm        a GEMM flag path that never flags the last
+                   ``against`` row (the oracle's bitmask kernel is
+                   unaffected)
 =================  =====================================================
 """
 
@@ -129,6 +132,29 @@ class TestMutantsAreCaught:
         ranks = np.array([[float(i), float(i)] for i in range(40)])[::-1]
         graph = PGraph.from_expression(parse("A * B"))
         assert _catches("pool-chunked", osdc, ranks, graph, seeds=[0])
+
+    def test_kernel_gemm_catches_a_dropped_against_row(self, monkeypatch):
+        from repro.core.dominance import Dominance
+
+        # the last row dominates every other: OSDC keeps only it
+        ranks = np.array([[float(i), float(i)] for i in range(40)])[::-1]
+        graph = PGraph.from_expression(parse("A * B"))
+        assert not _catches("kernel-gemm", osdc, ranks, graph, seeds=[0])
+        pair_flags = Dominance._pair_flags
+
+        def blind_to_last_row(self, block, against, kernel, arena=None):
+            flags = pair_flags(self, block, against, kernel, arena)
+            if kernel == "gemm":
+                flags = flags.copy()
+                flags[:, -1] = False
+            return flags
+
+        monkeypatch.setattr(Dominance, "_pair_flags", blind_to_last_row)
+        assert _catches("kernel-gemm", osdc, ranks, graph, seeds=[0])
+        # the mutant lives in the gemm family only: the bitmask axis,
+        # whose oracle and transformed run share one kernel, passes
+        assert not _catches("kernel-bitmask", osdc, ranks, graph,
+                            seeds=[0])
 
 
 class TestCorrectAlgorithmsPass:
