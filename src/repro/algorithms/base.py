@@ -27,8 +27,9 @@ from ..engine.context import ExecutionContext
 
 __all__ = ["Stats", "Algorithm", "AlgorithmInfo", "REGISTRY",
            "REGISTRY_INFO", "register", "get_algorithm", "get_info",
-           "check_input", "check_columns", "project_columns",
-           "run_on_columns", "ensure_context", "resolve_kernel"]
+           "check_shape", "check_input", "check_columns",
+           "project_columns", "run_on_columns", "ensure_context",
+           "resolve_kernel"]
 
 
 @dataclass
@@ -118,7 +119,9 @@ class AlgorithmInfo:
         into a shared cancel event (see :mod:`repro.engine.pool`).
         It also accepts ``columns=``: given a base matrix and the
         columns the query reads, it ships the pair to the pool instead
-        of a projected copy (see :func:`run_on_columns`).
+        of a projected copy (see :func:`run_on_columns`).  Given
+        ``processes=1`` it runs serially in the calling process (the
+        pool's own tasks ask for that).
     ``counts_dominance``
         ``Stats.dominance_tests`` reflects every tuple-vs-tuple test,
         so work lower bounds (each eliminated tuple was tested at
@@ -251,16 +254,30 @@ def resolve_kernel(dominance, context: ExecutionContext,
     return resolved
 
 
-def check_input(ranks: np.ndarray, graph: PGraph) -> np.ndarray:
-    """Validate and normalise an input rank matrix against its p-graph."""
-    ranks = np.ascontiguousarray(ranks, dtype=np.float64)
+def check_shape(ranks: np.ndarray, graph: PGraph,
+                columns=None) -> np.ndarray:
+    """The shape checks of :func:`check_input` (``columns`` ``None``)
+    or :func:`check_columns`, without their NaN scan.  Returns
+    ``ranks`` as a float64 matrix, not necessarily contiguous."""
+    ranks = np.asarray(ranks, dtype=np.float64)
     if ranks.ndim != 2:
         raise ValueError("expected a 2-d rank matrix")
-    if ranks.shape[1] != graph.d:
+    if columns is None and ranks.shape[1] != graph.d:
         raise ValueError(
             f"rank matrix has {ranks.shape[1]} columns but the p-graph has "
             f"{graph.d} attributes"
         )
+    if columns is not None and len(columns) != graph.d:
+        raise ValueError(
+            f"{len(columns)} columns selected but the p-graph has "
+            f"{graph.d} attributes"
+        )
+    return ranks
+
+
+def check_input(ranks: np.ndarray, graph: PGraph) -> np.ndarray:
+    """Validate and normalise an input rank matrix against its p-graph."""
+    ranks = np.ascontiguousarray(check_shape(ranks, graph))
     if np.isnan(ranks).any():
         raise ValueError("rank matrix contains NaNs")
     return ranks
@@ -272,14 +289,7 @@ def check_columns(ranks: np.ndarray, graph: PGraph,
     without projecting them: the width must match the p-graph and only
     the referenced columns may not hold NaNs.  Returns ``ranks`` as a
     float64 matrix (the base matrix, not a projection)."""
-    ranks = np.asarray(ranks, dtype=np.float64)
-    if ranks.ndim != 2:
-        raise ValueError("expected a 2-d rank matrix")
-    if len(columns) != graph.d:
-        raise ValueError(
-            f"{len(columns)} columns selected but the p-graph has "
-            f"{graph.d} attributes"
-        )
+    ranks = check_shape(ranks, graph, columns)
     # one contiguous pass settles the common NaN-free case; per-column
     # views (no copy) find out whether a NaN sits in a column we read
     if np.isnan(ranks).any() and any(np.isnan(ranks[:, column]).any()

@@ -8,8 +8,8 @@ classic one: for any partition ``D = D_1 ∪ ... ∪ D_p``,
 (every global maximum survives in its own chunk; merging removes
 cross-chunk dominated tuples).  Workers run the in-memory OSDC on a
 zero-copy shared-memory slice of their chunk; the survivors are reduced
-with a tree of pairwise merges, also on the pool (see
-:mod:`repro.engine.pool`).
+with a tree of pairwise merges, on the pool until the last pair, which
+the parent merges itself (see :mod:`repro.engine.pool`).
 
 Compared to the historical implementation this keeps worker processes
 warm across queries, ships ``(segment, row-range)`` descriptors instead
@@ -31,11 +31,14 @@ import numpy as np
 from ..core.pgraph import PGraph
 from ..engine.context import ExecutionContext
 from ..engine.pool import WorkerPool, get_default_pool, pool_available
-from .base import (Stats, check_columns, check_input, ensure_context,
-                   project_columns, register)
+from .base import (Stats, check_columns, check_input, check_shape,
+                   ensure_context, project_columns, register)
 from .osdc import osdc
 
-__all__ = ["parallel_osdc", "auto_processes"]
+__all__ = ["parallel_osdc", "auto_processes", "DEFAULT_MIN_CHUNK"]
+
+#: ``parallel_osdc``'s default ``min_chunk``: fewest rows per worker.
+DEFAULT_MIN_CHUNK = 4096
 
 
 def auto_processes(n: int, min_chunk: int) -> int:
@@ -59,7 +62,7 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
                   stats: Stats | None = None,
                   context: ExecutionContext | None = None,
                   processes: int | None = None,
-                  min_chunk: int = 4096,
+                  min_chunk: int = DEFAULT_MIN_CHUNK,
                   pool: WorkerPool | None = None,
                   fresh_pool: bool = False,
                   columns=None,
@@ -104,14 +107,17 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
         raise ValueError("processes must be positive")
     if min_chunk < 1:
         raise ValueError("min_chunk must be at least 1")
-    ranks = check_input(ranks, graph) if columns is None \
-        else check_columns(ranks, graph, columns)
+    # the pool rejects NaNs from the columns each registration recorded
+    # once, so the pooled path checks only the shape here
+    ranks = check_shape(ranks, graph, columns)
     context = ensure_context(context, stats)
     n = ranks.shape[0]
     if processes is None:
         processes = auto_processes(n, min_chunk)
     context.check("parallel-setup")
     if processes == 1 or n < 2 * min_chunk or _must_run_serially():
+        ranks = check_input(ranks, graph) if columns is None \
+            else check_columns(ranks, graph, columns)
         return osdc(project_columns(ranks, columns), graph,
                     context=context, **osdc_options)
 

@@ -49,13 +49,18 @@ DEFAULT_ALPHA = 0.2
 
 def pinned_parallel_case(rows: int, dims: int, alpha: float = DEFAULT_ALPHA,
                          seed: int = 2015):
-    """The deterministic ``(ranks, graph)`` workload for the pool gate."""
+    """The deterministic ``(ranks, graph)`` workload for the pool gate.
+
+    ``ranks`` is read-only, so repeated pooled queries share one
+    registration as a relation's do (the pool registers a writeable
+    matrix as a fresh copy per query)."""
     from ..data.gaussian import equicorrelated_gaussian
     from ..sampling.random_pexpr import PExpressionSampler
 
     nrng = np.random.default_rng(seed + dims)
-    ranks = np.ascontiguousarray(
-        equicorrelated_gaussian(rows, dims, alpha, nrng))
+    ranks = np.array(equicorrelated_gaussian(rows, dims, alpha, nrng),
+                     order="C")
+    ranks.setflags(write=False)
     rng = random.Random(f"pool-bench:{seed}:{dims}")
     graph = PExpressionSampler(
         [f"A{i}" for i in range(dims)],

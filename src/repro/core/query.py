@@ -22,6 +22,7 @@ import numpy as np
 from ..algorithms.base import (Stats, ensure_context, get_algorithm,
                                run_on_columns)
 from ..engine.context import ExecutionContext
+from ..engine.pool import is_frozen
 from .attributes import orders_signature
 from .expressions import PExpr
 from .parser import parse
@@ -124,24 +125,10 @@ def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
         )
     columns = [default_names.index(name) for name in names]
     graph = PGraph.from_expression(expr, names=names)
-    if not _frozen(matrix):
+    if not is_frozen(matrix):
         matrix, columns = matrix[:, columns], None
     return _evaluate(algorithm, matrix, graph, columns, stats, context,
                      options)
-
-
-def _frozen(matrix: np.ndarray) -> bool:
-    """Whether neither ``matrix`` nor any array it views is writeable.
-
-    The worker pool caches registrations by array object, so only a
-    matrix that cannot change in place may be registered whole and
-    shared by later queries; any other is projected (copied) per query.
-    """
-    while isinstance(matrix, np.ndarray):
-        if matrix.flags.writeable:
-            return False
-        matrix = matrix.base
-    return matrix is None
 
 
 def _evaluate(algorithm: str, ranks: np.ndarray, graph: PGraph, columns,
@@ -216,11 +203,8 @@ def p_skyline_batch(data: Relation | np.ndarray,
                               context=context, min_chunk=min_chunk,
                               options=options)
     if not isinstance(data, Relation):
+        # the pool registers a writeable matrix as a read-only copy
         data = np.asarray(data, dtype=np.float64)
-        if not _frozen(data):
-            # the pool caches registrations by array object: evaluate a
-            # snapshot no caller can write to between two batches
-            data = data.copy()
     n = len(data)
     if pool_available() and n >= 2 * min_chunk and algorithm != "auto":
         pool = get_default_pool()

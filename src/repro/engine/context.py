@@ -140,6 +140,16 @@ class ExecutionContext:
         return cls(stats=stats, deadline=deadline, cancel=cancel,
                    memory_budget=memory_budget, trace=trace, cache=cache)
 
+    def with_stats(self, stats: "Stats | None") -> "ExecutionContext":
+        """This context -- same limits, trace, cache and clock --
+        counting into ``stats`` instead."""
+        child = ExecutionContext(stats=stats, deadline=self.deadline,
+                                 cancel=self.cancel,
+                                 memory_budget=self.memory_budget,
+                                 trace=self.trace, cache=self.cache)
+        child._start_ns = self._start_ns
+        return child
+
     # -- deadline / cancellation -----------------------------------------------
     @property
     def interruptible(self) -> bool:

@@ -33,11 +33,16 @@ that with a warm, reusable execution service:
   :class:`~repro.engine.errors.QueryCancelled` /
   :class:`~repro.engine.errors.QueryTimeout` exactly as the serial path
   does.
-* The final merge is a **tree of pairwise merges executed on the
-  pool** instead of one serial pass over all survivors, and every
-  worker's :class:`Stats` is merged back into the parent context
-  (dominance tests, kernel choice, per-chunk skyline sizes,
-  per-worker totals).
+* The survivors are reduced by a **tree of pairwise merges**: pooled
+  rounds while more than two survivor sets remain, then the last pair
+  in the parent, gathered from the matrix it already holds (a pool
+  round trip to merge a few dozen rows cost more than the merge).
+  Every worker's :class:`Stats` and the parent merge's are merged into
+  the caller's context (dominance tests, kernel choice, per-chunk
+  skyline sizes, per-worker totals).
+* Each registration records which columns hold NaNs in the pass that
+  copies the array into shared memory, so a pooled query rejects a
+  NaN in a column it reads without rescanning the matrix.
 * :meth:`WorkerPool.map_queries` amortises one shared-memory
   registration across many p-expressions -- the "many users, one data
   set" shape of a loaded service.
@@ -154,9 +159,14 @@ class SharedRegistration:
     run by ``with``-blocks and the pool's own shutdown) unlinks it, so
     no segment outlives the process even when a query raises
     mid-flight.
+
+    ``nan_columns`` holds the columns that contain a NaN, found once
+    after copying.  A pooled query registers only arrays that cannot
+    change in place (:func:`_frozen_matrix`), so it stays true for the
+    registration's lifetime.
     """
 
-    __slots__ = ("spec", "_shm", "__weakref__")
+    __slots__ = ("spec", "nan_columns", "_shm", "__weakref__")
 
     def __init__(self, array: np.ndarray):
         name = f"{SEGMENT_PREFIX}-{os.getpid()}-{uuid.uuid4().hex[:12]}"
@@ -167,8 +177,13 @@ class SharedRegistration:
         self.spec = SharedArraySpec(name, tuple(array.shape),
                                     array.dtype.str)
         try:
-            np.ndarray(array.shape, dtype=array.dtype,
-                       buffer=shm.buf)[...] = array
+            target = np.ndarray(array.shape, dtype=array.dtype,
+                                buffer=shm.buf)
+            target[...] = array
+            # one flat pass settles the common NaN-free case
+            self.nan_columns = frozenset(np.flatnonzero(
+                np.isnan(target).any(axis=0)).tolist()) \
+                if np.isnan(target).any() else frozenset()
         finally:
             shm.close()  # unmap; the segment lives on until unlinked
 
@@ -195,6 +210,56 @@ class SharedRegistration:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def is_frozen(matrix: np.ndarray) -> bool:
+    """Whether neither ``matrix`` nor any array it views is writeable.
+
+    The pool caches registrations by array object, so only a matrix
+    that cannot change in place may be registered once and shared by
+    later queries.
+    """
+    while isinstance(matrix, np.ndarray):
+        if matrix.flags.writeable:
+            return False
+        matrix = matrix.base
+    return matrix is None
+
+
+def _frozen_matrix(array) -> np.ndarray:
+    """``array`` as a pooled query registers it: a C-contiguous float64
+    matrix nothing can write in place -- ``array`` itself when it
+    already is one, else a read-only copy.  The workers' chunks, the
+    parent's merge rows and the registration's NaN record then all
+    come from the same data."""
+    matrix = np.asarray(array, dtype=np.float64)
+    if matrix.flags.c_contiguous and is_frozen(matrix):
+        return matrix
+    matrix = np.array(matrix, order="C")
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _reject_nans(nan_columns: frozenset, columns) -> None:
+    """Raise unless the columns a query reads (every column when
+    ``columns`` is ``None``) are free of NaNs."""
+    if nan_columns and (columns is None
+                        or not nan_columns.isdisjoint(columns)):
+        raise ValueError("rank matrix contains NaNs")
+
+
+def _take_rows(part, offsets, width: int, indices) -> np.ndarray:
+    """Rows ``indices`` of a virtual concatenation: ``part(i)`` is the
+    array covering rows ``offsets[i]:offsets[i + 1]``."""
+    indices = np.asarray(indices, dtype=np.intp)
+    # side="right" - 1 lands on the part containing the row even when
+    # empty parts produce repeated offsets
+    part_of = np.searchsorted(offsets, indices, side="right") - 1
+    rows = np.empty((indices.size, width), dtype=np.float64)
+    for index in np.unique(part_of):
+        mask = part_of == index
+        rows[mask] = part(index)[indices[mask] - offsets[index]]
+    return rows
 
 
 # -- worker side -------------------------------------------------------------
@@ -306,13 +371,9 @@ def _gather_sharded(spec: ShardedArraySpec, kind: str, payload,
             return local + start
     else:
         indices = np.asarray(payload, dtype=np.intp)
-        part_of = np.searchsorted(offsets, indices, side="right") - 1
-        width = spec.shape[1]
-        rows = np.empty((indices.size, width), dtype=np.float64)
-        for part in np.unique(part_of):
-            mask = part_of == part
-            view = _attach_view(spec.parts[part], attachments)
-            rows[mask] = view[indices[mask] - offsets[part]]
+        rows = _take_rows(
+            lambda part: _attach_view(spec.parts[part], attachments),
+            offsets, spec.shape[1], indices)
 
         def to_global(local: np.ndarray) -> np.ndarray:
             return indices[local]
@@ -325,7 +386,6 @@ def _run_task(spec: dict, attachments: dict, cancel_event):
     First unmaps the cached segments the parent no longer owns
     (``spec["live"]`` names the ones it does).
     """
-    from .. import algorithms as _algorithms  # fills the registry
     from ..core.dominance import forced_kernel
     from ..core.pgraph import PGraph
 
@@ -350,24 +410,43 @@ def _run_task(spec: dict, attachments: dict, cancel_event):
         def to_global(local: np.ndarray) -> np.ndarray:
             return indices[local]
 
-    columns = spec["columns"]
-    if columns is not None:
-        rows = rows[:, list(columns)]
-
     names, closure, orders = spec["graph"]
-    graph = PGraph(names, closure, orders)
-    stats = _algorithms.Stats()
     context = ExecutionContext(
-        stats=stats,
         deadline=spec["deadline"],
         cancel=_EventCancelToken(cancel_event),
         memory_budget=spec["memory_budget"],
     )
-    function = _algorithms.REGISTRY[spec["algorithm"]]
     guard = forced_kernel(spec["forced_kernel"]) \
         if spec["forced_kernel"] else nullcontext()
     with guard:
-        local = function(rows, graph, context=context, **spec["options"])
+        return _evaluate(rows, to_global, spec,
+                         PGraph(names, closure, orders), context)
+
+
+def _evaluate(rows: np.ndarray, to_global, spec: dict, graph,
+              context: ExecutionContext):
+    """The evaluate step of every task, in a worker or (the last merge)
+    in the parent: ``spec["algorithm"]`` over the columns
+    ``spec["columns"]`` of ``rows`` under ``context``, counting into a
+    fresh :class:`Stats`; returns ``(global indices, stats)``.
+
+    A ``parallel`` algorithm is asked for one process: a task never
+    fans out again (a worker cannot, and the parent would wait on the
+    pool lock its own query holds).
+    """
+    from .. import algorithms as _algorithms  # fills the registry
+
+    columns = spec["columns"]
+    if columns is not None:
+        # one pass to the row-major chunk the algorithms read
+        rows = np.take(rows, columns, axis=1)
+    options = spec["options"]
+    if _algorithms.REGISTRY_INFO[spec["algorithm"]].parallel:
+        options = {**options, "processes": 1}
+    stats = _algorithms.Stats()
+    function = _algorithms.REGISTRY[spec["algorithm"]]
+    local = function(rows, graph, context=context.with_stats(stats),
+                     **options)
     return to_global(np.asarray(local, dtype=np.intp)), stats
 
 
@@ -527,11 +606,11 @@ class WorkerPool:
     def register(self, array: np.ndarray) -> SharedRegistration:
         """Copy ``array`` into shared memory once; reuse on repeat calls.
 
-        The cache keys on the array *object* (arrays are assumed frozen
-        once registered, as :class:`~repro.core.relation.Relation`
-        guarantees; a raw matrix handed to a pooled query must not be
-        written in place afterwards); registrations whose array has
-        been garbage collected are unlinked on the next call.
+        The cache keys on the array *object*, so ``array`` must not
+        change in place once registered (:class:`~repro.core.relation.
+        Relation` guarantees this; the pooled queries register a
+        read-only copy of any other matrix); registrations whose array
+        has been garbage collected are unlinked on the next call.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -566,8 +645,14 @@ class WorkerPool:
         one per worker), each evaluated by ``algorithm`` in a worker
         against the shared segment, then reduced with a tree of
         pairwise merges -- the partition identity ``M_pi(D) =
-        M_pi(union of the M_pi(D_i))`` applied level by level, also on
-        the pool.  Worker stats are merged into ``context.stats``.
+        M_pi(union of the M_pi(D_i))`` applied level by level, on the
+        pool until one pair is left and that pair in this process.
+        Worker stats are merged into ``context.stats``.
+
+        A query that reads a column holding NaNs raises ``ValueError``
+        before any task is dispatched (the registration recorded those
+        columns once).  A matrix that can be written in place is
+        registered as a read-only copy for this query alone.
         """
         from ..algorithms.base import ensure_context
 
@@ -578,15 +663,17 @@ class WorkerPool:
         chunks = self.processes if chunks is None else int(chunks)
         chunks = max(1, min(chunks, n if n else 1))
         context.check("pool-setup")
+        ranks = _frozen_matrix(ranks)
         with self._lock:
             registration = self.register(ranks)
+            _reject_nans(registration.nan_columns, columns)
             bounds = np.linspace(0, n, chunks + 1, dtype=np.intp)
             row_tasks = [("slice", (int(bounds[i]), int(bounds[i + 1])))
                          for i in range(chunks)]
             return self._scatter_gather(
-                registration.spec, graph, row_tasks=row_tasks,
-                algorithm=algorithm, columns=columns, options=options,
-                context=context)
+                registration.spec, graph, rows_of=ranks.__getitem__,
+                row_tasks=row_tasks, algorithm=algorithm,
+                columns=columns, options=options, context=context)
 
     def run_sharded(self, arrays, graph, *, algorithm: str = "osdc",
                     columns=None, options: dict | None = None,
@@ -602,21 +689,22 @@ class WorkerPool:
         that shard's registration on the next query.  Chunk boundaries
         never cross shards: each shard is split into enough slices that
         no task exceeds roughly ``n / processes`` rows, then all slices
-        are scattered and tree-merged exactly like :meth:`run_query`.
+        are scattered and tree-merged exactly like :meth:`run_query`,
+        which also rejects NaNs in the columns read the same way.
         """
         from ..algorithms.base import ensure_context
 
         context = ensure_context(context)
         if self._closed:
             raise RuntimeError("pool is closed")
-        arrays = [np.ascontiguousarray(a, dtype=np.float64)
-                  for a in arrays if a.shape[0]]
+        arrays = [_frozen_matrix(a) for a in arrays if a.shape[0]]
         n = sum(int(a.shape[0]) for a in arrays)
         context.check("pool-setup")
         with self._lock:
             if not arrays:
                 return np.empty(0, dtype=np.intp)
-            spec = self._register_sharded(arrays)
+            spec, nan_columns = self._register_sharded(arrays)
+            _reject_nans(nan_columns, columns)
             target = max(1, -(-n // self.processes))  # ceil division
             row_tasks = []
             for index, array in enumerate(arrays):
@@ -629,8 +717,9 @@ class WorkerPool:
                                int(base + bounds[i + 1])))
                     for i in range(pieces))
             return self._scatter_gather(
-                spec, graph, row_tasks=row_tasks, algorithm=algorithm,
-                columns=columns, options=options, context=context,
+                spec, graph, rows_of=_virtual_rows(arrays),
+                row_tasks=row_tasks, algorithm=algorithm, columns=columns,
+                options=options, context=context,
                 pool_extra={"shards": len(arrays)})
 
     def merge_sharded_skylines(self, arrays, graph, parts, *,
@@ -654,37 +743,45 @@ class WorkerPool:
             raise RuntimeError("pool is closed")
         context.check("pool-setup")
         with self._lock:
-            arrays = [np.ascontiguousarray(a, dtype=np.float64)
-                      for a in arrays]
-            spec = self._register_sharded(arrays)
+            arrays = [_frozen_matrix(a) for a in arrays]
+            spec, _ = self._register_sharded(arrays)
             parts = [np.asarray(part, dtype=np.intp) for part in parts]
             return self._scatter_gather(
-                spec, graph, parts=parts, algorithm=algorithm,
-                columns=columns, options=options, context=context,
+                spec, graph, rows_of=_virtual_rows(arrays),
+                parts=parts, algorithm=algorithm, columns=columns,
+                options=options, context=context,
                 phase="pool-shard-merge",
                 pool_extra={"shards": len(parts), "merge_only": True})
 
-    def _register_sharded(self, arrays) -> ShardedArraySpec:
-        """Register each shard array independently; caller holds the
+    def _register_sharded(self, arrays
+                          ) -> tuple[ShardedArraySpec, frozenset]:
+        """Register each shard array independently; returns the spec
+        and the columns holding NaNs in any shard.  Caller holds the
         lock."""
         offsets = [0]
         specs = []
+        nan_columns = frozenset()
         for array in arrays:
-            specs.append(self.register(array).spec)
+            registration = self.register(array)
+            specs.append(registration.spec)
+            nan_columns |= registration.nan_columns
             offsets.append(offsets[-1] + int(array.shape[0]))
-        return ShardedArraySpec(tuple(specs), tuple(offsets))
+        return ShardedArraySpec(tuple(specs), tuple(offsets)), nan_columns
 
-    def _scatter_gather(self, array_spec, graph, *, row_tasks=None,
-                        parts=None, algorithm: str, columns,
-                        options: dict | None,
+    def _scatter_gather(self, array_spec, graph, *, rows_of,
+                        row_tasks=None, parts=None, algorithm: str,
+                        columns, options: dict | None,
                         context: ExecutionContext,
                         phase: str = "pool-chunk",
                         pool_extra: dict | None = None) -> np.ndarray:
         """The shared scatter/gather engine behind every pooled query.
 
         Either evaluates ``row_tasks`` (chunk stage + merge tree) or
-        adopts pre-computed ``parts`` (merge tree only).  Caller holds
-        the pool lock.  Returns sorted global/virtual indices.
+        adopts pre-computed ``parts`` (merge tree only).
+        ``rows_of(indices)`` returns the parent's copy of those rows
+        (global/virtual indices, every column) for the merge run in
+        this process.  Caller holds the pool lock.  Returns sorted
+        global/virtual indices.
         """
         from ..core.dominance import current_forced_kernel
 
@@ -719,8 +816,9 @@ class WorkerPool:
                     query_id, specs, context, phase)
             chunks = len(parts)
             chunk_sizes = [int(part.size) for part in parts]
-            parts, merge_rounds = self._tree_merge(
-                query_id, parts, base_spec, context, worker_stats)
+            parts, merge_rounds, parent_stats = self._tree_merge(
+                query_id, parts, graph, base_spec, context, worker_stats,
+                rows_of)
             result = np.sort(parts[0]) if parts else \
                 np.empty(0, dtype=np.intp)
         except BaseException:
@@ -731,8 +829,9 @@ class WorkerPool:
         finally:
             if linked:
                 token.unlink(self._cancel_event)
-        self._aggregate_stats(context, worker_stats, chunk_sizes,
-                              chunks, merge_rounds, pool_extra)
+        self._aggregate_stats(context, worker_stats, parent_stats,
+                              chunk_sizes, chunks, merge_rounds,
+                              pool_extra)
         context.event("pool-query", chunks=chunks,
                       merge_rounds=merge_rounds,
                       result=int(result.size))
@@ -838,11 +937,21 @@ class WorkerPool:
             pending.discard(task_id)
         return results, stats
 
-    def _tree_merge(self, query_id: int, parts: list, base_spec: dict,
-                    context: ExecutionContext, worker_stats: list):
-        """Pairwise pooled merges until a single survivor set remains."""
+    def _tree_merge(self, query_id: int, parts: list, graph,
+                    base_spec: dict, context: ExecutionContext,
+                    worker_stats: list, rows_of):
+        """Pairwise merges until a single survivor set remains.
+
+        Rounds run on the pool while more than two sets remain; the
+        last pair is merged in this process, from the rows
+        ``rows_of`` gathers.
+        With four or more sets the last round was a single task anyway,
+        so no parallelism is lost.  Returns ``(parts, rounds,
+        parent_stats)``; ``parent_stats`` is ``None`` when nothing was
+        merged here.
+        """
         rounds = 0
-        while len(parts) > 1:
+        while len(parts) > 2:
             rounds += 1
             specs = []
             carried = []
@@ -856,12 +965,25 @@ class WorkerPool:
                 query_id, specs, context, "pool-merge")
             worker_stats.extend(stats)
             parts = merged + carried
-        return parts, rounds
+        parent_stats = None
+        if len(parts) == 2:
+            rounds += 1
+            context.event("pool-merge", round=rounds, pairs=1,
+                          parent=True)
+            # M_pi of the union, run here under the caller's deadline,
+            # cancel token, memory budget and forced kernel
+            context.check("pool-merge")
+            union = np.concatenate(parts)
+            merged, parent_stats = _evaluate(
+                rows_of(union), union.__getitem__, base_spec, graph,
+                context)
+            parts = [merged]
+        return parts, rounds, parent_stats
 
     @staticmethod
     def _aggregate_stats(context: ExecutionContext, worker_stats: list,
-                         chunk_sizes: list[int], chunks: int,
-                         merge_rounds: int,
+                         parent_stats, chunk_sizes: list[int],
+                         chunks: int, merge_rounds: int,
                          pool_extra: dict | None = None) -> None:
         stats = context.stats
         if stats is None:
@@ -874,6 +996,13 @@ class WorkerPool:
                                      + task_stats.dominance_tests)
             if kernel is None:
                 kernel = task_stats.extra.get("kernel")
+        counts = {str(worker_id): count
+                  for worker_id, count in sorted(per_worker.items())}
+        if parent_stats is not None:
+            stats.merge(parent_stats)
+            counts["parent"] = parent_stats.dominance_tests
+            if kernel is None:
+                kernel = parent_stats.extra.get("kernel")
         stats.extra["chunk_skylines"] = chunk_sizes
         if kernel is not None and "kernel" not in stats.extra:
             stats.extra["kernel"] = kernel
@@ -881,12 +1010,18 @@ class WorkerPool:
             "chunks": chunks,
             "merge_rounds": merge_rounds,
             "tasks": len(worker_stats),
-            "per_worker_dominance_tests": {
-                str(worker_id): count
-                for worker_id, count in sorted(per_worker.items())},
+            "per_worker_dominance_tests": counts,
         }
         if pool_extra:
             stats.extra["pool"].update(pool_extra)
+
+
+def _virtual_rows(arrays):
+    """``rows_of`` for the virtual concatenation of ``arrays``."""
+    offsets = np.cumsum([0] + [array.shape[0] for array in arrays])
+    width = arrays[0].shape[1] if arrays else 0
+    return lambda indices: _take_rows(arrays.__getitem__, offsets,
+                                      width, indices)
 
 
 def _resolve_batch(data, queries):
@@ -902,7 +1037,8 @@ def _resolve_batch(data, queries):
         names = data.names
         schema = data.schema
     else:
-        ranks = np.ascontiguousarray(data, dtype=np.float64)
+        # frozen once here, not once per query of the batch
+        ranks = _frozen_matrix(data)
         if ranks.ndim != 2:
             raise ValueError("expected a 2-d matrix")
         names = tuple(f"A{j}" for j in range(ranks.shape[1]))

@@ -6,12 +6,16 @@ case-by-case basis".  :class:`Planner` chooses case by case with simple,
 measurable rules:
 
 1. tiny inputs -> the quadratic ``naive`` kernel (lowest constant);
-2. weak-order priority graphs -> the specialised ``layered`` evaluator
-   (lexicographic layers of Pareto bundles);
-3. inputs beyond the memory budget -> ``external-osdc``;
-4. inputs at or beyond ``parallel_threshold`` -> ``parallel-osdc`` on
+2. inputs beyond the memory budget -> ``external-osdc``;
+3. inputs at or beyond ``parallel_threshold`` -> ``parallel-osdc`` on
    the persistent worker pool (the per-query cost of shipping
-   shared-memory descriptors is negligible at that scale);
+   shared-memory descriptors is negligible at that scale); weak orders
+   too, when there are two or more cores to split them across (at 210k
+   rows on a 2-core host the pool measured 0.57x ``osdc`` on weak
+   orders where ``layered`` measured 0.68x; on one core
+   ``parallel-osdc`` is serial ``osdc``);
+4. weak-order priority graphs -> the specialised ``layered`` evaluator
+   (lexicographic layers of Pareto bundles);
 5. everything else -> ``osdc``, recording an output-size estimate
    (:func:`repro.estimation.estimate_pskyline_size`) as
    ``estimated_output``.  The estimate does not steer the choice:
@@ -22,7 +26,7 @@ measurable rules:
 ``p_skyline(..., algorithm="auto")`` routes through a default planner.
 It hands the planner the relation's base matrix and the columns the
 query reads.  The rules before the estimator need no data, so
-:meth:`Planner.execute` checks them before it projects: a
+:meth:`Planner.execute` checks them, once, before it projects: a
 ``parallel-osdc`` plan never takes the projection in this process --
 the pool registers the base matrix once and workers slice the columns
 -- and every other plan records its estimate from, and runs on, one
@@ -39,12 +43,16 @@ import numpy as np
 from .algorithms import Stats, ensure_context
 from .algorithms.base import project_columns, run_on_columns
 from .algorithms.layered import layered
+from .algorithms.parallel import DEFAULT_MIN_CHUNK, auto_processes
 from .core.pgraph import PGraph
 from .engine.context import ExecutionContext
 from .engine.pool import pool_available
 from .estimation.cardinality import estimate_pskyline_size
 
 __all__ = ["Plan", "Planner"]
+
+#: ``Planner.plan``'s default ``by_rule``: the rules have not run yet.
+_UNDECIDED = object()
 
 
 @dataclass(frozen=True)
@@ -126,18 +134,21 @@ class Planner:
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
     def plan(self, ranks: np.ndarray, graph: PGraph,
-             context: ExecutionContext | None = None) -> Plan:
-        """Decide how to evaluate ``M_pi(ranks)``."""
-        return self._by_rule(ranks.shape[0], graph, context) \
-            or self._by_estimate(ranks, graph)
+             context: ExecutionContext | None = None, *,
+             by_rule: Plan | None | object = _UNDECIDED) -> Plan:
+        """Decide how to evaluate ``M_pi(ranks)``.
+
+        ``by_rule`` passes on what :meth:`_by_rule` already answered
+        for this query, so the rules are not evaluated twice.
+        """
+        if by_rule is _UNDECIDED:
+            by_rule = self._by_rule(ranks.shape[0], graph, context)
+        return by_rule or self._by_estimate(ranks, graph)
 
     def _by_rule(self, n: int, graph: PGraph,
                  context: ExecutionContext | None) -> Plan | None:
         """The plans decided by input size and p-graph shape alone;
         ``None`` for the general case (:meth:`_by_estimate`)."""
-        is_weak_order = (context.compiled(graph).is_weak_order
-                         if context is not None
-                         else graph.is_weak_order())
         if n <= self.naive_threshold:
             return Plan("naive", f"input has only {n} tuples")
         if self.memory_budget is not None and n > self.memory_budget:
@@ -147,6 +158,23 @@ class Planner:
                 f"{self.memory_budget} tuples",
                 options={"memory_budget": self.memory_budget},
             )
+        is_weak_order = (context.compiled(graph).is_weak_order
+                         if context is not None
+                         else graph.is_weak_order())
+        # a weak order goes to the pool only when the pool would split
+        # it: on one core parallel-osdc is serial osdc, slower than
+        # layered
+        if self.parallel_threshold is not None \
+                and n >= self.parallel_threshold and pool_available() \
+                and (not is_weak_order
+                     or auto_processes(n, DEFAULT_MIN_CHUNK) > 1):
+            return Plan(
+                "parallel-osdc",
+                f"input of {n} tuples is at or beyond the parallel "
+                f"threshold of {self.parallel_threshold}: partition "
+                "across the worker pool",
+                options={"processes": None},
+            )
         if is_weak_order:
             return Plan(
                 "layered",
@@ -154,15 +182,6 @@ class Planner:
                 "layer",
                 _function=lambda r, g, stats=None, context=None, **_:
                     layered(r, g, stats=stats, context=context),
-            )
-        if self.parallel_threshold is not None \
-                and n >= self.parallel_threshold and pool_available():
-            return Plan(
-                "parallel-osdc",
-                f"input of {n} tuples is at or beyond the parallel "
-                f"threshold of {self.parallel_threshold}: partition "
-                "across the worker pool",
-                options={"processes": None},
             )
         return None
 
@@ -233,7 +252,7 @@ class Planner:
         rule = self._by_rule(ranks.shape[0], graph, context)
         if rule is None or rule.algorithm != "parallel-osdc":
             ranks, columns = project_columns(ranks, columns), None
-        return self.plan(ranks, graph, context).execute(
+        return self.plan(ranks, graph, context, by_rule=rule).execute(
             ranks, graph, context=context, columns=columns)
 
 

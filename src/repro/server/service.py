@@ -56,9 +56,8 @@ import numpy as np
 
 from ..algorithms.base import Stats
 from ..algorithms.sfs import sfs_iter
-from ..core.attributes import Direction
 from ..core.parser import ParseError
-from ..core.pgraph import PGraph
+from ..core.preferring import encode_columns, resolve_preferring
 from ..core.relation import Relation
 from ..core.sharding import ShardedRelation
 from ..engine.compiled import graph_key
@@ -97,40 +96,6 @@ def serialize_relation(relation: Relation) -> dict:
     rows = [[_json_value(record[name]) for name in names]
             for record in records]
     return {"columns": names, "rows": rows}
-
-
-def _clause_graph(relation: Relation, clause) -> tuple[PGraph, np.ndarray]:
-    """The (graph, matrix) pair :func:`~repro.core.preferring.
-    evaluate_preferring` evaluates -- rebuilt here so the shed lane can
-    drive the progressive iterator over exactly the same input."""
-    names = clause.attributes
-    columns = []
-    orders = []
-    for name in names:
-        if name not in relation.names:
-            raise SqlExecutionError(
-                f"unknown attribute {name!r} in PREFERRING")
-        index = relation.names.index(name)
-        attribute = relation.schema[index]
-        wanted = clause.directions[name]
-        ranks = relation.ranks[:, index]
-        if attribute.direction is Direction.RANKED:
-            if wanted is Direction.MAX:
-                raise ParseError(
-                    f"highest({name}) is not allowed on a ranked attribute")
-            columns.append(ranks)
-            orders.append(attribute.order_token())
-        elif wanted is attribute.direction:
-            columns.append(ranks)
-            orders.append(wanted.value)
-        else:
-            columns.append(-ranks)
-            orders.append(wanted.value)
-    matrix = np.column_stack(columns) if names else \
-        np.empty((len(relation), 0))
-    graph = PGraph.from_expression(clause.expression, names=names) \
-        .with_orders(orders)
-    return graph, matrix
 
 
 @dataclass
@@ -467,13 +432,9 @@ class SkylineServer:
                    algorithm: str):
         if query.preferring is not None:
             # graph_key canonicalises the clause: two spellings of the
-            # same preference share a slot
-            if isinstance(relation, ShardedRelation):
-                with relation.snapshot() as snapshot:
-                    graph, _ = _clause_graph(
-                        snapshot.relation, query.preferring)
-            else:
-                graph, _ = _clause_graph(relation, query.preferring)
+            # same preference share a slot.  Resolving reads only the
+            # schema, so a key costs no rows and pins no snapshot
+            graph, _ = resolve_preferring(relation, query.preferring)
             preference = graph_key(graph)
         else:
             preference = None
@@ -688,7 +649,8 @@ class SkylineServer:
             context.check("sql-where")
             mask = self.sql._evaluate(query.where, base)
             base = base.take(np.flatnonzero(mask))
-        graph, matrix = _clause_graph(base, query.preferring)
+        graph, items = resolve_preferring(base, query.preferring)
+        matrix = encode_columns(base, items)
         limit = self.shed_prefix
         if query.top is not None:
             limit = min(limit, query.top)

@@ -32,12 +32,13 @@ p-skyline is *exactly predictable* from the original answer:
 ``pool-chunked``
     Identity transform executed on the persistent worker pool: the
     case is partitioned into chunks, evaluated by worker processes
-    against shared memory and tree-merged
+    against shared memory and tree-merged, the last pair in the parent
     (:func:`repro.algorithms.parallel.parallel_osdc`).  By the
     partition identity ``M_pi(D) = M_pi(union of chunk skylines)`` the
     result must equal the algorithm-under-test's answer, so the fuzzer
     cross-checks the whole pool execution machinery -- shared-memory
-    descriptors, chunk bounds, pooled merges -- on every rotating case.
+    descriptors, chunk bounds, the parent merge -- on every rotating
+    case.
 ``sharded-2`` / ``sharded-3``
     Identity transforms executed by hash-partitioning the rows ``k``
     ways and merging the per-shard answers

@@ -2,6 +2,9 @@
 
 import glob
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -70,8 +73,24 @@ class TestEquivalenceProperty:
         assert set(got.tolist()) == expected
 
 
+@pytest.fixture
+def queued(monkeypatch):
+    """The task specs every pool puts on its queue, one list per
+    dispatch (chunk stage, then each pooled merge round)."""
+    dispatched = []
+    execute = WorkerPool._execute_tasks
+
+    def spy(pool, query_id, specs, context, phase):
+        dispatched.append(list(specs))
+        return execute(pool, query_id, specs, context, phase)
+
+    monkeypatch.setattr(WorkerPool, "_execute_tasks", spy)
+    return dispatched
+
+
 class TestWorkerStatsAggregation:
-    def test_chunk_skylines_kernel_and_per_worker_counts(self, pool, nrng):
+    def test_chunk_skylines_kernel_and_per_worker_counts(self, pool, nrng,
+                                                         queued):
         graph = PGraph.from_expression(parse("A & (B * C)"))
         ranks = nrng.integers(0, 40, size=(4000, 3)).astype(float)
         stats = Stats()
@@ -81,23 +100,31 @@ class TestWorkerStatsAggregation:
         assert stats.extra["kernel"] is not None
         per_worker = stats.extra["pool"]["per_worker_dominance_tests"]
         assert sum(per_worker.values()) == stats.dominance_tests
+        assert per_worker["parent"] > 0
         assert stats.dominance_tests > 0
         # the partition identity: chunk skylines bound the merge input
         assert result.size <= sum(stats.extra["chunk_skylines"])
+        # one pooled round of two merges, then the last pair in the
+        # parent; only the pool's tasks count as tasks
         assert stats.extra["pool"]["merge_rounds"] == 2
+        assert [len(specs) for specs in queued] == [4, 2]
+        assert stats.extra["pool"]["tasks"] == 6
 
-    def test_no_double_counted_merge_pass(self, pool, nrng):
+    def test_no_double_counted_merge_pass(self, pool, nrng, queued):
         """Parent-side bookkeeping must not inflate worker counters."""
         graph = PGraph.from_expression(parse("A & B"))
         ranks = nrng.integers(0, 30, size=(2000, 2)).astype(float)
         stats = Stats()
         pool.run_query(ranks, graph, chunks=2,
                        context=ExecutionContext(stats=stats))
-        # passes are exactly the workers' own counts (2 chunks + 1 merge
-        # tasks, each contributing what its inner OSDC recorded)
-        worker_total = sum(
-            stats.extra["pool"]["per_worker_dominance_tests"].values())
-        assert stats.dominance_tests == worker_total
+        # two chunk tasks on the queue and the merge in the parent:
+        # the total is exactly what each inner OSDC recorded, once
+        assert [len(specs) for specs in queued] == [2]
+        per_worker = stats.extra["pool"]["per_worker_dominance_tests"]
+        assert set(per_worker) - {"0", "1"} == {"parent"}
+        assert stats.dominance_tests == sum(per_worker.values())
+        assert stats.extra["pool"]["tasks"] == 2
+        assert stats.extra["pool"]["merge_rounds"] == 1
 
 
 class TestInterruption:
@@ -133,6 +160,36 @@ class TestInterruption:
         context = ExecutionContext(deadline=time.monotonic() - 1.0)
         with pytest.raises(QueryTimeout):
             pool.run_query(ranks, graph, chunks=2, context=context)
+
+    @pytest.mark.parametrize("interrupt", ["deadline", "cancel"])
+    def test_interruption_after_the_chunk_stage_stops_the_parent_merge(
+            self, pool, nrng, monkeypatch, interrupt):
+        """The last merge runs in the parent under the caller's context:
+        a deadline passing, or a token cancelled, once the chunks are
+        back stops it."""
+        execute = WorkerPool._execute_tasks
+        dispatches = []
+
+        def then_interrupt(pool, query_id, specs, context, phase):
+            result = execute(pool, query_id, specs, context, phase)
+            dispatches.append(phase)
+            if interrupt == "deadline":
+                context.deadline = time.monotonic() - 1.0
+            else:
+                context.cancel.cancel()
+            return result
+
+        monkeypatch.setattr(WorkerPool, "_execute_tasks", then_interrupt)
+        graph = PGraph.from_expression(parse("A & B"))
+        ranks = nrng.integers(0, 30, size=(3000, 2)).astype(float)
+        context = ExecutionContext(cancel=CancellationToken())
+        error = QueryTimeout if interrupt == "deadline" else QueryCancelled
+        with pytest.raises(error, match="pool-merge"):
+            pool.run_query(ranks, graph, chunks=2, context=context)
+        assert dispatches == ["pool-chunk"]  # no pooled merge round
+        monkeypatch.undo()
+        assert set(pool.run_query(ranks, graph, chunks=2).tolist()) == \
+            set(naive(ranks, graph).tolist())
 
     def test_pool_usable_after_interruption(self, pool, nrng):
         graph = PGraph.from_expression(parse("A & B"))
@@ -307,9 +364,6 @@ class TestBatchService:
 
 
 class TestPlannerParallelRule:
-    # "(A & B) * C" is NOT a weak order, so the layered rule (which
-    # precedes the parallel rule) cannot shadow what we are testing.
-
     def test_huge_inputs_plan_parallel(self, nrng):
         from repro.planner import Planner
         planner = Planner(parallel_threshold=10_000)
@@ -336,9 +390,57 @@ class TestPlannerParallelRule:
         assert stats.extra["plan"]["algorithm"] == "parallel-osdc"
         assert set(result.tolist()) == set(naive(ranks, graph).tolist())
 
+    def test_weak_orders_go_to_the_pool_only_past_the_threshold(
+            self, nrng, monkeypatch):
+        from repro import planner as planner_module
+        from repro.planner import Planner
+        planner = Planner(parallel_threshold=10_000)
+        graph = PGraph.from_expression(parse("A & (B * C)"))
+        assert graph.is_weak_order()
+        ranks = nrng.integers(0, 50, size=(20_000, 3)).astype(float)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert planner.plan(ranks, graph).algorithm == "parallel-osdc"
+        assert planner.plan(ranks[:9_999], graph).algorithm == "layered"
+        monkeypatch.setattr(planner_module, "pool_available",
+                            lambda: False)
+        assert planner.plan(ranks, graph).algorithm == "layered"
 
-#: Non-weak-order preferences over four distinct column subsets of
-#: A0..A5, so the planner's layered rule cannot shadow the parallel one.
+    def test_one_core_keeps_weak_orders_on_layered(self, nrng,
+                                                   monkeypatch):
+        """On one core parallel-osdc is serial osdc: a weak order stays
+        with layered, and only a general preference goes to the pool."""
+        from repro.planner import Planner
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        planner = Planner(parallel_threshold=10_000)
+        ranks = nrng.integers(0, 50, size=(20_000, 3)).astype(float)
+        for text, algorithm in (("A & (B * C)", "layered"),
+                                ("(A & B) * C", "parallel-osdc")):
+            graph = PGraph.from_expression(parse(text))
+            assert planner.plan(ranks, graph).algorithm == algorithm
+
+    def test_execute_evaluates_the_rules_once(self, nrng, monkeypatch):
+        from repro.planner import Planner
+        planner = Planner(parallel_threshold=5_000)
+        calls = []
+        by_rule = Planner._by_rule
+
+        def counted(self, n, graph, context):
+            calls.append(n)
+            return by_rule(self, n, graph, context)
+
+        monkeypatch.setattr(Planner, "_by_rule", counted)
+        graph = PGraph.from_expression(parse("(A & B) * C"))
+        ranks = nrng.integers(0, 50, size=(10_000, 4)).astype(float)
+        for rows, algorithm in ((ranks, "parallel-osdc"),
+                                (ranks[:4_000], "osdc")):
+            calls.clear()
+            stats = Stats()
+            planner.execute(rows, graph, stats=stats, columns=[3, 0, 1])
+            assert stats.extra["plan"]["algorithm"] == algorithm
+            assert calls == [rows.shape[0]]
+
+
+#: Preferences over four distinct column subsets of A0..A5.
 SUBSET_QUERIES = ("(A0 & A1) * A2", "(A1 & A3) * A4 * A5",
                   "A0 * (A2 & A5) * A3", "A1 * (A2 & A3) * (A4 & A5)")
 
@@ -473,6 +575,134 @@ class TestOneRegistrationPerRelation:
         assert f"/dev/shm/{name}" not in _our_segments()
         shutdown_default_pool()
         assert set(_our_segments()) <= before
+
+
+def _forged_relation(matrix):
+    """A relation over ``matrix`` as is: the constructor refuses
+    non-finite ranks, and the pool must not rely on that."""
+    from repro.core.attributes import lowest
+
+    relation = object.__new__(Relation)
+    relation.schema = tuple(lowest(f"A{j}")
+                            for j in range(matrix.shape[1]))
+    relation.ranks = matrix
+    relation._values = None
+    return relation
+
+
+class TestNanRejectionOnThePool:
+    """Each registration records its NaN columns once; a pooled query
+    reading one raises before any task is queued, and a NaN in a column
+    it does not read changes nothing."""
+
+    READS_NAN = "(A4 & A5) * A0"
+    SKIPS_NAN = "(A0 & A1) * A2"
+
+    @staticmethod
+    def _matrix(nrng):
+        matrix = nrng.integers(0, 40, size=(9_000, 6)).astype(float)
+        matrix[17, 5] = np.nan
+        matrix.setflags(write=False)  # shipped whole, with its columns
+        return matrix
+
+    @pytest.mark.parametrize("kind", ["relation", "read-only matrix"])
+    def test_auto_query(self, pooled_auto, queued, nrng, kind):
+        matrix = self._matrix(nrng)
+        data = _forged_relation(matrix) if kind == "relation" else matrix
+        with pytest.raises(ValueError, match="NaN"):
+            p_skyline(data, self.READS_NAN, algorithm="auto")
+        assert queued == []
+        stats = Stats()
+        got = p_skyline(data, self.SKIPS_NAN, algorithm="auto",
+                        stats=stats)
+        assert stats.extra["plan"]["algorithm"] == "parallel-osdc"
+        assert queued  # the NaN-free query did reach the pool
+        columns = [0, 1, 2]
+        expected = osdc(np.ascontiguousarray(matrix[:, columns]),
+                        PGraph.from_expression(parse(self.SKIPS_NAN)))
+        got = got.ranks if kind == "relation" else matrix[got]
+        assert np.array_equal(got, matrix[expected])
+
+    def test_sharded_snapshot(self, pool, queued, nrng):
+        from repro.core.sharding import ShardedRelation
+
+        relation = ShardedRelation.from_array(
+            nrng.integers(0, 40, size=(9_000, 6)).astype(float), shards=2)
+        with relation.snapshot() as snapshot:
+            arrays = [shard.ranks for shard in snapshot.shards
+                      if len(shard)]
+        arrays[-1] = arrays[-1].copy()
+        arrays[-1][3, 5] = np.nan
+        arrays[-1].setflags(write=False)
+        reads = PGraph.from_expression(parse("(A & B) * C"))
+        with pytest.raises(ValueError, match="NaN"):
+            pool.run_sharded(arrays, reads, columns=[4, 5, 0])
+        assert queued == []
+        got = pool.run_sharded(arrays, reads, columns=[0, 1, 2])
+        union = np.vstack(arrays)
+        expected = osdc(np.ascontiguousarray(union[:, :3]), reads)
+        assert np.array_equal(got, expected)
+
+
+class TestWriteableMatrixOnThePool:
+    def test_written_in_place_between_queries(self, pool, nrng):
+        """A writeable matrix is registered as a read-only copy per
+        query: the chunks and the parent's merge read the same rows,
+        and a NaN written after an earlier query is still rejected."""
+        graph = PGraph.from_expression(parse("A & B"))
+        matrix = nrng.integers(0, 30, size=(3000, 3)).astype(float)
+        for _ in range(2):
+            got = pool.run_query(matrix, graph, chunks=2, columns=[0, 1])
+            assert np.array_equal(
+                got, osdc(np.ascontiguousarray(matrix[:, :2]), graph))
+            matrix[got, :2] += 100.0  # demote the whole skyline
+        matrix[7, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            pool.run_query(matrix, graph, chunks=2, columns=[0, 1])
+        assert np.array_equal(
+            pool.run_query(matrix, graph, chunks=2, columns=[0, 2]),
+            osdc(np.ascontiguousarray(matrix[:, [0, 2]]), graph))
+
+
+class TestParallelAlgorithmOnThePool:
+    def test_batch_with_parallel_osdc_merges_without_reentering(self):
+        """A batch run by ``parallel-osdc`` reaches the parent's last
+        merge with that algorithm; a union past two chunks' worth of
+        rows must not dispatch back into the pool the query holds.  Run
+        in a fresh interpreter so a hang fails here, not the suite."""
+        child = subprocess.Popen(
+            [sys.executable, "-c", _REENTRANT_BATCH_SCRIPT],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            start_new_session=True)
+        try:
+            out, err = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # its workers too
+            child.communicate()
+            pytest.fail("the batch deadlocked in its parent merge")
+        assert child.returncode == 0, err
+        assert out.strip() == "20000"
+
+
+#: Anti-correlated 20k x 2 rows: every row survives its chunk, so the
+#: parent merges a 20k-row union.
+_REENTRANT_BATCH_SCRIPT = """
+import os
+import numpy as np
+from repro import p_skyline_batch
+from repro.algorithms import osdc
+from repro.core.parser import parse
+from repro.core.pgraph import PGraph
+
+os.cpu_count = lambda: 2  # the pool would split the union again
+x = np.random.default_rng(5).permutation(20_000).astype(float)
+ranks = np.column_stack([x, 20_000.0 - x])
+(got,) = p_skyline_batch(ranks, ["A0 * A1"], algorithm="parallel-osdc")
+expected = osdc(ranks, PGraph.from_expression(parse("A0 * A1")))
+assert np.array_equal(got, expected), (got.size, expected.size)
+print(got.size)
+"""
 
 
 class TestCancellationTokenMirrors:

@@ -16,14 +16,15 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.preferring import evaluate_preferring
+from repro.core.preferring import (encode_columns, evaluate_preferring,
+                                   resolve_preferring)
 from repro.core.relation import Relation
 from repro.core.sharding import ShardedRelation
 from repro.engine.compiled import compile_preference
 from repro.server import (MAX_FRAME, ProtocolError, SkylineClient,
                           SkylineServer, decode_frame, encode_frame,
                           serve_in_thread)
-from repro.server.service import _clause_graph, serialize_relation
+from repro.server.service import serialize_relation
 from repro.sql import PreferenceSQL
 
 from conftest import random_expression
@@ -152,6 +153,41 @@ def test_cached_answer_identical(served):
         first["stats"]["dominance_tests"] or first["cached"]
 
 
+@pytest.mark.parametrize("table", ["flat", "sharded"])
+def test_cache_hit_touches_no_rows(served, monkeypatch, table):
+    """The result-cache key comes from the schema alone: a hit encodes
+    no columns and pins no snapshot."""
+    from repro.core import preferring
+    from repro.server import service
+    from repro.sql import executor
+
+    _, client, _ = served
+    statement = f"SELECT * FROM {table} PREFERRING highest(b) & (a * c)"
+    first = client.query(statement)
+    calls = []
+
+    def spy(name, function):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapped
+
+    for module in (preferring, service, executor):
+        if hasattr(module, "encode_columns"):
+            monkeypatch.setattr(module, "encode_columns",
+                                spy("encode_columns",
+                                    module.encode_columns))
+    monkeypatch.setattr(ShardedRelation, "snapshot",
+                        spy("snapshot", ShardedRelation.snapshot))
+    second = client.query(statement)
+    assert second["cached"] is True
+    assert second["rows"] == first["rows"]
+    assert calls == []
+    client.query(statement, no_cache=True)  # the spies do see a miss
+    assert "encode_columns" in calls
+    assert ("snapshot" in calls) == (table == "sharded")
+
+
 def test_algorithm_override(served):
     _, client, library = served
     statement = "SELECT * FROM flat PREFERRING a & b"
@@ -205,7 +241,8 @@ def test_shed_answer_is_ext_sorted_skyline_prefix(served, statement):
     if query.where is not None:
         mask = library._evaluate(query.where, base)
         base = base.take(np.flatnonzero(mask))
-    graph, matrix = _clause_graph(base, query.preferring)
+    graph, items = resolve_preferring(base, query.preferring)
+    matrix = encode_columns(base, items)
     extension = compile_preference(graph).extension
     full = serialize_relation(base)["rows"]
     position_of = {tuple(row): position

@@ -13,7 +13,11 @@ monotone-rescale   sum-based dominance (compares attribute sums)
 relabel            hard-coded column-order chain (ignores the p-graph)
 append-dominated   unconditionally includes the last tuple
 pool-chunked       a worker pool that skips its merge tree (returns the
-                   union of the chunk skylines)
+                   union of the chunk skylines); a parent-side last
+                   merge that returns its union unmerged
+sharded-2          a shard merge that drops the last shard's survivors
+fused-batch        a fused refinement that skips the shared base screen
+                   (every base survivor answers every member)
 kernel-gemm        a GEMM flag path that never flags the last
                    ``against`` row (the oracle's bitmask kernel is
                    unaffected)
@@ -25,7 +29,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.algorithms import REGISTRY, naive
+from repro.algorithms import REGISTRY, Stats, naive
 from repro.algorithms.osdc import osdc
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
@@ -124,14 +128,75 @@ class TestMutantsAreCaught:
         from repro.engine.pool import WorkerPool
 
         def union_of_chunks(pool, query_id, parts, *args):
-            return [np.concatenate(parts)], 0
+            return [np.concatenate(parts)], 0, None
 
-        monkeypatch.setattr(WorkerPool, "_tree_merge", union_of_chunks)
         # the last row dominates every other: each chunk keeps its own
         # best row, and only the merge removes the first chunk's
         ranks = np.array([[float(i), float(i)] for i in range(40)])[::-1]
         graph = PGraph.from_expression(parse("A * B"))
+        assert not _catches("pool-chunked", osdc, ranks, graph, seeds=[0])
+        monkeypatch.setattr(WorkerPool, "_tree_merge", union_of_chunks)
         assert _catches("pool-chunked", osdc, ranks, graph, seeds=[0])
+
+    def test_pool_chunked_catches_an_unmerged_parent_merge(
+            self, monkeypatch):
+        from repro.engine import pool as pool_module
+
+        calls = []
+
+        def unmerged(rows, to_global, spec, graph, context):
+            # patched in this process only: the workers' chunk tasks
+            # are intact, the parent's last merge keeps every row
+            calls.append(rows.shape[0])
+            return to_global(np.arange(rows.shape[0])), Stats()
+
+        monkeypatch.setattr(pool_module, "_evaluate", unmerged)
+        ranks = np.array([[float(i), float(i)] for i in range(40)])[::-1]
+        graph = PGraph.from_expression(parse("A * B"))
+        assert _catches("pool-chunked", osdc, ranks, graph, seeds=[0])
+        assert calls == [2]  # one survivor per chunk reached the parent
+
+    def test_sharded_catches_a_dropped_last_shard(self, monkeypatch):
+        from repro.core import sharding
+
+        def drop_last_shard(ranks, graph, *, shards=2, function=None,
+                            shard_map=None, context=None):
+            assignment = sharding.ShardMap.hashed(shards) \
+                .shard_of_block(ranks)
+            union = []
+            for shard in range(shards):
+                rows = np.flatnonzero(assignment == shard)
+                if rows.size:
+                    local = function(np.ascontiguousarray(ranks[rows]),
+                                     graph)
+                    union.append(rows[np.asarray(local, dtype=np.intp)])
+            candidates = np.sort(np.concatenate(union[:-1]))
+            local = function(np.ascontiguousarray(ranks[candidates]),
+                             graph)
+            return candidates[np.asarray(local, dtype=np.intp)]
+
+        # every row is maximal under A * B, and both shards hold some
+        ranks = _anti_correlated(12)
+        graph = PGraph.from_expression(parse("A * B"))
+        assert not _catches("sharded-2", osdc, ranks, graph, seeds=[0])
+        monkeypatch.setattr(sharding, "sharded_pskyline", drop_last_shard)
+        assert _catches("sharded-2", osdc, ranks, graph, seeds=[0])
+
+    def test_fused_batch_catches_a_skipped_base_screen(self, monkeypatch):
+        from repro.core import fusion
+
+        def keep_every_survivor(dominances, rows, **options):
+            return [np.ones(rows.shape[0], dtype=bool)
+                    for _ in dominances]
+
+        # every row is Pareto-maximal; the priority of A leaves only
+        # the first, so the member needs the base screen
+        ranks = _anti_correlated(12)
+        graph = PGraph.from_expression(parse("A & B"))
+        assert not _catches("fused-batch", osdc, ranks, graph, seeds=[0])
+        monkeypatch.setattr(fusion, "screen_block_multi",
+                            keep_every_survivor)
+        assert _catches("fused-batch", osdc, ranks, graph, seeds=[0])
 
     def test_kernel_gemm_catches_a_dropped_against_row(self, monkeypatch):
         from repro.core.dominance import Dominance
