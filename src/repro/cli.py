@@ -28,7 +28,7 @@ Sub-commands:
         repro-skyline bench --scale quick
 
 ``serve``
-    Run the asyncio Preference SQL server (result cache, admission
+    Run the threaded Preference SQL server (result cache, admission
     control, per-request deadlines; see ``docs/server.md``)::
 
         repro-skyline serve --synthetic 20000 --dims 5 --port 7654
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve",
-        help="run the asyncio Preference SQL server over CSV tables "
+        help="run the threaded Preference SQL server over CSV tables "
              "(or a generated data set)")
     serve.add_argument("--load", action="append", default=[],
                        metavar="NAME=PATH",

@@ -11,11 +11,12 @@ sharded MVCC relations) into a network service:
   shape), invalidated by :class:`~repro.core.sharding.ShardedRelation`
   write listeners and version-checked on every hit so a stale entry can
   never be served;
-* :class:`SkylineServer` -- the asyncio front-end: statements are
-  parsed once, executed on a bounded thread pool through the existing
-  planner/engine paths, per-request deadlines and client disconnects
-  propagate through :class:`~repro.engine.ExecutionContext`
-  cancellation, and queue-depth admission control sheds load by
+* :class:`SkylineServer` -- the threaded front-end: each connection's
+  thread parses a statement once and runs it through the existing
+  planner/engine paths, at most ``max_inflight`` at a time;
+  per-request deadlines and client disconnects propagate through
+  :class:`~repro.engine.ExecutionContext` cancellation, and
+  queue-depth admission control sheds load by
   returning a ``≻ext``-sorted progressive *prefix* of the answer
   (flagged ``"partial": true``) instead of erroring;
 * :class:`SkylineClient` -- a small blocking client used by the tests,

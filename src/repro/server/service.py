@@ -1,35 +1,38 @@
-"""The asyncio query server.
+"""The threaded query server.
 
 :class:`SkylineServer` turns the library stack into a long-lived
-service.  The event loop only moves bytes; every statement runs on a
-bounded :class:`~concurrent.futures.ThreadPoolExecutor` through the
-exact :class:`~repro.sql.PreferenceSQL` paths the library exposes, so a
-served answer is byte-for-byte the library answer (the differential
-tests pin this).  Around that core:
+service.  Every accepted connection gets its own thread, which reads a
+request, runs it through the exact :class:`~repro.sql.PreferenceSQL`
+paths the library exposes and writes the answer itself -- a request
+never changes threads -- so a served answer is byte-for-byte the
+library answer (the differential tests pin this).  Around that core:
 
 * **parse once** -- statement text is parsed to a frozen AST through an
   LRU, then replayed per request via
   :meth:`~repro.sql.PreferenceSQL.execute_parsed`;
 * **deadlines and disconnects** -- each request gets an
   :class:`~repro.engine.ExecutionContext` carrying the request timeout
-  and a :class:`~repro.engine.context.CancellationToken`; while the
-  query runs in a worker thread, the event loop keeps reading the
-  client socket, so a disconnect cancels the query mid-flight (and a
-  pipelined next request is buffered, not lost);
+  and its connection's :class:`~repro.engine.context.CancellationToken`;
+  one watcher thread polls every open connection for hang-up and fires
+  that token, so a disconnect cancels the query mid-flight or while it
+  waits for a slot (a pipelined next request stays unread in the
+  socket buffer until the current answer is written);
 * **result cache** -- full serialised answers in a
   :class:`~repro.server.cache.ResultCache`, keyed on relation identity
   + write version, the compiled-preference ``graph_key`` and the
   canonical query shape; :class:`~repro.core.sharding.ShardedRelation`
   write listeners invalidate proactively and every hit re-checks the
   version, so stale answers are impossible;
-* **admission control** -- when the executor backlog exceeds
-  ``max_queue`` (or :attr:`SkylineServer.force_shed` is set), a
-  preference query is *shed*: instead of erroring, a dedicated
-  lightweight lane answers with the first ``shed_prefix`` rows of the
-  progressive SFS scan -- by construction a ``≻ext``-sorted prefix of
-  the exact skyline -- flagged ``"partial": true`` with a reason.  The
-  paper's output-sensitive, progressive evaluation model is what makes
-  this degraded answer principled rather than arbitrary;
+* **admission control** -- at most ``max_inflight`` statements run at
+  once and the others wait for a slot.  When ``max_inflight +
+  max_queue`` requests are already in flight (or
+  :attr:`SkylineServer.force_shed` is set), a preference query is
+  *shed*: instead of erroring or queueing, its connection thread
+  answers at once, without a slot, with the first ``shed_prefix`` rows
+  of the progressive SFS scan -- by construction a ``≻ext``-sorted
+  prefix of the exact skyline -- flagged ``"partial": true`` with a
+  reason.  The paper's output-sensitive, progressive evaluation model
+  is what makes this degraded answer principled rather than arbitrary;
 * **batch fusion** -- a ``"statements"`` request answers a whole
   correlated batch in one frame: cache hits are served per statement,
   and the misses run through
@@ -41,15 +44,12 @@ tests pin this).  Around that core:
 
 from __future__ import annotations
 
-import asyncio
 import atexit
-import itertools
-import struct
+import select
+import socket
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -67,17 +67,23 @@ from ..engine.errors import (MemoryBudgetExceeded, QueryCancelled,
 from ..sql import (BatchExecutionError, PreferenceSQL, Query,
                    SqlExecutionError, SqlSyntaxError, parse_query)
 from .cache import CachedResult, ResultCache
-from .protocol import MAX_FRAME, ProtocolError, check_length, encode_frame
+from .protocol import ProtocolError, encode_frame, read_frame
 
 __all__ = ["SkylineServer", "ServerHandle", "serve_in_thread"]
-
-_HEADER = struct.Struct(">I")
 
 #: Statement-text -> parsed AST cache bound.
 _PARSE_CACHE = 1024
 
 #: Upper bound on statements per batch request.
 _MAX_BATCH = 256
+
+#: How often a request waiting for a slot re-checks its cancel token.
+_QUEUE_POLL = 0.05
+
+#: Linux reports a peer's hang-up without reading; elsewhere the watcher
+#: sees readable bytes and peeks whether they are the end of the stream.
+_RDHUP = getattr(select, "POLLRDHUP", 0)
+_WATCH_EVENTS = _RDHUP or select.POLLIN
 
 
 def _json_value(value: Any) -> Any:
@@ -98,21 +104,48 @@ def serialize_relation(relation: Relation) -> dict:
     return {"columns": names, "rows": rows}
 
 
-@dataclass
-class _Connection:
-    """Per-connection read state: bytes received ahead of the current
-    frame (the disconnect watcher buffers pipelined requests here)."""
+def _peer_closed(sock: socket.socket) -> bool:
+    """Is the stream's next byte its end?  (Never blocks.)"""
+    try:
+        return sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
 
-    buffer: bytearray = field(default_factory=bytearray)
-    disconnected: bool = False
+
+class _Connection:
+    """One accepted socket, the thread serving it and the token its
+    hang-up fires (every request on the connection runs under it)."""
+
+    __slots__ = ("sock", "fd", "token", "thread", "paused")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.fd = sock.fileno()
+        self.token = CancellationToken()
+        self.thread: threading.Thread | None = None
+        #: Without ``POLLRDHUP``: unread bytes paused the hang-up watch
+        #: until this thread reads them.
+        self.paused = False
+
+    def send(self, response: dict) -> None:
+        self.sock.sendall(encode_frame(response))
+
+    def shutdown(self) -> None:
+        """Send FIN now: a socket the watcher polls is not released by
+        ``close`` until that poll returns."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the peer reset it first
 
 
 class SkylineServer:
-    """The asyncio front-end over a :class:`~repro.sql.PreferenceSQL`
+    """The threaded front-end over a :class:`~repro.sql.PreferenceSQL`
     catalog.
 
-    Construct, :meth:`register` relations, then either ``await
-    start()`` inside an event loop or hand the server to
+    Construct, :meth:`register` relations, then hand the server to
     :func:`serve_in_thread`.
     """
 
@@ -141,23 +174,17 @@ class SkylineServer:
         self.sql = PreferenceSQL()
         self._parsed: OrderedDict[str, Query] = OrderedDict()
         self._parse_lock = threading.Lock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_inflight,
-            thread_name_prefix="skyline-query")
-        # Shed answers must not queue behind the very backlog they are
-        # escaping, so they run on their own small lane.
-        self._shed_executor = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="skyline-shed")
+        self._slots = threading.BoundedSemaphore(self.max_inflight)
         self._active = 0
         self._metrics_lock = threading.Lock()
         self._counters = {"requests": 0, "queries": 0, "hits": 0,
                           "misses": 0, "shed": 0, "errors": 0,
                           "cancelled": 0, "timeouts": 0, "batches": 0}
-        self._tokens: set[CancellationToken] = set()
         self._listeners: list[tuple[ShardedRelation, Any]] = []
-        self._server: asyncio.AbstractServer | None = None
+        self._listener: socket.socket | None = None
+        self._connections: set[_Connection] = set()
+        self._conn_lock = threading.Lock()
         self._stopping = False
-        self._request_ids = itertools.count(1)
 
     # -- catalog -------------------------------------------------------------
     def register(self, name: str, relation: Relation | ShardedRelation
@@ -183,105 +210,240 @@ class SkylineServer:
     # -- lifecycle -----------------------------------------------------------
     @property
     def address(self) -> tuple[str, int]:
-        if self._server is None or not self._server.sockets:
+        listener = self._listener
+        if listener is None:
             raise RuntimeError("server is not listening")
-        return self._server.sockets[0].getsockname()[:2]
+        return listener.getsockname()[:2]
 
-    async def start(self) -> None:
-        """Bind and start accepting connections (returns immediately;
-        serving happens on the running event loop)."""
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.host, port=self.port)
+    def start(self) -> None:
+        """Bind, then accept connections and watch them for hang-up on
+        background threads (returns once listening)."""
+        if self._listener is not None or self._stopping:
+            raise RuntimeError("a server starts once")
+        family, _, _, _, address = socket.getaddrinfo(
+            self.host or None, self.port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE)[0]
+        listener = socket.create_server(address, family=family,
+                                        backlog=128)
+        self._listener = listener
+        self._wake_in, self._wake_out = socket.socketpair()
+        self._wake_out.setblocking(False)
+        self._accept_thread = threading.Thread(
+            target=self._accept, args=(listener,), name="skyline-accept",
+            daemon=True)
+        self._watch_thread = threading.Thread(
+            target=self._watch, name="skyline-watch", daemon=True)
+        self._accept_thread.start()
+        self._watch_thread.start()
 
-    async def stop(self, grace: float = 5.0) -> None:
-        """Drain and stop: close the listener, give in-flight queries
-        ``grace`` seconds to finish, then cancel the stragglers."""
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline:
-            with self._metrics_lock:
-                if self._active == 0:
-                    break
-            await asyncio.sleep(0.02)
-        with self._metrics_lock:
-            tokens = list(self._tokens)
-        for token in tokens:
-            token.cancel()
-        self._executor.shutdown(wait=True)
-        self._shed_executor.shutdown(wait=True)
+    def stop(self, grace: float = 5.0) -> None:
+        """Drain and stop: close the listener, give in-flight requests
+        ``grace`` seconds to finish, cancel the stragglers, then close
+        every connection and join every server thread."""
+        with self._conn_lock:
+            listener, self._listener = self._listener, None
+            self._stopping = True
+        if listener is not None:
+            # shutdown, not close, is what wakes a blocked accept()
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            listener.close()
+            self._accept_thread.join(timeout=10.0)
+            deadline = time.monotonic() + grace
+            while self._active and time.monotonic() < deadline:
+                time.sleep(0.02)
+            with self._conn_lock:
+                connections = list(self._connections)
+            for conn in connections:
+                conn.token.cancel()
+                conn.shutdown()
+            for conn in connections:
+                conn.thread.join(timeout=10.0)
+            self._wake()  # the watcher sees no connections and exits
+            self._watch_thread.join(timeout=10.0)
         for relation, listener in self._listeners:
             relation.remove_write_listener(listener)
         self._listeners.clear()
 
+    def _wake(self) -> None:
+        """Make the watcher re-read the connection set."""
+        try:
+            self._wake_out.send(b"\0")
+        except OSError:
+            pass  # a wake-up is already pending, or the server stopped
+
     # -- connection handling -------------------------------------------------
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        conn = _Connection()
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                return  # the listener was shut down
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock)
+            conn.thread = threading.Thread(
+                target=self._serve, args=(conn,), name="skyline-conn",
+                daemon=True)
+            with self._conn_lock:
+                if self._stopping:
+                    sock.close()
+                    return
+                self._connections.add(conn)
+            self._wake()
+            conn.thread.start()
+
+    def _serve(self, conn: _Connection) -> None:
+        """Read, run and answer one request at a time on this thread."""
         try:
             while not self._stopping:
-                message = await self._recv_frame(reader, conn)
+                message = read_frame(conn.sock)
                 if message is None:
                     break
-                response = await self._dispatch(message, reader, conn)
-                if conn.disconnected:
-                    break
-                if response is not None:
-                    writer.write(encode_frame(response))
-                    await writer.drain()
-        except (ProtocolError, ConnectionError, asyncio.IncompleteReadError):
+                if conn.paused:  # the bytes that paused the watch are read
+                    conn.paused = False
+                    self._wake()
+                self._answer(message, conn)
+        except (ProtocolError, OSError):
             pass  # framing broken or peer gone: drop the connection
         finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            with self._conn_lock:
+                self._connections.discard(conn)
+            conn.shutdown()
+            conn.sock.close()
+            self._wake()
 
-    async def _recv_frame(self, reader: asyncio.StreamReader,
-                          conn: _Connection) -> dict | None:
-        """One frame, honouring bytes the disconnect watcher buffered;
-        ``None`` on clean EOF between frames."""
-        from .protocol import decode_frame
+    def _watch(self) -> None:
+        """Poll every open connection for hang-up and fire its token.
 
-        while len(conn.buffer) < _HEADER.size:
-            chunk = await reader.read(65536)
-            if not chunk:
-                if conn.buffer:
-                    raise ConnectionError("connection closed mid-header")
-                return None
-            conn.buffer.extend(chunk)
-        (length,) = _HEADER.unpack(bytes(conn.buffer[:_HEADER.size]))
-        check_length(length)
-        total = _HEADER.size + length
-        while len(conn.buffer) < total:
-            chunk = await reader.read(65536)
-            if not chunk:
-                raise ConnectionError("connection closed mid-frame")
-            conn.buffer.extend(chunk)
-        payload = bytes(conn.buffer[_HEADER.size:total])
-        del conn.buffer[:total]
-        return decode_frame(payload)
+        A connection leaves the poll set at its first event, so a
+        level-triggered hang-up does not spin; :meth:`_wake` makes the
+        watcher re-read the set from the open connections."""
+        wake = self._wake_in.fileno()
+        poller = select.poll()
+        poller.register(wake, select.POLLIN)
+        watched: dict[int, _Connection] = {}
+        while True:
+            woken = False
+            for fd, events in poller.poll():
+                if fd == wake:
+                    woken = True
+                    continue
+                poller.unregister(fd)
+                conn = watched.pop(fd)
+                if _RDHUP or events & ~select.POLLIN \
+                        or _peer_closed(conn.sock):
+                    conn.token.cancel()
+                else:
+                    conn.paused = True  # pipelined bytes, not a hang-up
+            if not woken:
+                continue
+            self._wake_in.recv(4096)
+            with self._conn_lock:
+                if self._stopping and not self._connections:
+                    self._wake_in.close()
+                    self._wake_out.close()
+                    return
+                current = {conn.fd: conn for conn in self._connections
+                           if not conn.paused
+                           and not conn.token.cancelled}
+            for fd in [fd for fd in watched if current.get(fd)
+                       is not watched[fd]]:
+                poller.unregister(fd)
+                del watched[fd]
+            for fd, conn in current.items():
+                if fd not in watched:
+                    poller.register(fd, _WATCH_EVENTS)
+                    watched[fd] = conn
 
-    async def _dispatch(self, message: dict, reader: asyncio.StreamReader,
-                        conn: _Connection) -> dict | None:
+    # -- requests (connection threads) ---------------------------------------
+    def _answer(self, message: dict, conn: _Connection) -> None:
+        """Run one request on this thread and write its answer.
+
+        A statement or batch counts as in flight until its answer is
+        written, so :meth:`stop` never closes a connection under an
+        answer it is draining."""
         request_id = message.get("id")
         with self._metrics_lock:
             self._counters["requests"] += 1
         if "op" in message:
-            return self._handle_op(message, request_id)
-        if "statements" in message:
-            return await self._handle_batch(message, request_id, reader,
-                                            conn)
-        if "statement" not in message:
-            return self._error(request_id, "protocol",
-                               "request needs a 'statement', 'statements' "
-                               "or an 'op'")
-        return await self._handle_query(message, request_id, reader, conn)
+            conn.send(self._handle_op(message, request_id))
+            return
+        try:
+            batch, timeout, algorithm, no_cache = self._options(message)
+        except ValueError as error:
+            conn.send(self._error(request_id, "protocol", error))
+            return
+        with self._metrics_lock:
+            # a shed answer takes no slot, so it never queues behind the
+            # backlog it escapes; batches are never shed
+            shed = not batch and (
+                self.force_shed
+                or self._active >= self.max_inflight + self.max_queue)
+            self._active += 1
+        try:
+            try:
+                response = self._run(message, request_id, batch, shed,
+                                     timeout, algorithm, no_cache,
+                                     conn.token)
+            except Exception as error:  # defensive net: answer, live on
+                response = self._map_error(request_id, error)
+            conn.send(response)
+        finally:
+            with self._metrics_lock:
+                self._active -= 1
+
+    def _run(self, message: dict, request_id, batch: bool, shed: bool,
+             timeout, algorithm: str, no_cache: bool,
+             token: CancellationToken) -> dict:
+        if shed:
+            return self._run_request(message["statement"], request_id,
+                                     timeout, algorithm, no_cache, True,
+                                     token)
+        # waiting here is the queue; a hang-up also ends the wait
+        while not self._slots.acquire(timeout=_QUEUE_POLL):
+            if token.cancelled:
+                raise QueryCancelled(
+                    "query cancelled while waiting for a slot")
+        try:
+            if batch:
+                return self._run_batch(message["statements"], request_id,
+                                       timeout, algorithm, no_cache, token)
+            return self._run_request(message["statement"], request_id,
+                                     timeout, algorithm, no_cache, False,
+                                     token)
+        finally:
+            self._slots.release()
+
+    def _options(self, message: dict) -> tuple[bool, Any, str, bool]:
+        """``(batch, timeout, algorithm, no_cache)`` of a statement or
+        batch request; ``ValueError`` names the malformed field."""
+        batch = "statements" in message
+        if batch:
+            statements = message["statements"]
+            if (not isinstance(statements, list) or not statements
+                    or not all(isinstance(s, str) for s in statements)):
+                raise ValueError(
+                    "'statements' must be a non-empty list of strings")
+            if len(statements) > _MAX_BATCH:
+                raise ValueError(
+                    f"batch too large ({len(statements)} statements; "
+                    f"max {_MAX_BATCH})")
+        elif "statement" not in message:
+            raise ValueError("request needs a 'statement', 'statements' "
+                             "or an 'op'")
+        elif not isinstance(message["statement"], str):
+            raise ValueError("'statement' must be a string")
+        timeout = message.get("timeout", self.default_timeout)
+        # bool is an int subclass: a JSON true is not one second
+        if timeout is not None and (
+                isinstance(timeout, bool)
+                or not isinstance(timeout, (int, float))
+                or not timeout > 0):
+            raise ValueError("'timeout' must be positive seconds")
+        return (batch, timeout, message.get("algorithm", self.algorithm),
+                bool(message.get("no_cache", False)))
 
     def _handle_op(self, message: dict, request_id) -> dict:
         op = message.get("op")
@@ -293,121 +455,7 @@ class SkylineServer:
             return {"id": request_id, "ok": True, "server": self.stats()}
         return self._error(request_id, "protocol", f"unknown op {op!r}")
 
-    async def _handle_query(self, message: dict, request_id,
-                            reader: asyncio.StreamReader,
-                            conn: _Connection) -> dict | None:
-        statement = message.get("statement")
-        if not isinstance(statement, str):
-            return self._error(request_id, "protocol",
-                               "'statement' must be a string")
-        timeout = message.get("timeout", self.default_timeout)
-        if timeout is not None and (not isinstance(timeout, (int, float))
-                                    or timeout <= 0):
-            return self._error(request_id, "protocol",
-                               "'timeout' must be positive seconds")
-        algorithm = message.get("algorithm", self.algorithm)
-        no_cache = bool(message.get("no_cache", False))
-
-        shed = self._should_shed()
-        executor = self._shed_executor if shed else self._executor
-        token = CancellationToken()
-        with self._metrics_lock:
-            self._active += 1
-            self._tokens.add(token)
-        loop = asyncio.get_running_loop()
-        exec_task = asyncio.ensure_future(loop.run_in_executor(
-            executor, self._run_request, statement, request_id,
-            timeout, algorithm, no_cache, shed, token))
-        try:
-            await self._watch(exec_task, reader, conn, token)
-            return exec_task.result()
-        finally:
-            with self._metrics_lock:
-                self._active -= 1
-                self._tokens.discard(token)
-
-    async def _handle_batch(self, message: dict, request_id,
-                            reader: asyncio.StreamReader,
-                            conn: _Connection) -> dict | None:
-        """A ``"statements"`` request: many statements answered in one
-        frame.  Cache hits are served per statement; the misses run
-        through :meth:`~repro.sql.PreferenceSQL.execute_batch`, whose
-        fusion layer deduplicates preferences and shares packed
-        Better-masks across the batch.  Batch requests always run on
-        the main executor (the shed lane answers single statements)."""
-        statements = message.get("statements")
-        if (not isinstance(statements, list) or not statements
-                or not all(isinstance(s, str) for s in statements)):
-            return self._error(
-                request_id, "protocol",
-                "'statements' must be a non-empty list of strings")
-        if len(statements) > _MAX_BATCH:
-            return self._error(
-                request_id, "protocol",
-                f"batch too large ({len(statements)} statements; "
-                f"max {_MAX_BATCH})")
-        timeout = message.get("timeout", self.default_timeout)
-        if timeout is not None and (not isinstance(timeout, (int, float))
-                                    or timeout <= 0):
-            return self._error(request_id, "protocol",
-                               "'timeout' must be positive seconds")
-        algorithm = message.get("algorithm", self.algorithm)
-        no_cache = bool(message.get("no_cache", False))
-
-        token = CancellationToken()
-        with self._metrics_lock:
-            self._active += 1
-            self._tokens.add(token)
-        loop = asyncio.get_running_loop()
-        exec_task = asyncio.ensure_future(loop.run_in_executor(
-            self._executor, self._run_batch, statements, request_id,
-            timeout, algorithm, no_cache, token))
-        try:
-            await self._watch(exec_task, reader, conn, token)
-            return exec_task.result()
-        finally:
-            with self._metrics_lock:
-                self._active -= 1
-                self._tokens.discard(token)
-
-    async def _watch(self, exec_task: asyncio.Future,
-                     reader: asyncio.StreamReader, conn: _Connection,
-                     token: CancellationToken) -> None:
-        """Await the executor future while watching the socket: EOF
-        cancels the running query; pipelined bytes are buffered."""
-        while not exec_task.done():
-            peek = asyncio.ensure_future(reader.read(65536))
-            done, _ = await asyncio.wait(
-                {exec_task, peek}, return_when=asyncio.FIRST_COMPLETED)
-            if peek in done:
-                data = peek.result()
-                if not data:
-                    conn.disconnected = True
-                    token.cancel()
-                    try:
-                        await exec_task
-                    except Exception:
-                        pass
-                    return
-                conn.buffer.extend(data)
-            else:
-                peek.cancel()
-                try:
-                    data = await peek
-                    if data:
-                        conn.buffer.extend(data)
-                    elif data == b"":
-                        conn.disconnected = True
-                except (asyncio.CancelledError, Exception):
-                    pass
-
-    def _should_shed(self) -> bool:
-        if self.force_shed:
-            return True
-        with self._metrics_lock:
-            return self._active >= self.max_inflight + self.max_queue
-
-    # -- query execution (worker threads) ------------------------------------
+    # -- query execution -----------------------------------------------------
     def _parse(self, statement: str) -> Query:
         with self._parse_lock:
             query = self._parsed.get(statement)
@@ -444,16 +492,6 @@ class SkylineServer:
     def _run_request(self, statement: str, request_id, timeout,
                      algorithm: str, no_cache: bool, shed: bool,
                      token: CancellationToken) -> dict:
-        try:
-            return self._run_request_inner(
-                statement, request_id, timeout, algorithm, no_cache,
-                shed, token)
-        except Exception as error:  # pragma: no cover - defensive net
-            return self._map_error(request_id, error)
-
-    def _run_request_inner(self, statement: str, request_id, timeout,
-                           algorithm: str, no_cache: bool, shed: bool,
-                           token: CancellationToken) -> dict:
         started = time.perf_counter()
         try:
             query = self._parse(statement)
@@ -528,15 +566,6 @@ class SkylineServer:
     def _run_batch(self, statements: list, request_id, timeout,
                    algorithm: str, no_cache: bool,
                    token: CancellationToken) -> dict:
-        try:
-            return self._run_batch_inner(statements, request_id, timeout,
-                                         algorithm, no_cache, token)
-        except Exception as error:  # pragma: no cover - defensive net
-            return self._map_error(request_id, error)
-
-    def _run_batch_inner(self, statements: list, request_id, timeout,
-                         algorithm: str, no_cache: bool,
-                         token: CancellationToken) -> dict:
         started = time.perf_counter()
         responses: list[dict | None] = [None] * len(statements)
         misses: list[int] = []
@@ -670,7 +699,7 @@ class SkylineServer:
         payload.update(
             {"id": request_id, "ok": True, "cached": False,
              "partial": True,
-             "reason": ("admission control: executor backlog at "
+             "reason": ("admission control: request backlog at "
                         f"capacity; returning the first {limit} rows of "
                         "the progressive ≻ext scan"),
              "version": version,
@@ -724,7 +753,7 @@ class SkylineServer:
 
 
 class ServerHandle:
-    """A running server on a background event-loop thread.
+    """A running server, serving on its own background threads.
 
     ``stop()`` is idempotent and thread-safe: the handle registers an
     atexit hook, the CLI registers its own cleanup and the default
@@ -733,12 +762,8 @@ class ServerHandle:
     this).
     """
 
-    def __init__(self, server: SkylineServer,
-                 loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread):
+    def __init__(self, server: SkylineServer):
         self.server = server
-        self._loop = loop
-        self._thread = thread
         self._stop_lock = threading.Lock()
         self._stopped = False
         atexit.register(self.stop)
@@ -748,7 +773,7 @@ class ServerHandle:
         return self.server.address
 
     def stop(self, grace: float = 5.0) -> None:
-        """Drain the server and stop the loop thread (idempotent)."""
+        """Drain and stop the server (idempotent)."""
         with self._stop_lock:
             if self._stopped:
                 return
@@ -757,17 +782,7 @@ class ServerHandle:
                 atexit.unregister(self.stop)
             except Exception:  # pragma: no cover - interpreter tear-down
                 pass
-            if self._loop.is_running():
-                future = asyncio.run_coroutine_threadsafe(
-                    self.server.stop(grace), self._loop)
-                try:
-                    future.result(timeout=grace + 10.0)
-                except Exception:  # pragma: no cover - best-effort drain
-                    pass
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            if not self._loop.is_running():
-                self._loop.close()
+            self.server.stop(grace)
 
     def __enter__(self) -> "ServerHandle":
         return self
@@ -776,43 +791,8 @@ class ServerHandle:
         self.stop()
 
 
-def serve_in_thread(server: SkylineServer, *,
-                    start_timeout: float = 10.0) -> ServerHandle:
-    """Run ``server`` on a fresh event loop in a daemon thread and
-    return once it is accepting connections."""
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    failure: list[BaseException] = []
-
-    def _run() -> None:
-        asyncio.set_event_loop(loop)
-
-        async def _start() -> None:
-            try:
-                await server.start()
-            except BaseException as error:  # noqa: BLE001
-                failure.append(error)
-            finally:
-                started.set()
-
-        loop.create_task(_start())
-        try:
-            loop.run_forever()
-        finally:
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True))
-
-    thread = threading.Thread(target=_run, name="skyline-server",
-                              daemon=True)
-    thread.start()
-    if not started.wait(timeout=start_timeout):
-        raise RuntimeError("server failed to start in time")
-    if failure:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5.0)
-        raise failure[0]
-    return ServerHandle(server, loop, thread)
+def serve_in_thread(server: SkylineServer) -> ServerHandle:
+    """Start ``server`` on background threads and return once it is
+    accepting connections."""
+    server.start()
+    return ServerHandle(server)

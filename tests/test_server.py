@@ -311,6 +311,21 @@ def test_bad_request_fields(served):
     assert response["error"]["code"] == "protocol"
 
 
+@pytest.mark.parametrize("timeout", [True, 0, -1, "1"])
+@pytest.mark.parametrize("batch", [False, True])
+def test_timeout_must_be_positive_seconds(served, timeout, batch):
+    # a JSON true is an int to isinstance, and would run as 1 second
+    _, client, _ = served
+    statement = "SELECT * FROM flat PREFERRING a"
+    message = {"statements": [statement]} if batch \
+        else {"statement": statement}
+    response = client.request(dict(message, timeout=timeout),
+                              raise_errors=False)
+    assert not response["ok"]
+    assert response["error"]["code"] == "protocol"
+    assert "timeout" in response["error"]["message"]
+
+
 def test_malformed_frame_drops_connection(served):
     server, _, _ = served
     host, port = server.address

@@ -6,7 +6,7 @@ The three robustness properties a long-lived service must pin:
   segments (the ``pool_segments`` check from ``conftest``);
 * a client that disconnects mid-query cancels that query through the
   shared :class:`~repro.engine.context.CancellationToken` instead of
-  burning a worker thread to completion;
+  burning its connection thread to completion;
 * a request that exceeds its deadline gets a *structured* timeout
   error and the connection stays usable.
 
@@ -20,6 +20,7 @@ pool closes under it.
 
 from __future__ import annotations
 
+import select
 import socket
 import struct
 import subprocess
@@ -92,7 +93,7 @@ def test_client_disconnect_cancels_query(slow_served):
     before = server.stats()["counters"]["cancelled"]
     client = SkylineClient(handle.address)
     client.send_only({"statement": SLOW_STATEMENT, "no_cache": True})
-    time.sleep(0.3)  # the query is now running in a worker thread
+    time.sleep(0.3)  # the query is now running on its connection thread
     client.close()
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline:
@@ -118,6 +119,57 @@ def test_pipelined_request_not_lost(slow_served):
         assert second["id"] == 2 and second["pong"]
 
 
+def _wait_for_cancel(server, before: int, seconds: float = 5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if server.stats()["counters"]["cancelled"] > before:
+            return True
+        time.sleep(0.02)
+    return False
+
+
+def test_hangup_cancels_a_queued_request():
+    """With the only slot busy, a second client's request waits; its
+    hang-up cancels it in the queue, long before the slot frees up."""
+    server = SkylineServer(port=0, algorithm="bnl", max_inflight=1)
+    server.register("slow", _slow_relation(10_000))
+    with serve_in_thread(server) as handle:
+        with SkylineClient(handle.address) as busy:
+            busy.send_only({"statement": SLOW_STATEMENT, "no_cache": True})
+            time.sleep(0.2)  # the busy query holds the only slot
+            queued = SkylineClient(handle.address)
+            queued.send_only({"statement": SLOW_STATEMENT,
+                              "no_cache": True})
+            time.sleep(0.2)
+            assert server.stats()["active"] == 2
+            before = server.stats()["counters"]["cancelled"]
+            started = time.monotonic()
+            queued.close()
+            assert _wait_for_cancel(server, before)
+            assert time.monotonic() - started < 1.0
+            # cancelled while the busy query still held the slot
+            assert server.stats()["active"] == 1
+            from repro.server.protocol import read_frame
+
+            assert read_frame(busy._sock)["ok"]
+            # the queued query never ran: only the busy one counts
+            assert server.stats()["counters"]["queries"] == 1
+
+
+@pytest.mark.skipif(not hasattr(select, "POLLRDHUP"),
+                    reason="without POLLRDHUP pipelined bytes pause the "
+                           "hang-up watch until the request ends")
+def test_hangup_behind_a_pipelined_request_still_cancels(slow_served):
+    server, handle = slow_served
+    before = server.stats()["counters"]["cancelled"]
+    client = SkylineClient(handle.address)
+    client.send_only({"statement": SLOW_STATEMENT, "no_cache": True})
+    client.send_only({"op": "ping"})
+    time.sleep(0.3)  # the slow query runs; the ping waits unread
+    client.close()
+    assert _wait_for_cancel(server, before)
+
+
 # -- drain on shutdown -------------------------------------------------------
 
 def test_stop_drains_inflight_queries():
@@ -139,6 +191,82 @@ def test_stop_drains_inflight_queries():
         # the in-flight query completed (drained), successfully
         assert response is not None and response["ok"]
     handle.stop()  # idempotent
+
+
+def test_stop_leaks_nothing():
+    """An idle and a busy client: ``stop`` cancels the busy query after
+    the grace period, closes the idle connection and joins every server
+    thread."""
+    existing = set(threading.enumerate())
+    server = SkylineServer(port=0, algorithm="bnl")
+    server.register("slow", _slow_relation())
+    handle = serve_in_thread(server)
+    idle = SkylineClient(handle.address)
+    busy = SkylineClient(handle.address)
+    try:
+        assert idle.ping()
+        busy.send_only({"statement": SLOW_STATEMENT, "no_cache": True})
+        time.sleep(0.2)
+        started = time.monotonic()
+        handle.stop(grace=0.5)
+        assert time.monotonic() - started < 0.5 + 3.0
+        idle._sock.settimeout(5)
+        assert idle._sock.recv(1) == b""
+        left = [thread.name for thread in threading.enumerate()
+                if thread not in existing
+                and thread.name.startswith("skyline-")]
+        assert left == []
+    finally:
+        idle.close()
+        busy.close()
+
+
+def test_concurrent_clients_keep_the_counts():
+    """More clients than slots and cores, with rapid thread switches:
+    every answer is right and the in-flight count returns to zero."""
+    rng = np.random.default_rng(5)
+    relation = Relation.from_array(rng.normal(size=(2_000, 3)),
+                                   names=list("abc"))
+    server = SkylineServer(port=0, max_inflight=2, max_queue=64)
+    server.register("t", relation)
+    statements = ["SELECT * FROM t PREFERRING a & b",
+                  "SELECT * FROM t PREFERRING a * (b & c)",
+                  "SELECT a FROM t PREFERRING c TOP 3"]
+    from repro.server.service import serialize_relation
+    from repro.sql import PreferenceSQL
+
+    library = PreferenceSQL()
+    library.register("t", relation)
+    expected = {statement: serialize_relation(
+        library.execute(statement))["rows"] for statement in statements}
+    wrong: list[str] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serve_in_thread(server) as handle:
+            def client_loop(index: int) -> None:
+                with SkylineClient(handle.address) as client:
+                    for round_ in range(12):
+                        statement = statements[(index + round_) % 3]
+                        response = client.query(
+                            statement, no_cache=round_ % 2 == 0)
+                        if response["rows"] != expected[statement]:
+                            wrong.append(statement)
+
+            threads = [threading.Thread(target=client_loop, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    stats = server.stats()  # after the drain in stop()
+    assert wrong == []
+    assert stats["active"] == 0
+    assert stats["counters"]["queries"] == 6 * 12
+    assert stats["counters"]["errors"] == 0
 
 
 @pytest.mark.skipif(not pool_available(), reason="needs multiprocessing")

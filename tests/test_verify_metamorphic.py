@@ -3,25 +3,27 @@
 The mutation smoke-checks pair every transform with a deliberately
 injected dominance bug of the kind that transform is designed to expose:
 
-=================  =====================================================
-transform          mutant it catches
-=================  =====================================================
-shuffle            prefix-window scan (only compares against earlier
-                   rows, i.e. order-dependent results)
-duplicate          drops duplicate rows before evaluating
-monotone-rescale   sum-based dominance (compares attribute sums)
-relabel            hard-coded column-order chain (ignores the p-graph)
-append-dominated   unconditionally includes the last tuple
-pool-chunked       a worker pool that skips its merge tree (returns the
-                   union of the chunk skylines); a parent-side last
-                   merge that returns its union unmerged
-sharded-2          a shard merge that drops the last shard's survivors
-fused-batch        a fused refinement that skips the shared base screen
-                   (every base survivor answers every member)
-kernel-gemm        a GEMM flag path that never flags the last
-                   ``against`` row (the oracle's bitmask kernel is
-                   unaffected)
-=================  =====================================================
+===================  =====================================================
+transform            mutant it catches
+===================  =====================================================
+shuffle              prefix-window scan (only compares against earlier
+                     rows, i.e. order-dependent results)
+duplicate            drops duplicate rows before evaluating
+monotone-rescale     sum-based dominance (compares attribute sums)
+relabel              hard-coded column-order chain (ignores the p-graph)
+append-dominated     unconditionally includes the last tuple
+pool-chunked         a worker pool that skips its merge tree (returns the
+                     union of the chunk skylines); a parent-side last
+                     merge that returns its union unmerged
+sharded-2            a shard merge that drops the last shard's survivors
+snapshot-isolation   a snapshot that reads the live shards, so writes
+                     made after the pin leak into its answer
+fused-batch          a fused refinement that skips the shared base screen
+                     (every base survivor answers every member)
+kernel-gemm          a GEMM flag path that never flags the last
+                     ``against`` row (the oracle's bitmask kernel is
+                     unaffected)
+===================  =====================================================
 """
 
 import random
@@ -181,6 +183,27 @@ class TestMutantsAreCaught:
         assert not _catches("sharded-2", osdc, ranks, graph, seeds=[0])
         monkeypatch.setattr(sharding, "sharded_pskyline", drop_last_shard)
         assert _catches("sharded-2", osdc, ranks, graph, seeds=[0])
+
+    def test_snapshot_isolation_catches_a_live_snapshot(self,
+                                                        monkeypatch):
+        from repro.core.sharding import ShardedRelation, ShardSnapshot
+
+        pinned = {name: getattr(ShardSnapshot, name)
+                  for name in ("relation", "global_ids")}
+
+        def live(name):
+            def read(snapshot):
+                # re-materialise the owner's current shards on every read
+                with ShardedRelation.snapshot(snapshot._owner) as current:
+                    return pinned[name].fget(current)
+            return property(read)
+
+        ranks = _anti_correlated(12)
+        graph = PGraph.from_expression(parse("A * B"))
+        assert not _catches("snapshot-isolation", osdc, ranks, graph)
+        for name in pinned:
+            monkeypatch.setattr(ShardSnapshot, name, live(name))
+        assert _catches("snapshot-isolation", osdc, ranks, graph)
 
     def test_fused_batch_catches_a_skipped_base_screen(self, monkeypatch):
         from repro.core import fusion
