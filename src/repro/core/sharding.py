@@ -395,7 +395,10 @@ class _Shard:
             return self._cache[1], self._cache[2], self._cache[3]
         slots = np.flatnonzero(self.alive[: self.size])
         values = self.values[slots] if self.values is not None else None
-        relation = Relation(schema, self.ranks[slots], values)
+        # np.take gathers whole rows about 3x faster than fancy
+        # indexing; the copy is on every pin after a write
+        relation = Relation(schema, np.take(self.ranks, slots, axis=0),
+                            values)
         gids = self.gids[slots].copy()
         gids.setflags(write=False)
         slots.setflags(write=False)
@@ -466,28 +469,36 @@ class ShardSnapshot:
         return np.concatenate(self.gids)
 
     def take_gids(self, gids) -> Relation:
-        """The snapshot rows with the given global ids, in id order."""
-        wanted = np.sort(np.asarray(gids, dtype=np.intp))
+        """The snapshot rows with the given global ids, in id order.
+
+        A repeated id counts once; ids the snapshot does not hold raise
+        :class:`KeyError` naming them.
+        """
+        wanted = np.unique(np.asarray(gids, dtype=np.intp))
+        found = np.zeros(wanted.size, dtype=bool)
         pieces: list[Relation] = []
         piece_gids: list[np.ndarray] = []
         for shard, shard_gids in zip(self.shards, self.gids):
+            if not shard_gids.size:
+                continue
+            # a shard's gids increase with its slots (appends only ever
+            # grow them), so one searchsorted finds every hit
             positions = np.searchsorted(shard_gids, wanted)
-            positions = positions[positions < shard_gids.size]
-            hits = positions[np.isin(shard_gids[positions], wanted)]
-            hits = np.unique(hits)
-            if hits.size:
-                pieces.append(shard.take(hits))
-                piece_gids.append(shard_gids[hits])
-        if not pieces:
-            return self.relation.take(np.empty(0, dtype=np.intp))
-        found = np.concatenate(piece_gids)
-        if found.size != wanted.size:
-            missing = sorted(set(wanted.tolist()) - set(found.tolist()))
+            hit = shard_gids[np.minimum(positions,
+                                        shard_gids.size - 1)] == wanted
+            if hit.any():
+                found |= hit
+                pieces.append(shard.take(positions[hit]))
+                piece_gids.append(wanted[hit])
+        if not found.all():
             raise KeyError(
                 f"global id(s) not in snapshot version {self.version}: "
-                f"{missing[:8]}")
+                f"{wanted[~found][:8].tolist()}")
+        if not pieces:  # nothing asked for: no rows to gather
+            return self.shards[0].take(wanted)
         combined = Relation.concat(pieces)
-        return combined.take(np.argsort(found, kind="stable"))
+        return combined.take(np.argsort(np.concatenate(piece_gids),
+                                        kind="stable"))
 
     def close(self) -> None:
         """Release the reader reference (idempotent)."""

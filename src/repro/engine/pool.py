@@ -248,6 +248,15 @@ def _reject_nans(nan_columns: frozenset, columns) -> None:
         raise ValueError("rank matrix contains NaNs")
 
 
+def _row_slices(n: int, chunks: int) -> list:
+    """``chunks`` near-equal ``("slice", (start, stop))`` row tasks
+    covering rows ``0:n`` -- the one slicing rule of every pooled
+    scan, flat or sharded."""
+    bounds = np.linspace(0, n, chunks + 1, dtype=np.intp)
+    return [("slice", (int(bounds[i]), int(bounds[i + 1])))
+            for i in range(chunks)]
+
+
 def _take_rows(part, offsets, width: int, indices) -> np.ndarray:
     """Rows ``indices`` of a virtual concatenation: ``part(i)`` is the
     array covering rows ``offsets[i]:offsets[i + 1]``."""
@@ -667,12 +676,9 @@ class WorkerPool:
         with self._lock:
             registration = self.register(ranks)
             _reject_nans(registration.nan_columns, columns)
-            bounds = np.linspace(0, n, chunks + 1, dtype=np.intp)
-            row_tasks = [("slice", (int(bounds[i]), int(bounds[i + 1])))
-                         for i in range(chunks)]
             return self._scatter_gather(
                 registration.spec, graph, rows_of=ranks.__getitem__,
-                row_tasks=row_tasks, algorithm=algorithm,
+                row_tasks=_row_slices(n, chunks), algorithm=algorithm,
                 columns=columns, options=options, context=context)
 
     def run_sharded(self, arrays, graph, *, algorithm: str = "osdc",
@@ -686,11 +692,13 @@ class WorkerPool:
         Each shard is registered into shared memory on its own, so a
         mutation to one shard of a
         :class:`~repro.core.sharding.ShardedRelation` invalidates only
-        that shard's registration on the next query.  Chunk boundaries
-        never cross shards: each shard is split into enough slices that
-        no task exceeds roughly ``n / processes`` rows, then all slices
-        are scattered and tree-merged exactly like :meth:`run_query`,
-        which also rejects NaNs in the columns read the same way.
+        that shard's registration on the next query.  The virtual rows
+        are sliced exactly like :meth:`run_query` slices a matrix: one
+        near-equal slice per worker, whatever the shard boundaries (the
+        partition identity holds for any partition, so a slice that
+        spans shards is gathered across their segments in the worker).
+        The slices are merged like :meth:`run_query`'s, which also
+        rejects NaNs in the columns read the same way.
         """
         from ..algorithms.base import ensure_context
 
@@ -705,20 +713,10 @@ class WorkerPool:
                 return np.empty(0, dtype=np.intp)
             spec, nan_columns = self._register_sharded(arrays)
             _reject_nans(nan_columns, columns)
-            target = max(1, -(-n // self.processes))  # ceil division
-            row_tasks = []
-            for index, array in enumerate(arrays):
-                base = spec.offsets[index]
-                rows = int(array.shape[0])
-                pieces = max(1, -(-rows // target))
-                bounds = np.linspace(0, rows, pieces + 1, dtype=np.intp)
-                row_tasks.extend(
-                    ("slice", (int(base + bounds[i]),
-                               int(base + bounds[i + 1])))
-                    for i in range(pieces))
             return self._scatter_gather(
                 spec, graph, rows_of=_virtual_rows(arrays),
-                row_tasks=row_tasks, algorithm=algorithm, columns=columns,
+                row_tasks=_row_slices(n, min(self.processes, n)),
+                algorithm=algorithm, columns=columns,
                 options=options, context=context,
                 pool_extra={"shards": len(arrays)})
 

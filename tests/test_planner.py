@@ -1,5 +1,7 @@
 """Tests for the cost-based planner and ``algorithm='auto'``."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,7 @@ class TestShardedPlan:
 
         monkeypatch.setattr(planner_module, "estimate_pskyline_size",
                             spy_estimate)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # scatters
         relation = ShardedRelation.from_array(
             nrng.integers(0, 20, size=(3000, 5)).astype(float),
             names=[f"A{i}" for i in range(5)], shards=3)
@@ -195,7 +198,8 @@ class TestAutoMatchesOsdc:
                               p_skyline(ranks, text, algorithm="osdc"))
 
     @pytest.mark.parametrize("seed", range(9))
-    def test_sharded_snapshot_with_columns(self, seed):
+    def test_sharded_snapshot_with_columns(self, seed, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # scatters
         ranks, names, text = self._case(seed)
         relation = ShardedRelation.from_array(ranks, names=names,
                                               shards=3)

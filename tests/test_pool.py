@@ -127,6 +127,79 @@ class TestWorkerStatsAggregation:
         assert stats.extra["pool"]["merge_rounds"] == 1
 
 
+@pytest.fixture(scope="module", params=[1, 2, 3],
+                ids=lambda workers: f"{workers}w")
+def sized_pool(request):
+    with WorkerPool(request.param) as pool:
+        yield pool
+
+
+def _shard_arrays(sizes, seed: int, dims: int = 6) -> list:
+    nrng = np.random.default_rng(seed)
+    arrays = [nrng.integers(0, 15, size=(size, dims)).astype(float)
+              for size in sizes]
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+class TestShardedSlices:
+    """``run_sharded`` cuts the virtual rows into one slice per worker,
+    whatever the shard boundaries; a slice spanning shards is gathered
+    across their segments, and the answer is ``osdc`` on the
+    concatenation."""
+
+    @pytest.mark.parametrize("sizes", [
+        [1, 700, 1, 298],       # 1-row shards at both ends of a slice
+        [333, 1, 1, 665],       # uneven, with 1-row shards mid-slice
+        [500, 500],             # 2 workers: the cut is the shard offset
+        [250, 250, 250, 250],   # 2 workers: cut on the middle offset
+        [1, 1, 1],              # one row per slice on 3 workers
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_osdc_on_the_concatenation(self, sized_pool, queued,
+                                               sizes, seed, rng):
+        rng.seed(100 * seed + len(sizes))
+        arrays = _shard_arrays(sizes, seed)
+        # a permuted column subset of the six stored columns
+        columns = rng.sample(range(6), rng.randint(2, 5))
+        names = [f"A{i}" for i in range(len(columns))]
+        graph = PGraph.from_expression(random_expression(names, rng),
+                                       names=names)
+        stats = Stats()
+        got = sized_pool.run_sharded(arrays, graph, columns=columns,
+                                     context=ExecutionContext(stats=stats))
+        union = np.vstack(arrays)
+        expected = osdc(np.ascontiguousarray(union[:, columns]), graph)
+        assert np.array_equal(got, np.sort(expected))
+        n = union.shape[0]
+        chunks = min(sized_pool.processes, n)
+        bounds = np.linspace(0, n, chunks + 1, dtype=np.intp).tolist()
+        assert [spec["rows"] for spec in queued[0]] == [
+            ("slice", (start, stop))
+            for start, stop in zip(bounds, bounds[1:])]
+        assert stats.extra["pool"]["chunks"] == chunks
+        assert stats.extra["pool"]["shards"] == len(sizes)
+
+    def test_one_slice_per_worker_and_one_parent_merge(self, pool,
+                                                       queued):
+        arrays = _shard_arrays([240, 260, 250, 250], seed=7)
+        graph = PGraph.from_expression(parse("(A & B) * C"))
+        stats = Stats()
+        got = pool.run_sharded(arrays, graph, columns=[5, 0, 3],
+                               context=ExecutionContext(stats=stats))
+        union = np.vstack(arrays)
+        assert np.array_equal(
+            got, osdc(np.ascontiguousarray(union[:, [5, 0, 3]]), graph))
+        # two chunk tasks, no pooled merge round: the last (only) pair
+        # is merged in the parent
+        assert [len(specs) for specs in queued] == [2]
+        info = stats.extra["pool"]
+        assert info["chunks"] == pool.processes == 2
+        assert info["merge_rounds"] == 1 and info["tasks"] == 2
+        assert "parent" in info["per_worker_dominance_tests"]
+
+
 class TestInterruption:
     def test_cancel_mid_query_from_the_pool(self, nrng):
         """A token cancelled mid-flight aborts the pooled query with

@@ -1,5 +1,6 @@
 """Tests for sharded, MVCC-versioned relations (core.sharding)."""
 
+import os
 import threading
 
 import numpy as np
@@ -253,6 +254,35 @@ class TestSnapshotIsolation:
             with pytest.raises(KeyError, match="not in snapshot"):
                 snapshot.take_gids([0, 77])
 
+    def test_take_gids_rejects_only_unknown_ids(self, nrng):
+        relation = ShardedRelation.from_array(
+            nrng.normal(size=(10, 2)), names=["A0", "A1"], shards=2)
+        with relation.snapshot() as snapshot:
+            with pytest.raises(KeyError, match="1000000"):
+                snapshot.take_gids([10**6])
+
+    def test_take_gids_counts_a_repeated_id_once(self, nrng):
+        ranks = nrng.normal(size=(10, 2))
+        relation = ShardedRelation.from_array(ranks, names=["A0", "A1"],
+                                              shards=2)
+        with relation.snapshot() as snapshot:
+            got = snapshot.take_gids([7, 3, 7, 3])
+        assert np.array_equal(got.ranks, ranks[[3, 7]])
+
+    def test_take_gids_of_nothing_skips_the_concatenation(
+            self, monkeypatch, nrng):
+        relation = ShardedRelation.from_array(
+            nrng.normal(size=(10, 2)), names=["A0", "A1"], shards=2)
+
+        def no_concat(relations):
+            raise AssertionError("the whole snapshot was concatenated")
+
+        with relation.snapshot() as snapshot:
+            monkeypatch.setattr(Relation, "concat", no_concat)
+            got = snapshot.take_gids([])
+        assert got.ranks.shape == (0, 2)
+        assert got.names == ("A0", "A1")
+
 
 class TestQueryDispatch:
     def test_p_skyline_accepts_sharded_relations(self, nrng):
@@ -317,7 +347,18 @@ class TestPlannerShardRule:
             plan = Planner().plan_sharded(snapshot, _graph("A0 & A1", 2))
         assert plan.algorithm == "sharded-serial"
 
-    def test_large_snapshots_scatter_gather(self, nrng):
+    def test_one_core_stays_serial(self, monkeypatch, nrng):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        relation = ShardedRelation.from_array(
+            nrng.normal(size=(3000, 2)), names=["A0", "A1"], shards=2)
+        with relation.snapshot() as snapshot:
+            plan = Planner(sharded_threshold=1000).plan_sharded(
+                snapshot, _graph("A0 & A1", 2))
+        assert plan.algorithm == "sharded-serial"
+        assert "one core" in plan.reason
+
+    def test_large_snapshots_scatter_gather(self, monkeypatch, nrng):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         ranks = nrng.normal(size=(3000, 2))
         relation = ShardedRelation.from_array(ranks, names=["A0", "A1"],
                                               shards=2)
