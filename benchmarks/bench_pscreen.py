@@ -60,34 +60,6 @@ def test_pscreen_quadratic(benchmark, screening_problem):
     benchmark.extra_info["survivors"] = result
 
 
-@pytest.mark.parametrize("kernel", ["bitmask", "gemm"])
-def test_screen_block_kernel(benchmark, screening_problem, kernel):
-    """The same quadratic screen, one measurement per bulk kernel."""
-    ranks, graph, b_idx, w_idx = screening_problem
-    dominance = Dominance(graph).prepare()
-    benchmark.group = "screen_block kernels 10k rows"
-    result = benchmark.pedantic(
-        lambda: int(dominance.screen_block(ranks[w_idx], ranks[b_idx],
-                                           kernel=kernel).sum()),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    benchmark.extra_info["survivors"] = result
-
-
-def test_screen_block_scalar_kernel(benchmark, screening_problem):
-    """Scalar reference kernel on a 500-row slice (it is O(n*m) Python)."""
-    ranks, graph, b_idx, w_idx = screening_problem
-    dominance = Dominance(graph)
-    block, against = ranks[w_idx[:500]], ranks[b_idx[:500]]
-    benchmark.group = "screen_block kernels 500 rows"
-    result = benchmark.pedantic(
-        lambda: int(dominance.screen_block(block, against,
-                                           kernel="scalar").sum()),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    benchmark.extra_info["survivors"] = result
-
-
 def test_extension_sort(benchmark, screening_problem):
     ranks, graph, _, _ = screening_problem
     extension = ExtensionOrder(graph)

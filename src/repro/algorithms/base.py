@@ -226,28 +226,15 @@ def resolve_kernel(dominance, context: ExecutionContext,
                    pairs: int | None = None) -> str:
     """Resolve an algorithm's dominance-kernel choice once per run.
 
-    Returns the concrete kernel name (``"native"`` / ``"bitmask"`` /
-    ``"gemm"`` / ``"scalar"``), recording it in ``Stats.extra["kernel"]``
-    and as a ``kernel-select`` trace event so bench artifacts and
-    ``explain`` output show which family did the work.  ``pairs`` is the
-    expected per-block comparison count the auto policy sizes against.
-
-    When ``"native"`` was requested (explicitly or through
-    :func:`~repro.core.dominance.forced_kernel`) but its compiled
-    backend is unavailable, the selection degrades to ``"bitmask"`` and
-    the precise reason (``numba missing`` vs ``JIT compile failed``)
-    lands in the trace ring as a ``kernel-fallback`` event.
+    Returns the concrete kernel name (``"bitmask"`` / ``"gemm"`` /
+    ``"scalar"``), recording it in ``Stats.extra["kernel"]`` and as a
+    ``kernel-select`` trace event so bench artifacts and ``explain``
+    output show which family did the work.  ``pairs`` is the expected
+    per-block comparison count the auto policy sizes against.
     """
-    from ..core.dominance import current_forced_kernel, select_kernel
+    from ..core.dominance import select_kernel
 
-    requested = current_forced_kernel() or kernel
     resolved = select_kernel(kernel, d=dominance.graph.d, pairs=pairs)
-    if requested == "native" and resolved != "native":
-        from ..core.native import unavailable_reason
-
-        context.event("kernel-fallback", requested="native",
-                      kernel=resolved,
-                      reason=unavailable_reason() or "width limit")
     if context.stats is not None:
         context.stats.extra["kernel"] = resolved
     context.event("kernel-select", kernel=resolved)

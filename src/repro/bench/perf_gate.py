@@ -4,10 +4,9 @@
 ``python -m repro.bench.perf_gate``, the same parser) runs the named
 tiers and writes one JSON artifact per tier into ``--out`` (default
 ``bench-out/``), named after the tier's committed baseline
-(``BENCH_4.json`` ... ``BENCH_9.json`` at the repo root), so a baseline
+(``BENCH_4.json`` ... ``BENCH_8.json`` at the repo root), so a baseline
 is only regenerated by an explicit ``--out .``.  With no tier named it
-prints the host tag -- cores and per-backend availability with its
-reason -- and the tier catalogue.
+prints the host tag -- the core count -- and the tier catalogue.
 
 Every tier is declared once in :data:`TIERS`: its baseline file, a
 workload function returning the artifact payload, and a tuple of
@@ -29,10 +28,10 @@ declarative :class:`Check` objects of five kinds:
   compare).
 
 A check that cannot be measured on this host or at this scale -- fewer
-cores than workers, no compiled backend, quick workloads, no comparable
-baseline -- is *waived*: each waiver is a predicate on the artifact's
-host tag or scale, and a waived check records ``"unmeasured: <reason>"``,
-never a pass.  Every artifact carries the resulting ``verdicts`` map
+cores than workers, quick workloads, no comparable baseline -- is
+*waived*: each waiver is a predicate on the artifact's host tag or
+scale, and a waived check records ``"unmeasured: <reason>"``, never a
+pass.  Every artifact carries the resulting ``verdicts`` map
 (check -> ``pass`` / ``fail: ...`` / ``unmeasured: ...``); ``--check``
 exits non-zero when any verdict fails.
 """
@@ -54,8 +53,7 @@ from ..core.bitsets import iter_bits
 
 __all__ = ["Check", "Tier", "TIERS", "host_tag", "evaluate", "render",
            "kernel_workload", "run_kernel_bench", "run_algorithm_bench",
-           "run_gate", "run_native_gate", "run_parallel_gate",
-           "run_sharded_gate",
+           "run_gate", "run_parallel_gate", "run_sharded_gate",
            "run_server_gate", "run_batch_gate", "main"]
 
 #: Pinned workload parameters.  Changing any of these invalidates the
@@ -107,8 +105,7 @@ TIME_FACTOR = 10.0
 #: or start-up removed, so they gate on every host.  The default path
 #: at the planner's parallel threshold must beat serial ``osdc`` end to
 #: end (``MAX_AUTO_OVER_OSDC``) wherever the host has a core per pool
-#: worker.  The native speedup needs the compiled backend (without it
-#: the fallback contract gates instead).
+#: worker.
 MIN_SPEEDUP = 2.0
 MIN_PARALLEL_SPEEDUP = 2.0
 SINGLE_CORE_OVERHEAD = 2.5
@@ -119,27 +116,15 @@ MIN_SHARDED_SPEEDUP = 1.3
 MAX_INSERT_OVERHEAD = 1.2
 MIN_CACHE_SPEEDUP = 2.0
 MIN_FUSED_SPEEDUP = 2.0
-MIN_NATIVE_SPEEDUP = 2.0
 
 
 # -- host tag ----------------------------------------------------------------
 
 def host_tag() -> dict:
-    """The ``host`` stamped into every artifact.
-
-    ``cpu_count`` is the host *shape* that wall-time checks compare;
-    ``backends`` reports each kernel backend's availability (with the
-    reason an optional one is off).
-    """
-    from ..core import native
-    from ..core.dominance import KERNELS
-
-    backends = {}
-    for name in KERNELS:
-        ok, reason = (native.availability() if name == "native"
-                      else (True, None))
-        backends[name] = "available" if ok else f"unavailable ({reason})"
-    return {"cpu_count": os.cpu_count() or 1, "backends": backends}
+    """The ``host`` stamped into every artifact: ``cpu_count``, the host
+    *shape* that wall-time checks compare.  Every kernel family is pure
+    NumPy and always available, so nothing else varies by host."""
+    return {"cpu_count": os.cpu_count() or 1}
 
 
 def _shape(artifact: dict) -> dict | None:
@@ -222,9 +207,6 @@ def run_kernel_bench(dims: int, rows: int, seed: int = SEED,
     if "bitmask" in record["timings"] and "gemm" in record["timings"]:
         record["speedup_bitmask_over_gemm"] = (
             record["timings"]["gemm"] / record["timings"]["bitmask"])
-    if "native" in record["timings"] and "bitmask" in record["timings"]:
-        record["speedup_native_over_bitmask"] = (
-            record["timings"]["bitmask"] / record["timings"]["native"])
     return record
 
 
@@ -258,8 +240,6 @@ def run_algorithm_bench(name: str, ranks: np.ndarray, graph) -> dict:
 
 def run_gate(*, quick: bool = False) -> dict:
     """The ``kernels`` tier: per-kernel screens plus scan/D&C runs."""
-    from ..core.dominance import native_available
-
     kernel_rows = 4_000 if quick else KERNEL_ROWS
     algo_rows = 2_000 if quick else ALGO_ROWS
     kernels = [run_kernel_bench(dims, kernel_rows) for dims in KERNEL_DIMS]
@@ -278,39 +258,14 @@ def run_gate(*, quick: bool = False) -> dict:
         {"kernel_rows": kernel_rows, "kernel_dims": list(KERNEL_DIMS),
          "algorithm_rows": algo_rows, "algorithm_dims": ALGO_DIMS,
          "algorithms": list(GATE_ALGORITHMS)},
-        native_available=native_available(), kernels=kernels + [parity],
+        kernels=kernels + [parity],
         algorithms=algorithms)
-
-
-def run_native_gate(*, quick: bool = False) -> dict:
-    """The ``native`` tier: BENCH_4's screens re-timed ``native`` versus
-    ``bitmask``.  Without the compiled backend the ``native`` pass
-    exercises the graceful fallback (a second bitmask run) and the
-    artifact records the reason plus the kernel it resolved to."""
-    from ..core import native as native_backend
-    from ..core.dominance import select_kernel
-
-    rows = 4_000 if quick else KERNEL_ROWS
-    available, reason = native_backend.availability()
-    screens = []
-    for dims in KERNEL_DIMS:
-        record = run_kernel_bench(dims, rows, kernels=("bitmask", "native"))
-        record["name"] = f"native-screen-d{dims}"
-        screens.append(record)
-    return _artifact(
-        "repro-perf-gate-native/1", quick,
-        {"kernel_rows": rows, "kernel_dims": list(KERNEL_DIMS)},
-        native_available=available, native_reason=reason,
-        fallback_kernel=select_kernel("native", d=KERNEL_DIMS[0],
-                                      pairs=1 << 20),
-        screens=screens)
 
 
 def run_parallel_gate(*, quick: bool = False) -> dict:
     """The ``pool`` tier (:mod:`repro.bench.pool_bench`).  The auto
     workload stays at the planner's parallel threshold in quick mode
     too: below it no query would reach the pool."""
-    from ..core.dominance import native_available
     from ..planner import DEFAULT_PLANNER
     from .pool_bench import measure_auto, measure_batch, measure_parallel
 
@@ -326,7 +281,6 @@ def run_parallel_gate(*, quick: bool = False) -> dict:
         {"parallel_rows": parallel_rows, "batch_rows": batch_rows,
          "batch_queries": batch_queries, "dims": PARALLEL_DIMS,
          "workers": PARALLEL_WORKERS, "auto_rows": auto_rows},
-        native_available=native_available(),
         parallel=measure_parallel(parallel_rows, PARALLEL_DIMS,
                                   workers=PARALLEL_WORKERS, seed=SEED),
         batch=measure_batch(batch_rows, PARALLEL_DIMS,
@@ -466,13 +420,6 @@ def _quick_scale(current, baseline):
         return "quick scale: workloads too small for a stable ratio"
 
 
-def _backend_differs(key: str) -> Waiver:
-    def waiver(current, baseline):
-        if current.get(key, False) != baseline.get(key, False):
-            return f"{key} differs from the baseline's"
-    return waiver
-
-
 def _fewer_cores(need: int | Callable[[dict], int], noun: str,
                  tail: str) -> Waiver:
     def waiver(current, baseline):
@@ -486,20 +433,6 @@ def _fewer_cores(need: int | Callable[[dict], int], noun: str,
 
 def _workload(key: str) -> Callable[[dict], int]:
     return lambda artifact: artifact["workload"][key]
-
-
-def _native_off(current, baseline):
-    if not current.get("native_available"):
-        return (f"compiled backend unavailable "
-                f"({current.get('native_reason')}): the "
-                f"{MIN_NATIVE_SPEEDUP:.1f}x native-over-bitmask check is "
-                "replaced by the fallback-parity check (native requests "
-                "resolve to bitmask; survivors stay exact)")
-
-
-def _native_on(current, baseline):
-    if current.get("native_available"):
-        return "compiled backend available: no fallback reason to record"
 
 
 def _auto_serial(current, baseline):
@@ -604,28 +537,10 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
              Check("exact", "kernels", "survivors"),
              Check("time", "kernels", "timings"),
              Check("exact", "algorithms", "output_size"),
-             Check("exact", "algorithms", "kernel",
-                   waivers=(_backend_differs("native_available"),)),
+             Check("exact", "algorithms", "kernel"),
              *_each("close", "algorithms",
                     ("dominance_tests", "passes", "recursive_calls")),
              Check("time", "algorithms", "seconds"))),
-    Tier("native", "BENCH_9.json",
-         "compiled native vs bitmask screens, or the graceful fallback "
-         "without numba", run_native_gate, (
-             Check("equal", "", "fallback_kernel",
-                   lambda a: "native" if a.get("native_available")
-                   else "bitmask"),
-             Check("equal", "", "native_reason", True,
-                   value=lambda a: bool(a.get("native_reason")),
-                   waivers=(_native_on,)),
-             Check("floor", "screens", "speedup_native_over_bitmask",
-                   MIN_NATIVE_SPEEDUP, waivers=(
-                       _native_off,
-                       _fewer_cores(2, "", "scheduler noise dominates "
-                                    "the native-over-bitmask speedup"))),
-             Check("exact", "screens", "survivors"),
-             Check("time", "screens", "timings",
-                   waivers=(_backend_differs("native_available"),)))),
     Tier("pool", "BENCH_5.json",
          "serial vs cold vs warm worker pool, a warm query batch vs "
          "cold calls, and auto vs osdc at the parallel threshold",
@@ -653,8 +568,7 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
                        f"the {MAX_AUTO_OVER_OSDC:.1f}x auto-over-osdc "
                        "ceiling needs a core per worker"), _auto_serial)),
              *_each("exact", "parallel", ("output_size", "chunk_skylines")),
-             Check("exact", "parallel", "kernel",
-                   waivers=(_backend_differs("native_available"),)),
+             Check("exact", "parallel", "kernel"),
              *_each("close", "parallel",
                     ("serial_dominance_tests", "pooled_dominance_tests")),
              Check("exact", "batch", "output_sizes"),
@@ -722,13 +636,6 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
 
 # -- entry point -------------------------------------------------------------
 
-def _render_host(host: dict) -> str:
-    lines = [f"host: {host['cpu_count']} core(s)"]
-    lines += [f"  {name}: {state}"
-              for name, state in host["backends"].items()]
-    return "\n".join(lines)
-
-
 def render(tier: Tier, artifact: dict) -> str:
     """One line per verdict, under a per-tier tally."""
     verdicts = artifact["verdicts"]
@@ -772,7 +679,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown tier(s) {', '.join(unknown)}; choose from "
                      f"{', '.join(TIERS)}")
-    print(_render_host(host_tag()))
+    print(f"host: {host_tag()['cpu_count']} core(s)")
     if not arguments.tiers:
         print("tiers:")
         for tier in TIERS.values():

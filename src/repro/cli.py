@@ -44,7 +44,7 @@ Sub-commands:
     ``python -m repro.bench.perf_gate``; no tier prints the host tag
     and the tier catalogue)::
 
-        repro-skyline gate kernels native --quick --check
+        repro-skyline gate kernels --quick --check
 
 ``verify``
     Run the differential/metamorphic correctness fuzzer (delegates to

@@ -6,7 +6,7 @@ distinguishable and
 
 .. math::  Desc(Better(t', t)) \\supseteq Better(t, t')
 
-Four kernel families implement this:
+Three kernel families implement this:
 
 * **scalar** kernels represent attribute sets as Python-int bitmasks --
   ``(b1 | b2) != 0 and b2 & ~desc_union(b1) == 0`` -- and serve the
@@ -22,15 +22,7 @@ Four kernel families implement this:
   single gather from a precomputed dense ``desc_union[mask]`` table of
   ``2^d`` entries; above that it is an OR-reduction over the set-bit
   columns.  All temporaries live in a per-thread workspace arena, so
-  steady-state screening performs no allocation;
-* **native** kernels (:mod:`repro.core.native`, optional) compile the
-  same packed Proposition 1 screen with numba
-  (``@njit(cache=True, nogil=True)``) into per-pair machine loops with
-  a per-row early exit, operating in place on the workspace arena --
-  the zero-allocation ceiling the bitmask family still pays ufunc
-  dispatch against.  When numba is missing or compilation fails, any
-  ``"native"`` request degrades gracefully to ``"bitmask"`` (callers
-  surface the reason; see :func:`repro.algorithms.base.resolve_kernel`).
+  steady-state screening performs no allocation.
 
 The per-call kernel is picked by :func:`select_kernel` (``"auto"``
 resolves by dimensionality and block size); :func:`forced_kernel` is a
@@ -56,7 +48,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import native as _native
 from .bitsets import iter_bits
 from .pgraph import PGraph
 
@@ -66,11 +57,8 @@ __all__ = ["Dominance", "KERNELS", "DENSE_TABLE_LIMIT",
            "screen_block_multi"]
 
 #: The concrete kernel families (``"auto"`` additionally resolves to one
-#: of these through :func:`select_kernel`).  ``"native"`` is only served
-#: when its compiled backend is importable (see
-#: :func:`repro.core.native.availability`); selections degrade to
-#: ``"bitmask"`` otherwise.
-KERNELS = ("native", "bitmask", "gemm", "scalar")
+#: of these through :func:`select_kernel`).
+KERNELS = ("bitmask", "gemm", "scalar")
 
 #: Largest dimensionality for which the bitmask family materialises the
 #: dense ``desc_union[mask]`` lookup table (``2^d`` entries).
@@ -108,9 +96,10 @@ def _mask_dtype_for(d: int) -> np.dtype:
 # -- kernel selection --------------------------------------------------------
 
 def native_available() -> bool:
-    """True iff the compiled ``native`` backend is usable (probes and
-    JIT-warms :mod:`repro.core.native` on first call)."""
-    return _native.available()
+    """Always ``False``: the compiled kernel family was removed.  Kept
+    only because ``e2e/`` reads it for its host tag; delete it when the
+    benchmark stops doing so."""
+    return False
 
 
 _FORCED = threading.local()
@@ -149,13 +138,6 @@ def select_kernel(kernel: str | None = None, *, d: int,
     expected number of ``pairs`` per block) or a concrete name.  A
     :func:`forced_kernel` override on the current thread wins over
     everything.
-
-    ``"auto"`` prefers ``"native"`` whenever its compiled backend is
-    importable and ``d`` fits the packed width; an explicit or forced
-    ``"native"`` request degrades gracefully to ``"bitmask"`` when the
-    backend is unavailable (the reason is queryable through
-    :func:`repro.core.native.availability` -- callers with a context
-    record it as a ``kernel-fallback`` trace event).
     """
     forced = current_forced_kernel()
     if forced is not None:
@@ -165,16 +147,14 @@ def select_kernel(kernel: str | None = None, *, d: int,
             return "gemm"
         if pairs is not None and pairs < SMALL_BLOCK_PAIRS:
             return "gemm"
-        return "native" if native_available() else "bitmask"
+        return "bitmask"
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; choose from {KERNELS} or 'auto'")
-    if kernel in ("bitmask", "native") and d > BITMASK_WIDTH_LIMIT:
+    if kernel == "bitmask" and d > BITMASK_WIDTH_LIMIT:
         raise ValueError(
             f"{kernel} kernels support at most {BITMASK_WIDTH_LIMIT} "
             f"attributes, got {d}")
-    if kernel == "native" and not native_available():
-        return "bitmask"
     return kernel
 
 
@@ -289,8 +269,7 @@ class Dominance:
     """Dominance oracle for a fixed p-graph over ``d`` rank columns."""
 
     __slots__ = ("graph", "desc", "_desc_matrix", "_ones", "_mask_dtype",
-                 "_powers64", "_closure_masks", "_table", "_closures64",
-                 "_table64")
+                 "_powers64", "_closure_masks", "_table")
 
     def __init__(self, graph: PGraph):
         self.graph = graph
@@ -318,39 +297,16 @@ class Dominance:
             self._powers64 = None
             self._closure_masks = None
         self._table = None  # dense desc_union table, built lazily
-        self._closures64 = None  # uint64 views for the native backend
-        self._table64 = None
 
     def prepare(self) -> "Dominance":
         """Eagerly build the lazy bitmask tables (idempotent).
 
         :class:`~repro.engine.compiled.CompiledPreference` calls this at
         compile time so cached preferences never pay the table build on
-        the query path.  When the compiled native backend is importable
-        its uint64 operand views are built here too.
+        the query path.
         """
         self._dense_table()
-        if self._mask_dtype is not None and native_available():
-            self._native_tables()
         return self
-
-    def _native_tables(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """``(closures, table, use_table)`` as the uint64 operands the
-        native kernels are compiled for (built once, cached)."""
-        closures = self._closures64
-        if closures is None:
-            closures = np.ascontiguousarray(self._closure_masks,
-                                            dtype=np.uint64)
-            self._closures64 = closures
-        table = self._dense_table()
-        if table is None:
-            return closures, _native.EMPTY_TABLE, False
-        table64 = self._table64
-        if table64 is None:
-            table64 = np.ascontiguousarray(table, dtype=np.uint64)
-            table64.setflags(write=False)
-            self._table64 = table64
-        return closures, table64, True
 
     def _dense_table(self) -> np.ndarray | None:
         """The ``desc_union[mask]`` table, or ``None`` when ``d`` exceeds
@@ -515,19 +471,6 @@ class Dominance:
         np.logical_and(out, bool_tmp, out=out)
         return out
 
-    def _native_flags(self, block: np.ndarray, against: np.ndarray,
-                      arena: _Workspace) -> np.ndarray:
-        """``(b, a)`` booleans via the compiled backend (arena-backed,
-        same contract as :meth:`_bitmask_flags`)."""
-        block = np.ascontiguousarray(block, dtype=np.float64)
-        against = np.ascontiguousarray(against, dtype=np.float64)
-        closures, table, use_table = self._native_tables()
-        out = arena.get("out", (block.shape[0], against.shape[0]),
-                        np.bool_)
-        _native.pair_flags(block, against, closures, table, use_table,
-                           out)
-        return out
-
     def _scalar_flags(self, block: np.ndarray,
                       against: np.ndarray) -> np.ndarray:
         """``(b, a)`` booleans via per-pair scalar tests (reference)."""
@@ -544,20 +487,15 @@ class Dominance:
         """Dispatch ``(b, a)`` pairwise flags to a concrete kernel.
 
         ``kernel`` must already be concrete (see :func:`select_kernel`).
-        The result may be arena-backed (bitmask/native families): loops
-        pass their leased ``arena`` down; one-shot callers may leave it
+        The result may be arena-backed (bitmask family): loops pass
+        their leased ``arena`` down; one-shot callers may leave it
         ``None`` to lease per call.
         """
-        if kernel in ("native", "bitmask"):
+        if kernel == "bitmask":
             if arena is None:
                 with _lease_workspace() as arena:
-                    return (self._native_flags(block, against, arena)
-                            if kernel == "native"
-                            else self._bitmask_flags(block, against,
-                                                     arena))
-            return (self._native_flags(block, against, arena)
-                    if kernel == "native"
-                    else self._bitmask_flags(block, against, arena))
+                    return self._bitmask_flags(block, against, arena)
+            return self._bitmask_flags(block, against, arena)
         if kernel == "scalar":
             return self._scalar_flags(block, against)
         lt = against[None, :, :] < block[:, None, :]  # against better
@@ -577,7 +515,7 @@ class Dominance:
         flags = self._pair_flags(target.reshape(1, -1), candidates, kernel)
         result = flags[0]
         # workspace-backed results must not outlive the next kernel call
-        return result.copy() if kernel in ("bitmask", "native") else result
+        return result.copy() if kernel == "bitmask" else result
 
     def dominated_mask(self, candidates: np.ndarray, target: np.ndarray,
                        kernel: str | None = None) -> np.ndarray:
@@ -587,7 +525,7 @@ class Dominance:
         target = np.asarray(target)
         flags = self._pair_flags(candidates, target.reshape(1, -1), kernel)
         result = flags[:, 0]
-        return result.copy() if kernel in ("bitmask", "native") else result
+        return result.copy() if kernel == "bitmask" else result
 
     def any_dominator(self, candidates: np.ndarray, target: np.ndarray,
                       kernel: str | None = None) -> bool:
@@ -607,7 +545,10 @@ class Dominance:
         mask matrices).  ``check`` (e.g. ``ExecutionContext.check``) is
         invoked once per outer chunk and between inner ``against`` blocks,
         so deadlines and cancellations interrupt long screenings even when
-        the early exit below keeps firing on the first inner block.
+        the early exit below keeps firing on the first inner block.  The
+        loop holds one workspace lease for its whole run
+        (:func:`_lease_workspace`), so screens nested inside a ``check``
+        callback operate on distinct scratch buffers.
         """
         n = block.shape[0]
         m = against.shape[0]
@@ -616,59 +557,23 @@ class Dominance:
             return survivors
         kernel = select_kernel(kernel, d=self.graph.d,
                                pairs=min(chunk, n) * min(AGAINST_CHUNK, m))
-        if kernel == "native":
-            block = np.ascontiguousarray(block, dtype=np.float64)
-            against = np.ascontiguousarray(against, dtype=np.float64)
-        self._screen_span(block, against, survivors, chunk=chunk,
-                          check=check, kernel=kernel)
-        return survivors
-
-    def _screen_span(self, block: np.ndarray, against: np.ndarray,
-                     survivors: np.ndarray, *, chunk: int, check,
-                     kernel: str) -> None:
-        """The screening loop behind :meth:`screen_block`, writing into
-        ``survivors``.
-
-        Holds one workspace lease for its whole run
-        (:func:`_lease_workspace`), so screens nested inside a ``check``
-        callback operate on distinct scratch buffers.  For the native
-        family, packing and Proposition 1 are fused per pair inside
-        :func:`repro.core.native.screen_chunk` with a per-row early
-        exit; the only per-chunk temporary is the arena-backed
-        ``dominated`` vector, so the steady-state loop performs zero
-        Python-level allocations.
-        """
-        n = block.shape[0]
-        m = against.shape[0]
-        use_native = kernel == "native"
-        if use_native:
-            closures, table, use_table = self._native_tables()
         with _lease_workspace() as arena:
             for start in range(0, n, chunk):
                 if check is not None:
                     check("screen-block")
                 stop = min(start + chunk, n)
                 sub = block[start:stop]  # (c, d)
-                if use_native:
-                    dominated = arena.get("dom", (stop - start,),
-                                          np.bool_)
-                    dominated[...] = False
-                else:
-                    dominated = np.zeros(stop - start, dtype=bool)
+                dominated = np.zeros(stop - start, dtype=bool)
                 for a_start in range(0, m, AGAINST_CHUNK):
                     if a_start and check is not None:
                         check("screen-block")
                     part = against[a_start:a_start + AGAINST_CHUNK]
-                    if use_native:
-                        _native.screen_chunk(sub, part, closures, table,
-                                             use_table, dominated)
-                    else:
-                        flags = self._pair_flags(sub, part, kernel,
-                                                 arena)
-                        dominated |= flags.any(axis=1)
+                    flags = self._pair_flags(sub, part, kernel, arena)
+                    dominated |= flags.any(axis=1)
                     if dominated.all():
                         break
                 survivors[start:stop] = ~dominated
+        return survivors
 
 
 def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
@@ -688,9 +593,8 @@ def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
 
     ``counters`` (a mutable mapping) accumulates exact ``"mask_hits"``
     and ``"mask_misses"`` counts and records the concrete replay backend
-    under ``"kernel"`` (``"native"`` when the compiled backend serves
-    the fused group, ``"bitmask"`` otherwise), so ``fusion`` gate
-    artifacts show which backend did the work.  Falls back to
+    under ``"kernel"``, so ``fusion`` gate artifacts show which backend
+    did the work.  Falls back to
     independent :meth:`~Dominance.screen_block` calls when the
     dimensionality exceeds :data:`BITMASK_WIDTH_LIMIT` (no packed
     representation exists there).
@@ -707,20 +611,11 @@ def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
                 None, d=d, pairs=n * n if n else None)
         return [dom.screen_block(rows, rows, chunk=chunk, check=check)
                 for dom in dominances]
-    # the packed replay runs natively when the compiled backend is up
-    # and no interpreted kernel is forced on this thread; a forced
-    # "native" without the backend degrades to the bitmask replay
-    forced = current_forced_kernel()
-    use_native = forced in (None, "native") and native_available()
     if counters is not None:
-        counters["kernel"] = "native" if use_native else "bitmask"
+        counters["kernel"] = "bitmask"
     mdtype = _mask_dtype_for(d)
-    if use_native:
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
-        tables = [dom._native_tables() for dom in dominances]
-    else:
-        for dom in dominances:
-            dom._dense_table()  # build outside the hot loop
+    for dom in dominances:
+        dom._dense_table()  # build outside the hot loop
     dominated = [np.zeros(n, dtype=bool) for _ in range(k)]
     with _lease_workspace() as arena:
         for start in range(0, n, chunk):
@@ -736,30 +631,13 @@ def screen_block_multi(dominances, rows: np.ndarray, *, chunk: int = 256,
                 if not active:
                     break
                 part = rows[a_start:a_start + AGAINST_CHUNK]
-                if use_native:
-                    buv = arena.get("nbuv",
-                                    (block.shape[0], part.shape[0]),
-                                    np.uint64)
-                    bvu = arena.get("nbvu",
-                                    (block.shape[0], part.shape[0]),
-                                    np.uint64)
-                    _native.pack_masks(block, part, buv, bvu)
-                else:
-                    buv, bvu = _pack_better_masks(block, part, mdtype,
-                                                  arena)
+                buv, bvu = _pack_better_masks(block, part, mdtype, arena)
                 if counters is not None:
                     counters["mask_misses"] = \
                         counters.get("mask_misses", 0) + 1
                     counters["mask_hits"] = \
                         counters.get("mask_hits", 0) + len(active) - 1
                 for idx in active:
-                    if use_native:
-                        closures, table, use_table = tables[idx]
-                        _native.eval_any(buv, bvu, closures, table,
-                                         use_table,
-                                         dominated[idx][start:stop])
-                    else:
-                        flags = dominances[idx]._eval_packed(buv, bvu,
-                                                             arena)
-                        dominated[idx][start:stop] |= flags.any(axis=1)
+                    flags = dominances[idx]._eval_packed(buv, bvu, arena)
+                    dominated[idx][start:stop] |= flags.any(axis=1)
     return [~mask for mask in dominated]

@@ -461,15 +461,6 @@ def _evaluate(rows: np.ndarray, to_global, spec: dict, graph,
 
 def _worker_main(worker_id: int, tasks, results, cancel_event) -> None:
     """The worker loop: pull task specs until the ``None`` sentinel."""
-    # JIT-warm the compiled native kernel backend once at spawn (a no-op
-    # when numba is absent) so queries never pay compile latency and the
-    # compiled speedup compounds across workers.
-    try:
-        from ..core.native import availability
-
-        availability()
-    except Exception:  # pragma: no cover - warmup is best effort
-        pass
     attachments: dict = {}
     try:
         while True:

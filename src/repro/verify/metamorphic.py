@@ -20,15 +20,13 @@ p-skyline is *exactly predictable* from the original answer:
     Appending tuples strictly worse than an existing tuple on every
     attribute adds nothing: the new tuples are dominated, and by
     transitivity of ``≻`` anything they dominate was already dominated.
-``kernel-native`` / ``kernel-bitmask`` / ``kernel-gemm`` / ``kernel-scalar``
+``kernel-bitmask`` / ``kernel-gemm`` / ``kernel-scalar``
     Identity transforms that re-run the algorithm with the named
     dominance kernel forced (:func:`repro.core.dominance.forced_kernel`):
-    the four kernel families implement the same Proposition 1 test, so
+    the three kernel families implement the same Proposition 1 test, so
     the result must be identical.  Registering the kernel choice as a
     metamorphic axis makes the differential fuzzer cross-check kernels
-    on every rotating case with no algorithm-specific plumbing (the
-    ``native`` axis degrades to the bitmask fallback on hosts without
-    numba, which is itself a path worth covering).
+    on every rotating case with no algorithm-specific plumbing.
 ``pool-chunked``
     Identity transform executed on the persistent worker pool: the
     case is partitioned into chunks, evaluated by worker processes
@@ -310,10 +308,6 @@ TRANSFORMS: dict[str, MetamorphicTransform] = {
             "append-dominated",
             "append tuples strictly worse than an existing tuple; the "
             "result is unchanged", _append_dominated),
-        # forcing "native" exercises the compiled backend when numba is
-        # importable and the graceful bitmask fallback otherwise -- both
-        # must reproduce the oracle bit for bit
-        _kernel_transform("native"),
         _kernel_transform("bitmask"),
         _kernel_transform("gemm"),
         _kernel_transform("scalar"),
@@ -345,12 +339,15 @@ def run_transform(transform: MetamorphicTransform, ranks: np.ndarray,
     """Check one metamorphic relation for one algorithm on one case.
 
     The original run is the oracle.  For the kernel and pool axes it
-    screens with the ``bitmask`` kernel forced, so the configuration
-    under test never depends on which kernel the host's auto policy
-    would pick for the oracle.
+    screens with one kernel forced, so the configuration under test
+    never depends on which kernel the host's auto policy would pick for
+    the oracle: ``gemm`` for the ``kernel-bitmask`` axis and ``bitmask``
+    otherwise, so no kernel axis compares a family with itself.
     """
-    pinned = forced_kernel("bitmask") if transform.kernel is not None \
-        or transform.pool_chunks is not None else nullcontext()
+    pinned = nullcontext()
+    if transform.kernel is not None or transform.pool_chunks is not None:
+        pinned = forced_kernel(
+            "gemm" if transform.kernel == "bitmask" else "bitmask")
     with pinned:
         original = set(int(i) for i in function(ranks, graph))
     new_ranks, new_graph, oracle = transform.apply(ranks, graph, rng)

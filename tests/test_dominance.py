@@ -14,7 +14,6 @@ import pytest
 
 import repro.core.dominance as dominance_module
 from conftest import as_dicts, random_expression, semantic_compare
-from repro.core import native
 from repro.core.dominance import (Dominance, _lease_workspace,
                                   screen_block_multi)
 from repro.core.parser import parse
@@ -259,14 +258,11 @@ def test_reentrant_screen_inside_check_callback(monkeypatch):
     assert np.array_equal(expected, got)
 
 
-@pytest.mark.parametrize("backend", ["native", "bitmask"])
-def test_screen_block_multi_exact_counters(monkeypatch, backend):
+@pytest.mark.parametrize("backend", ["bitmask"])
+def test_screen_block_multi_exact_counters(backend):
     """One packing per ``(block, against)`` chunk pair and one replay per
     still-active graph: 150 rows in chunks of 32 pack 5 blocks once each
-    and replay them for the other two graphs.  The native replay runs
-    the njit-compatible Python sources where numba is absent."""
-    monkeypatch.setattr(native, "_AVAILABLE", backend == "native")
-    monkeypatch.setattr(native, "_REASON", None)
+    and replay them for the other two graphs."""
     graphs = [sample_graph(6, seed) for seed in range(3)]
     dominances = [Dominance(g).prepare() for g in graphs]
     rng = np.random.default_rng(7)

@@ -157,6 +157,7 @@ class TestFusedBatchProperty:
         assert fusion["groups"] == 1
         assert fusion["base_evaluations"] == 1  # the Pareto base
         assert fusion["screened"] == 2
+        assert fusion["kernel"] == "bitmask"  # the replay backend
         assert fusion["mask_misses"] >= 1
         assert fusion["mask_hits"] >= 1
 

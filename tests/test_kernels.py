@@ -1,16 +1,13 @@
-"""Cross-kernel property tests: native ≡ bitmask ≡ gemm ≡ scalar.
+"""Cross-kernel property tests: bitmask ≡ gemm ≡ scalar.
 
-The four dominance kernel families (compiled native, packed-bitmask,
-coverage GEMM, scalar reference) implement the same Proposition 1 test
+The three dominance kernel families (packed-bitmask, coverage GEMM,
+scalar reference) implement the same Proposition 1 test
 and must agree bit-for-bit on every workload -- including
 dimensionalities that cross the dense-table limit (d > 16, OR-reduction
 path) and the bitmask width limit (d > 64 has no packed kernel at all).
 Adversarial datasets stress tie handling: exact duplicates, all-equal
 rows, coarse integer grids, anti-correlated fronts, constant columns,
-negatives.  On hosts without numba a forced ``native`` degrades to the
-bitmask fallback, so iterating ``KERNELS`` covers whichever of the two
-paths this machine has (``tests/test_native_kernel.py`` pins both
-explicitly).
+negatives.
 """
 
 import random
@@ -97,8 +94,6 @@ def test_bitmask_beyond_width_limit_rejected():
     assert select_kernel(None, d=65) == "gemm"
     with pytest.raises(ValueError, match="bitmask"):
         select_kernel("bitmask", d=65)
-    with pytest.raises(ValueError, match="native"):
-        select_kernel("native", d=65)
     # at the limit itself the packed kernel works and agrees with scalar
     graph = sample_graph(64)
     dominance = Dominance(graph).prepare()
@@ -109,28 +104,27 @@ def test_bitmask_beyond_width_limit_rejected():
 
 
 def test_select_kernel_policy():
-    from repro.core.dominance import (BITMASK_WIDTH_LIMIT,
-                                      native_available)
-    # auto prefers the compiled backend when importable, the packed
-    # interpreter kernel otherwise
-    packed = "native" if native_available() else "bitmask"
-    assert select_kernel(None, d=6, pairs=1 << 20) == packed
+    from repro.core.dominance import BITMASK_WIDTH_LIMIT
+    assert select_kernel(None, d=6, pairs=1 << 20) == "bitmask"
     assert select_kernel(None, d=6, pairs=8) == "gemm"  # small block
     assert select_kernel(None, d=70) == "gemm"  # beyond the width limit
     assert select_kernel("scalar", d=6) == "scalar"
-    # boundary: the packed families serve exactly up to the width limit
+    # boundary: the packed family serves exactly up to the width limit
     assert select_kernel(None, d=BITMASK_WIDTH_LIMIT,
-                         pairs=1 << 20) == packed
+                         pairs=1 << 20) == "bitmask"
     assert select_kernel(None, d=BITMASK_WIDTH_LIMIT + 1,
                          pairs=1 << 20) == "gemm"
     # the dense-table limit does not change the family, only how the
     # descendant union is materialised inside it
     assert select_kernel(None, d=DENSE_TABLE_LIMIT,
-                         pairs=1 << 20) == packed
+                         pairs=1 << 20) == "bitmask"
     assert select_kernel(None, d=DENSE_TABLE_LIMIT + 1,
-                         pairs=1 << 20) == packed
+                         pairs=1 << 20) == "bitmask"
     with pytest.raises(ValueError):
         select_kernel("fancy", d=6)
+    # the compiled family is gone: its name is unknown, not a fallback
+    with pytest.raises(ValueError, match="unknown kernel 'native'"):
+        select_kernel("native", d=6)
 
 
 def test_forced_kernel_wins_over_everything():
@@ -145,9 +139,10 @@ def test_forced_kernel_wins_over_everything():
 
 
 def test_forced_kernel_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        with forced_kernel("auto"):
-            pass
+    for name in ("auto", "native"):
+        with pytest.raises(ValueError):
+            with forced_kernel(name):
+                pass
 
 
 def test_screen_block_chunked_early_exit_still_checks():

@@ -29,11 +29,11 @@ def failing(verdicts: dict) -> list[str]:
             if verdict.startswith("fail")]
 
 
-def test_registry_declares_the_six_tiers():
-    assert list(TIERS) == ["kernels", "native", "pool", "shards",
-                           "server", "fusion"]
+def test_registry_declares_the_five_tiers():
+    assert list(TIERS) == ["kernels", "pool", "shards", "server",
+                           "fusion"]
     assert sorted(tier.baseline for tier in TIERS.values()) == sorted(
-        f"BENCH_{n}.json" for n in range(4, 10))
+        f"BENCH_{n}.json" for n in range(4, 9))
     for tier in TIERS.values():
         assert {check.kind for check in tier.checks} <= KINDS
 
@@ -171,14 +171,15 @@ def _kernels_on(host: dict) -> dict:
 
 def test_host_shape_compares_cpu_count_only():
     """A fresh host tag against a baseline tagged before the thread
-    layer was deleted (that tag also named the screen budget and its
-    layer): same core count compares the timings, another core count
-    waives them, and no other host key enters the shape."""
+    layer and the compiled kernels were deleted (that tag also named
+    the screen layer and each kernel backend): same core count compares
+    the timings, another core count waives them, and no other host key
+    enters the shape."""
     fresh = host_tag()
-    assert set(fresh) == {"cpu_count", "backends"}
+    assert set(fresh) == {"cpu_count"}
     cores = fresh["cpu_count"]
-    old = dict(fresh, layer="serial (compiled parallel layer "
-                            "unavailable: numba missing)")
+    old = dict(fresh, layer="serial",
+               backends={"bitmask": "available", "gemm": "available"})
     assert _shape({"host": old}) == {"cpu_count": cores}
     verdicts = evaluate(TIERS["kernels"], _kernels_on(fresh),
                         _kernels_on(old))
@@ -197,16 +198,16 @@ def test_host_shape_compares_cpu_count_only():
 def test_bare_gate_prints_host_and_catalogue(capsys):
     assert main([]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("host: ")
+    host, catalogue = out.split("tiers:\n")
+    # the core count is the whole host tag: no backend lines
+    assert host == f"host: {host_tag()['cpu_count']} core(s)\n"
     assert "threads" not in out
-    catalogue = out.split("tiers:\n")[1]
     for tier in TIERS.values():
         assert f"  {tier.name}: {tier.baseline} -- " in catalogue
 
 
 def _with_auto(cores: int, **auto) -> dict:
-    """The committed pool baseline plus an ``auto`` record (the
-    committed file predates that workload)."""
+    """The committed pool baseline with its ``auto`` record replaced."""
     artifact = baseline("pool")
     artifact["cores"] = cores
     artifact["auto"] = {"name": "auto-q4-n200000-d8-k6", "workers": 2,

@@ -23,6 +23,9 @@ fused-batch          a fused refinement that skips the shared base screen
 kernel-gemm          a GEMM flag path that never flags the last
                      ``against`` row (the oracle's bitmask kernel is
                      unaffected)
+kernel-bitmask       a bitmask flag path that never flags the last
+                     ``against`` row (the oracle's gemm kernel is
+                     unaffected)
 ===================  =====================================================
 """
 
@@ -221,28 +224,46 @@ class TestMutantsAreCaught:
                             keep_every_survivor)
         assert _catches("fused-batch", osdc, ranks, graph, seeds=[0])
 
-    def test_kernel_gemm_catches_a_dropped_against_row(self, monkeypatch):
+    @staticmethod
+    def _blind_to_last_row(monkeypatch, family):
+        """Make ``family``'s flag path never flag the last ``against``
+        row."""
         from repro.core.dominance import Dominance
 
-        # the last row dominates every other: OSDC keeps only it
-        ranks = np.array([[float(i), float(i)] for i in range(40)])[::-1]
-        graph = PGraph.from_expression(parse("A * B"))
-        assert not _catches("kernel-gemm", osdc, ranks, graph, seeds=[0])
         pair_flags = Dominance._pair_flags
 
-        def blind_to_last_row(self, block, against, kernel, arena=None):
+        def blind(self, block, against, kernel, arena=None):
             flags = pair_flags(self, block, against, kernel, arena)
-            if kernel == "gemm":
+            if kernel == family:
                 flags = flags.copy()
                 flags[:, -1] = False
             return flags
 
-        monkeypatch.setattr(Dominance, "_pair_flags", blind_to_last_row)
-        assert _catches("kernel-gemm", osdc, ranks, graph, seeds=[0])
-        # the mutant lives in the gemm family only: the bitmask axis,
-        # whose oracle and transformed run share one kernel, passes
-        assert not _catches("kernel-bitmask", osdc, ranks, graph,
+        monkeypatch.setattr(Dominance, "_pair_flags", blind)
+
+    # the last row dominates every other: OSDC keeps only it
+    DESCENDING = np.array([[float(i), float(i)] for i in range(40)])[::-1]
+
+    def test_kernel_gemm_catches_a_dropped_against_row(self, monkeypatch):
+        graph = PGraph.from_expression(parse("A * B"))
+        assert not _catches("kernel-gemm", osdc, self.DESCENDING, graph,
                             seeds=[0])
+        self._blind_to_last_row(monkeypatch, "gemm")
+        assert _catches("kernel-gemm", osdc, self.DESCENDING, graph,
+                        seeds=[0])
+        # the bitmask axis's oracle runs on gemm, so it sees the mutant
+        # too
+        assert _catches("kernel-bitmask", osdc, self.DESCENDING, graph,
+                        seeds=[0])
+
+    def test_kernel_bitmask_catches_a_dropped_against_row(self,
+                                                          monkeypatch):
+        graph = PGraph.from_expression(parse("A * B"))
+        assert not _catches("kernel-bitmask", osdc, self.DESCENDING,
+                            graph, seeds=[0])
+        self._blind_to_last_row(monkeypatch, "bitmask")
+        assert _catches("kernel-bitmask", osdc, self.DESCENDING, graph,
+                        seeds=[0])
 
 
 class TestCorrectAlgorithmsPass:
