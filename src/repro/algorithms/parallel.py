@@ -24,7 +24,6 @@ host worker children).
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
 
@@ -43,8 +42,10 @@ DEFAULT_MIN_CHUNK = 4096
 
 def auto_processes(n: int, min_chunk: int) -> int:
     """The ``processes=None`` policy: one process per ``min_chunk`` rows,
-    capped by the CPU count (never below 1)."""
-    return max(1, min(os.cpu_count() or 1, n // max(1, min_chunk)))
+    capped by the usable cores (never below 1)."""
+    from ..engine.pool import usable_cores
+
+    return max(1, min(usable_cores(), n // max(1, min_chunk)))
 
 
 def _must_run_serially() -> bool:
@@ -76,7 +77,7 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
     processes:
         Number of partitions to evaluate in parallel.  ``None`` (the
         default) applies :func:`auto_processes`:
-        ``min(cpu_count, n // min_chunk)``.
+        ``min(usable_cores(), n // min_chunk)``.
     min_chunk:
         Smallest chunk worth shipping to a worker; inputs below
         ``2 * min_chunk`` run plain OSDC in-process.

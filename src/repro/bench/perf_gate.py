@@ -121,10 +121,13 @@ MIN_FUSED_SPEEDUP = 2.0
 # -- host tag ----------------------------------------------------------------
 
 def host_tag() -> dict:
-    """The ``host`` stamped into every artifact: ``cpu_count``, the host
-    *shape* that wall-time checks compare.  Every kernel family is pure
-    NumPy and always available, so nothing else varies by host."""
-    return {"cpu_count": os.cpu_count() or 1}
+    """The ``host`` stamped into every artifact: ``cpu_count`` (the
+    cores this process may use), the host *shape* that wall-time checks
+    compare.  Every kernel family is pure NumPy and always available,
+    so nothing else varies by host."""
+    from ..engine.pool import usable_cores
+
+    return {"cpu_count": usable_cores()}
 
 
 def _shape(artifact: dict) -> dict | None:
@@ -135,9 +138,10 @@ def _shape(artifact: dict) -> dict | None:
 
 
 def _artifact(schema: str, quick: bool, workload: dict, **payload) -> dict:
+    host = host_tag()
     return {"schema": schema,
             "workload": {"seed": SEED, "quick": quick, **workload},
-            "cores": os.cpu_count() or 1, "host": host_tag(), **payload}
+            "cores": host["cpu_count"], "host": host, **payload}
 
 
 # -- workloads ---------------------------------------------------------------
@@ -294,7 +298,8 @@ def run_parallel_gate(*, quick: bool = False) -> dict:
 
 def run_sharded_gate(*, quick: bool = False) -> dict:
     """The ``shards`` tier (:mod:`repro.bench.shard_bench`)."""
-    from .shard_bench import measure_insert_overhead, measure_sharded
+    from .shard_bench import (measure_insert_overhead,
+                              measure_read_after_writes, measure_sharded)
 
     sharded_rows = 10_000 if quick else SHARDED_ROWS
     insert_base = 4_000 if quick else INSERT_BASE_ROWS
@@ -307,6 +312,10 @@ def run_sharded_gate(*, quick: bool = False) -> dict:
         sharded=measure_sharded(sharded_rows, SHARDED_DIMS,
                                 shards=SHARDED_SHARDS,
                                 workers=SHARDED_WORKERS, seed=SEED),
+        writes=measure_read_after_writes(sharded_rows, SHARDED_DIMS,
+                                         shards=SHARDED_SHARDS,
+                                         workers=SHARDED_WORKERS,
+                                         seed=SEED),
         insert=measure_insert_overhead(insert_base, insert_stream,
                                        SHARDED_DIMS,
                                        shards=SHARDED_SHARDS, seed=SEED))
@@ -575,8 +584,9 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
              *_each("time", "parallel", ("warm_seconds", "cold_seconds")),
              *_each("time", "batch", ("warm_seconds", "cold_seconds")))),
     Tier("shards", "BENCH_6.json",
-         "maintained per-shard serve vs monolithic scatter/gather, and "
-         "sharded vs flat insert cost", run_sharded_gate, (
+         "maintained per-shard serve vs monolithic scatter/gather, a "
+         "scatter read after writes, and sharded vs flat insert cost",
+         run_sharded_gate, (
              Check("floor", "sharded", "speedup_serve_over_monolithic",
                    MIN_SHARDED_SPEEDUP, waivers=(_fewer_cores(
                        _workload("workers"), " workers",
@@ -592,6 +602,13 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
                     ("output_size", "shard_skylines", "shard_rows",
                      "version")),
              *_each("exact", "insert", ("output_size", "shard_skylines")),
+             # writes below the re-base share leave every base
+             # registered: the read ships deltas, registers nothing
+             Check("equal", "writes", "registered_bytes", 0),
+             Check("equal", "writes", "touched_shards",
+                   lambda r: r["shards"]),
+             Check("exact", "writes", "output_size"),
+             Check("time", "writes", "read_seconds"),
              *_each("time", "sharded", ("monolithic_seconds",
                                         "scatter_seconds", "serve_seconds")),
              *_each("time", "insert", ("single_seconds",

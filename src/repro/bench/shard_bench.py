@@ -1,6 +1,6 @@
 """Measurement core for sharded relations.
 
-Two measurements behind the ``shards`` tier of the perf gate
+Three measurements behind the ``shards`` tier of the perf gate
 (:mod:`repro.bench.perf_gate`, baseline ``BENCH_6.json``); the relation
 builder is shared with ``benchmarks/bench_sharding.py``:
 
@@ -17,6 +17,10 @@ builder is shared with ``benchmarks/bench_sharding.py``:
   The serve path only touches the per-shard skylines -- a few hundred
   rows instead of all ``n`` -- which is where the sharded layout earns
   its speedup.
+* :func:`measure_read_after_writes` -- a pinned scatter read after
+  inserts and deletes that touch every shard: each shard's base stays
+  registered, so the read registers no new shared memory and ships
+  only the shards' deltas.
 * :func:`measure_insert_overhead` -- per-row insert throughput of a
   :class:`~repro.core.sharding.ShardedPSkylineMaintainer` against a
   single flat :class:`~repro.algorithms.incremental.PSkylineMaintainer`
@@ -42,11 +46,16 @@ from ..engine import ExecutionContext
 from .pool_bench import DEFAULT_ALPHA, pinned_parallel_case
 
 __all__ = ["build_tracked_relation", "measure_sharded",
-           "measure_insert_overhead"]
+           "measure_read_after_writes", "measure_insert_overhead"]
 
 #: Timing repeats for the insert-overhead measurement; inserts mutate
 #: the maintainer, so each repeat rebuilds it and the minimum is kept.
 INSERT_REPEATS = 3
+
+#: Inserts, and deletes, between the two reads of
+#: :func:`measure_read_after_writes`: enough to touch every shard, far
+#: below the re-base share.
+READ_WRITES = 16
 
 
 def build_tracked_relation(ranks: np.ndarray, graph, shards: int):
@@ -79,18 +88,12 @@ def measure_sharded(rows: int, dims: int, *, shards: int = 4,
         monolithic_seconds = time.perf_counter() - start
 
         with relation.snapshot() as snapshot:
-            arrays = [shard.ranks for shard in snapshot.shards
-                      if len(shard)]
-            gid_of = np.concatenate(
-                [gids for shard, gids in zip(snapshot.shards,
-                                             snapshot.gids)
-                 if len(shard)])
             # untracked sharded scatter/gather (same warm-then-time)
-            pool.run_sharded(arrays, graph)
+            pool.run_sharded(snapshot.pins, graph)
             start = time.perf_counter()
-            virtual = pool.run_sharded(arrays, graph)
+            virtual = pool.run_sharded(snapshot.pins, graph)
             scatter_seconds = time.perf_counter() - start
-        scatter_gids = np.sort(gid_of[virtual])
+            scatter_gids = np.sort(snapshot.gids_at(virtual))
         if not np.array_equal(scatter_gids, expected):
             raise AssertionError(
                 "sharded scatter/gather disagrees with the monolithic "
@@ -133,6 +136,76 @@ def measure_sharded(rows: int, dims: int, *, shards: int = 4,
             monolithic_seconds / serve_seconds,
         "speedup_scatter_over_monolithic":
             monolithic_seconds / scatter_seconds,
+    }
+
+
+def measure_read_after_writes(rows: int, dims: int, *, shards: int = 4,
+                              workers: int = 4,
+                              alpha: float = DEFAULT_ALPHA,
+                              seed: int = 2015,
+                              writes: int = READ_WRITES) -> dict:
+    """A pinned scatter read after writes to every shard.
+
+    A first read registers every shard's base.  Then ``writes`` rows
+    are inserted and as many live rows deleted, and a second pin is
+    read on the same warm pool; ``read_seconds`` times that pin and
+    read.  Below the re-base share the read registers no new shared
+    memory (``registered_bytes``).  Serial OSDC over the live rows is
+    the correctness oracle.
+    """
+    from ..algorithms.osdc import osdc
+    from ..core.sharding import ShardedRelation
+    from ..engine.pool import WorkerPool
+
+    ranks, graph = pinned_parallel_case(rows + writes, dims, alpha, seed)
+    relation = ShardedRelation.from_array(ranks[:rows],
+                                          names=list(graph.names),
+                                          shards=shards)
+    deleted = np.random.default_rng(seed).choice(rows, size=writes,
+                                                 replace=False)
+    with WorkerPool(workers) as pool:
+        with relation.snapshot() as snapshot:
+            pool.run_sharded(snapshot.pins, graph)  # registers the bases
+        for row in ranks[rows:]:
+            relation.insert_ranks(row)
+        for gid in deleted:
+            relation.delete(int(gid))
+
+        registered = []
+        register = pool.register
+
+        def counting(array):
+            before = set(pool.live_segments())
+            registration = register(array)
+            if registration.name not in before:
+                registered.append(registration.spec.nbytes)
+            return registration
+
+        pool.register = counting
+        start = time.perf_counter()
+        with relation.snapshot() as snapshot:
+            virtual = pool.run_sharded(snapshot.pins, graph)
+            read_seconds = time.perf_counter() - start
+            gids = np.sort(snapshot.gids_at(virtual))
+            touched = sum(1 for pin in snapshot.pins
+                          if pin.appended.shape[0] and pin.dead.size)
+
+    live = np.setdiff1d(np.arange(rows + writes), deleted)
+    expected = np.sort(live[osdc(ranks[live], graph)])
+    if not np.array_equal(gids, expected):
+        raise AssertionError(
+            "the scatter read after writes disagrees with serial OSDC")
+    return {
+        "name": f"writes-n{rows}-w{writes}-d{dims}-s{shards}",
+        "rows": int(rows),
+        "writes": int(writes),
+        "d": int(dims),
+        "shards": int(shards),
+        "workers": int(workers),
+        "output_size": int(expected.size),
+        "touched_shards": int(touched),
+        "registered_bytes": int(sum(registered)),
+        "read_seconds": read_seconds,
     }
 
 

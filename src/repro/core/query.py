@@ -281,10 +281,10 @@ def _sharded_batch(data, expressions, *, algorithm: str,
 
     Pool evaluation goes through
     :meth:`~repro.engine.pool.WorkerPool.run_sharded` against the
-    snapshot's shard arrays -- the virtual concatenated coordinate
-    space coincides with the snapshot's row order because empty shards
-    contribute no rows to either -- and results map back to rows via
-    global ids, so no sorted copy of the snapshot is materialised.
+    snapshot's pinned shards, whose live rows are numbered like the
+    snapshot's, and screening rows are gathered from the pins
+    (:attr:`ShardSnapshot.rows`); results map back to rows via global
+    ids, so the pooled path never concatenates the snapshot.
     """
     from ..engine.pool import get_default_pool, pool_available
     from .fusion import FusionPlan
@@ -299,11 +299,9 @@ def _sharded_batch(data, expressions, *, algorithm: str,
             and algorithm != "auto"
         if use_pool:
             pool = get_default_pool()
-            arrays = [shard.ranks for shard in snap.shards
-                      if len(shard)]
 
             def evaluate(graph, key):
-                return pool.run_sharded(arrays, graph,
+                return pool.run_sharded(snap.pins, graph,
                                         algorithm=algorithm,
                                         columns=list(key),
                                         options=options,
@@ -316,15 +314,12 @@ def _sharded_batch(data, expressions, *, algorithm: str,
                                 context=context)
 
         def candidates(indices, key):
-            # lazy: the concatenated snapshot relation materialises only
-            # when a group actually needs screening rows
-            return snap.relation.ranks[np.ix_(indices, list(key))]
+            return snap.rows[indices][:, list(key)]
 
         indices_list = plan.execute(evaluate=evaluate,
                                     candidates=candidates,
                                     context=context)
-        gids = snap.global_ids
-        return [snap.take_gids(gids[indices])
+        return [snap.take_gids(snap.gids_at(indices))
                 for indices in indices_list]
 
 

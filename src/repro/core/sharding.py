@@ -13,14 +13,14 @@ that identity into a storage architecture:
   one per shard; inserts and deletes are routed to the owning shard and
   the global answer is the merge of the per-shard skylines.
 * :class:`ShardedRelation` -- a mutable, hash- or range-partitioned
-  relation.  Each shard materialises as an ordinary immutable
-  :class:`~repro.core.relation.Relation` (so every registry algorithm
-  consumes it unchanged, and the worker pool can pre-register each
-  shard into shared memory once), writes bump a monotonically
-  increasing **version**, and readers pin copy-on-write
-  :class:`ShardSnapshot` views: a long-running or deadline query reads
-  a stable version while writes land concurrently.  A stale snapshot's
-  materialisations are reclaimed when its last reader closes.
+  relation.  Writes bump a monotonically increasing **version**, and
+  readers pin :class:`ShardSnapshot` views: a long-running or deadline
+  query reads a stable version while writes land concurrently.  A pin
+  copies no shard -- it shares each shard's frozen base, which the
+  worker pool registers into shared memory once, and records the rows
+  appended and deleted since -- and serial readers materialise an
+  ordinary immutable :class:`~repro.core.relation.Relation` from it on
+  first use, so every registry algorithm consumes it unchanged.
 
 Serving a query over a tracked p-graph reduces to merging the per-shard
 skylines -- exactly the second application of the partition identity --
@@ -37,6 +37,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..engine.pool import LiveRows, ShardPin
 from .attributes import Attribute, lowest, orders_signature
 from .pgraph import PGraph
 from .relation import Relation
@@ -326,14 +327,26 @@ class ShardedPSkylineMaintainer:
 # -- the sharded relation ----------------------------------------------------
 
 
-class _Shard:
-    """Mutable storage of one shard: growable buffers plus a per-shard
-    version and a copy-on-write :class:`Relation` materialisation cache
-    (unchanged shards keep handing out the same immutable object, so
-    the pool's shared-memory registration cache keeps hitting)."""
+#: A shard re-bases -- copies its slots into a fresh frozen base, which
+#: the pool then registers once -- when the rows appended since its base
+#: pass this share of the base.  Below it a read ships those rows with
+#: its tasks instead (the LSM rule: a bounded delta, an occasional
+#: compaction).
+REBASE_SHARE = 0.125
 
-    __slots__ = ("ranks", "values", "gids", "alive", "size", "version",
-                 "_cache")
+
+class _Shard:
+    """Mutable storage of one shard: growable buffers in slot order
+    plus the frozen *base* its pins share.
+
+    Writes only append slots or clear ``alive``; a slot below ``size``
+    is never rewritten.  So the base -- a read-only copy of slots
+    ``0:B``, dead ones included -- stays valid until the shard
+    re-bases, and the pool's registration of it keeps hitting across
+    writes."""
+
+    __slots__ = ("ranks", "values", "gids", "alive", "size", "base",
+                 "dead", "_killed")
 
     def __init__(self, arity: int, store_values: bool,
                  capacity: int = 64):
@@ -343,9 +356,11 @@ class _Shard:
         self.gids = np.empty(capacity, dtype=np.intp)
         self.alive = np.zeros(capacity, dtype=bool)
         self.size = 0
-        self.version = 0
-        self._cache: tuple[int, Relation, np.ndarray, np.ndarray] | None \
-            = None
+        self.base = _frozen(self.ranks[:0].copy())
+        #: sorted dead slots, shared by the pins (replaced, never
+        #: written); the slots killed since are merged in at the next pin
+        self.dead = np.empty(0, dtype=np.intp)
+        self._killed: list[int] = []
 
     def _reserve(self, extra: int) -> None:
         needed = self.size + extra
@@ -377,96 +392,142 @@ class _Shard:
         self.gids[slots] = gids
         self.alive[slots] = True
         self.size += count
-        self.version += 1
         return slots
 
     def kill(self, slot: int) -> None:
         self.alive[slot] = False
-        self.version += 1
+        self._killed.append(slot)
 
-    def materialize(self, schema: tuple[Attribute, ...]
-                    ) -> tuple[Relation, np.ndarray, np.ndarray]:
-        """``(relation, gids, slots)`` of the alive rows, slot order.
+    def pin(self) -> tuple[ShardPin, np.ndarray, np.ndarray | None]:
+        """``(pin, gids, values)`` of the current slots: ``gids`` and
+        ``values`` are read-only views of slots ``0:size``.
 
-        Copy-on-write: cached per shard version, so an unchanged shard
-        returns the identical immutable objects on every call.
+        Copies no row -- unless the rows appended since the base pass
+        :data:`REBASE_SHARE` of it, when the shard re-bases.
         """
-        if self._cache is not None and self._cache[0] == self.version:
-            return self._cache[1], self._cache[2], self._cache[3]
-        slots = np.flatnonzero(self.alive[: self.size])
-        values = self.values[slots] if self.values is not None else None
-        # np.take gathers whole rows about 3x faster than fancy
-        # indexing; the copy is on every pin after a write
-        relation = Relation(schema, np.take(self.ranks, slots, axis=0),
-                            values)
-        gids = self.gids[slots].copy()
-        gids.setflags(write=False)
-        slots.setflags(write=False)
-        self._cache = (self.version, relation, gids, slots)
-        return relation, gids, slots
+        size = self.size
+        cut = self.base.shape[0]
+        if size - cut > REBASE_SHARE * cut:
+            self.base = _frozen(self.ranks[:size].copy())
+            cut = size
+        if self._killed:
+            killed = np.sort(np.asarray(self._killed, dtype=np.intp))
+            self.dead = _frozen(np.insert(
+                self.dead, np.searchsorted(self.dead, killed), killed))
+            self._killed = []
+        values = _frozen(self.values[:size]) \
+            if self.values is not None else None
+        return (ShardPin(self.base, _frozen(self.ranks[cut:size]),
+                         self.dead),
+                _frozen(self.gids[:size]), values)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` marked read-only (a view of a buffer stays a view)."""
+    array.setflags(write=False)
+    return array
 
 
 class ShardSnapshot:
     """An immutable, versioned view of a :class:`ShardedRelation`.
 
-    Holds one materialised :class:`Relation` per shard (shared with
-    every other snapshot of the same shard version), the global id of
-    each row, and the relation version the snapshot pinned.  Closing
-    the snapshot (idempotent; also via ``with``) releases the reader
-    reference -- once a version's last reader closes, its shard
-    materialisations become unreachable and are reclaimed.
+    Holds one :class:`~repro.engine.pool.ShardPin` per shard -- the
+    shard's shared base, the rows appended since and the dead slots at
+    pin time -- plus each slot's global id, and the relation version it
+    pinned.  Pinning copies no shard: a scatter read hands the pins to
+    the worker pool as they are, and the planner's estimate reads them
+    through :attr:`rows`.  Serial readers get the dense :attr:`shards`
+    and :attr:`relation`, materialised on first use and cached.
+    Closing the snapshot (idempotent; also via ``with``) releases the
+    reader reference.
     """
 
-    __slots__ = ("version", "shards", "gids", "slots", "_owner",
-                 "_relation", "_offsets")
+    __slots__ = ("version", "schema", "pins", "_gids", "_values",
+                 "_owner", "_rows", "_shards", "_relation")
 
     def __init__(self, owner: "ShardedRelation", version: int,
-                 shards: tuple[Relation, ...],
+                 schema: tuple[Attribute, ...],
+                 pins: tuple[ShardPin, ...],
                  gids: tuple[np.ndarray, ...],
-                 slots: tuple[np.ndarray, ...]):
+                 values: tuple[np.ndarray | None, ...]):
         self.version = version
-        self.shards = shards
-        self.gids = gids
-        self.slots = slots
+        self.schema = schema
+        self.pins = pins
+        self._gids = gids
+        self._values = values
         self._owner = owner
+        self._rows: LiveRows | None = None
+        self._shards: tuple[Relation, ...] | None = None
         self._relation: Relation | None = None
-        self._offsets: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
+        return sum(len(pin) for pin in self.pins)
 
     @property
     def num_shards(self) -> int:
-        return len(self.shards)
+        return len(self.pins)
 
     @property
     def closed(self) -> bool:
         return self._owner is None
 
     @property
+    def rows(self) -> LiveRows:
+        """The snapshot's rows in :attr:`relation` order, read from the
+        pins without concatenating them."""
+        if self._rows is None:
+            self._rows = LiveRows.of(self.pins)
+        return self._rows
+
+    @property
     def offsets(self) -> np.ndarray:
         """Row offset of each shard in :attr:`relation` (length k+1)."""
-        if self._offsets is None:
-            self._offsets = np.concatenate(
-                [[0], np.cumsum([len(s) for s in self.shards])]
-            ).astype(np.intp)
-        return self._offsets
+        return self.rows.offsets
+
+    @property
+    def shards(self) -> tuple[Relation, ...]:
+        """One dense relation per shard (materialised lazily and cached
+        on the snapshot)."""
+        if self._shards is None:
+            shards = []
+            for pin, values in zip(self.pins, self._values):
+                live = pin.live_slots
+                shards.append(Relation(
+                    self.schema, pin.at_slots(live),
+                    values[live] if values is not None else None))
+            self._shards = tuple(shards)
+        return self._shards
 
     @property
     def relation(self) -> Relation:
         """The full snapshot as one relation (shards concatenated;
         materialised lazily and cached on the snapshot)."""
         if self._relation is None:
-            self._relation = Relation.concat(self.shards) \
-                if self.shards else Relation((), np.empty((0, 0)))
+            values = None
+            if self._values and all(v is not None for v in self._values):
+                values = np.concatenate(
+                    [v[pin.live_slots]
+                     for pin, v in zip(self.pins, self._values)])
+            self._relation = Relation(self.schema,
+                                      self.rows[:len(self)], values)
         return self._relation
 
     @property
     def global_ids(self) -> np.ndarray:
         """The global id of each :attr:`relation` row."""
-        if not self.gids:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(self.gids)
+        return self.gids_at(np.arange(len(self), dtype=np.intp))
+
+    def gids_at(self, positions) -> np.ndarray:
+        """The global ids of the given :attr:`relation` rows."""
+        positions = np.asarray(positions, dtype=np.intp)
+        offsets = self.offsets
+        shard_of = np.searchsorted(offsets, positions, side="right") - 1
+        gids = np.empty(positions.size, dtype=np.intp)
+        for shard in np.unique(shard_of):
+            mask = shard_of == shard
+            gids[mask] = self._gids[shard][self.pins[shard].slots_of(
+                positions[mask] - offsets[shard])]
+        return gids
 
     def take_gids(self, gids) -> Relation:
         """The snapshot rows with the given global ids, in id order.
@@ -476,29 +537,30 @@ class ShardSnapshot:
         """
         wanted = np.unique(np.asarray(gids, dtype=np.intp))
         found = np.zeros(wanted.size, dtype=bool)
-        pieces: list[Relation] = []
-        piece_gids: list[np.ndarray] = []
-        for shard, shard_gids in zip(self.shards, self.gids):
-            if not shard_gids.size:
+        ranks = np.empty((wanted.size, len(self.schema)))
+        keep_values = bool(self._values) and all(
+            v is not None for v in self._values)
+        values = np.empty((wanted.size, len(self.schema)), dtype=object) \
+            if keep_values else None
+        for pin, slot_gids, slot_values in zip(self.pins, self._gids,
+                                               self._values):
+            if not slot_gids.size:
                 continue
             # a shard's gids increase with its slots (appends only ever
-            # grow them), so one searchsorted finds every hit
-            positions = np.searchsorted(shard_gids, wanted)
-            hit = shard_gids[np.minimum(positions,
-                                        shard_gids.size - 1)] == wanted
+            # grow them), so one searchsorted finds every slot
+            slots = np.minimum(np.searchsorted(slot_gids, wanted),
+                               slot_gids.size - 1)
+            hit = (slot_gids[slots] == wanted) & pin.is_alive(slots)
             if hit.any():
                 found |= hit
-                pieces.append(shard.take(positions[hit]))
-                piece_gids.append(wanted[hit])
+                ranks[hit] = pin.at_slots(slots[hit])
+                if keep_values:
+                    values[hit] = slot_values[slots[hit]]
         if not found.all():
             raise KeyError(
                 f"global id(s) not in snapshot version {self.version}: "
                 f"{wanted[~found][:8].tolist()}")
-        if not pieces:  # nothing asked for: no rows to gather
-            return self.shards[0].take(wanted)
-        combined = Relation.concat(pieces)
-        return combined.take(np.argsort(np.concatenate(piece_gids),
-                                        kind="stable"))
+        return Relation(self.schema, ranks, values)
 
     def close(self) -> None:
         """Release the reader reference (idempotent)."""
@@ -877,25 +939,18 @@ class ShardedRelation:
     def snapshot(self) -> ShardSnapshot:
         """Pin an immutable view of the current version.
 
-        Copy-on-write: shards untouched since the last snapshot hand
-        out the same materialised :class:`Relation` objects, so
-        repeated snapshots are cheap and the pool's shared-memory
-        registrations stay valid per unchanged shard.
+        Copies no shard: each pin shares its shard's frozen base and
+        sorted dead slots and views the rows appended since
+        (:meth:`_Shard.pin`), so the pool's registration of every base
+        stays valid across writes.
         """
         with self._lock:
-            shards = []
-            gids = []
-            slots = []
-            for shard in self._shards:
-                relation, shard_gids, shard_slots = \
-                    shard.materialize(self.schema)
-                shards.append(relation)
-                gids.append(shard_gids)
-                slots.append(shard_slots)
+            pins, gids, values = zip(*(shard.pin()
+                                       for shard in self._shards))
             self._readers[self._version] = \
                 self._readers.get(self._version, 0) + 1
-            return ShardSnapshot(self, self._version, tuple(shards),
-                                 tuple(gids), tuple(slots))
+            return ShardSnapshot(self, self._version, self.schema, pins,
+                                 gids, values)
 
     def _release(self, version: int) -> None:
         with self._lock:
@@ -969,7 +1024,7 @@ class ShardedRelation:
         self._annotate(context, snap, "maintained",
                        [int(gids.size) for _i, _r, gids in serve])
         if not serve:
-            return snap.relation.take(np.empty(0, dtype=np.intp))
+            return snap.take_gids([])
         union = int(sum(gids.size for _i, _r, gids in serve))
         if pool is None and pool_available() and union >= 2048:
             from ..engine.pool import get_default_pool
@@ -990,27 +1045,19 @@ class ShardedRelation:
                     columns: list[int], serve, pool,
                     context) -> np.ndarray:
         """Tree-merge the per-shard skylines on the worker pool against
-        the per-shard shared-memory registrations."""
-        nonempty = [index for index, shard in enumerate(snap.shards)
-                    if len(shard)]
-        position_of = {index: position
-                       for position, index in enumerate(nonempty)}
-        arrays = [snap.shards[index].ranks for index in nonempty]
-        offsets = np.concatenate(
-            [[0], np.cumsum([a.shape[0] for a in arrays])]).astype(np.intp)
+        the pinned shards' base registrations."""
+        offsets = snap.offsets
         parts = []
         for index, _ranks, gids in serve:
             # gids are strictly increasing within a shard (appends only
-            # ever grow them), so the skyline's snapshot rows fall out
-            # of one searchsorted
-            shard_gids = snap.gids[index]
-            rows = np.searchsorted(shard_gids, gids)
-            parts.append(offsets[position_of[index]] + rows)
-        virtual_gids = np.concatenate(
-            [snap.gids[index] for index in nonempty])
+            # ever grow them): one searchsorted finds the slots, and a
+            # second their live positions
+            slots = np.searchsorted(snap._gids[index], gids)
+            parts.append(offsets[index]
+                         + snap.pins[index].positions_of(slots))
         merged = pool.merge_sharded_skylines(
-            arrays, graph, parts, columns=columns, context=context)
-        return np.sort(virtual_gids[merged])
+            snap.pins, graph, parts, columns=columns, context=context)
+        return np.sort(snap.gids_at(merged))
 
     def _query_snapshot(self, snap: ShardSnapshot, graph: PGraph,
                         columns: list[int], algorithm: str, pool,
@@ -1039,23 +1086,19 @@ class ShardedRelation:
                 and (pool is not None or pool_available()):
             if pool is None:
                 pool = get_default_pool()
-            nonempty = [index for index, shard in enumerate(snap.shards)
-                        if len(shard)]
-            arrays = [snap.shards[index].ranks for index in nonempty]
-            indices = pool.run_sharded(arrays, graph, columns=columns,
+            # empty shards add no live rows, so the pool's virtual rows
+            # are the snapshot's
+            indices = pool.run_sharded(snap.pins, graph, columns=columns,
                                        context=context)
-            virtual_gids = np.concatenate(
-                [snap.gids[index] for index in nonempty])
-            return snap.take_gids(np.sort(virtual_gids[indices]))
+            return snap.take_gids(snap.gids_at(indices))
         if plan.algorithm == "single-shard":
             index = plan.options["shard"]
-            shard = snap.shards[index]
             local = planner.execute(
-                np.ascontiguousarray(shard.ranks[:, columns]), graph,
-                context=context)
+                np.ascontiguousarray(snap.shards[index].ranks[:, columns]),
+                graph, context=context)
+            live = snap.pins[index].live_slots
             return snap.take_gids(
-                np.sort(snap.gids[index][np.asarray(local,
-                                                    dtype=np.intp)]))
+                snap._gids[index][live[np.asarray(local, dtype=np.intp)]])
         local = planner.execute(snap.relation.ranks[:, columns], graph,
                                 context=context)
         return self._finish(snap, np.asarray(local, dtype=np.intp))
@@ -1063,7 +1106,7 @@ class ShardedRelation:
     @staticmethod
     def _finish(snap: ShardSnapshot, positions: np.ndarray) -> Relation:
         """Snapshot row positions -> result relation in global-id order."""
-        gids = snap.global_ids[positions]
+        gids = snap.gids_at(positions)
         order = np.argsort(gids, kind="stable")
         return snap.relation.take(positions[order])
 
@@ -1073,7 +1116,7 @@ class ShardedRelation:
             "count": self.num_shards,
             "partition": self.shard_map.kind,
             "version": snap.version,
-            "rows": [len(shard) for shard in snap.shards],
+            "rows": [len(pin) for pin in snap.pins],
             "mode": mode,
         }
         if skylines is not None:

@@ -43,6 +43,11 @@ that with a warm, reusable execution service:
 * Each registration records which columns hold NaNs in the pass that
   copies the array into shared memory, so a pooled query rejects a
   NaN in a column it reads without rescanning the matrix.
+* A sharded read ships each shard as a :class:`ShardPin`: the shard's
+  frozen *base* matrix is registered once and stays registered across
+  writes, and each task carries only what changed since -- the dead
+  slots and the rows appended -- so a read after a write copies no
+  whole shard.
 * :meth:`WorkerPool.map_queries` amortises one shared-memory
   registration across many p-expressions -- the "many users, one data
   set" shape of a loaded service.
@@ -63,6 +68,7 @@ import uuid
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Callable
 
 import multiprocessing as mp
 from multiprocessing import shared_memory
@@ -72,8 +78,9 @@ import numpy as np
 from .context import ExecutionContext
 
 __all__ = ["SharedArraySpec", "ShardedArraySpec", "SharedRegistration",
-           "WorkerPool", "get_default_pool", "shutdown_default_pool",
-           "pool_available", "default_worker_count"]
+           "ShardPin", "LiveRows", "WorkerPool", "get_default_pool",
+           "shutdown_default_pool", "pool_available",
+           "default_worker_count", "usable_cores"]
 
 #: Shared-memory segments created by this module are named
 #: ``repro-pool-<pid>-<nonce>`` so leak checks can find strays.
@@ -87,10 +94,20 @@ DEFAULT_MAX_WORKERS = 8
 _POLL_INTERVAL = 0.02
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: the size of its CPU affinity
+    mask where the platform reports one (so ``taskset`` and cpusets
+    count), else :func:`os.cpu_count`.  Every core-count decision of
+    the library reads this one function."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_worker_count() -> int:
-    """The default pool size: the CPU count, at least 2, at most
+    """The default pool size: the usable cores, at least 2, at most
     :data:`DEFAULT_MAX_WORKERS`."""
-    return min(DEFAULT_MAX_WORKERS, max(2, os.cpu_count() or 1))
+    return min(DEFAULT_MAX_WORKERS, max(2, usable_cores()))
 
 
 def pool_available() -> bool:
@@ -121,30 +138,197 @@ class SharedArraySpec:
 
 @dataclass(frozen=True)
 class ShardedArraySpec:
-    """A picklable descriptor of one *virtually concatenated* array made
-    of independently registered parts (the shards of a
-    :class:`~repro.core.sharding.ShardedRelation`).
+    """A picklable descriptor of the live rows of pinned shards
+    (:class:`ShardPin`), addressed as one *virtually concatenated*
+    array.
 
-    ``offsets`` has ``len(parts) + 1`` entries: part ``i`` covers virtual
-    rows ``offsets[i]:offsets[i + 1]``.  Workers address rows in the
-    virtual coordinate space and gather across part segments -- a write
-    to one shard therefore only invalidates that shard's registration,
-    not the whole relation's.
+    ``parts`` holds each shard's registered base; ``deltas`` holds, per
+    shard, its dead slots and the rows appended after its base.
+    ``offsets`` has ``len(parts) + 1`` entries: shard ``i``'s live rows
+    are virtual rows ``offsets[i]:offsets[i + 1]``.  Workers address
+    rows in that coordinate space and gather across the base segments
+    and the deltas -- a write to a shard changes only its delta, not
+    its registration.
     """
 
     parts: tuple[SharedArraySpec, ...]
     offsets: tuple[int, ...]
+    deltas: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        if len(self.offsets) != len(self.parts) + 1:
+        if len(self.offsets) != len(self.parts) + 1 \
+                or len(self.deltas) != len(self.parts):
             raise ValueError(
                 f"{len(self.parts)} parts need {len(self.parts) + 1} "
-                f"offsets, got {len(self.offsets)}")
+                f"offsets and {len(self.parts)} deltas, got "
+                f"{len(self.offsets)} and {len(self.deltas)}")
 
     @property
     def shape(self) -> tuple[int, ...]:
         width = self.parts[0].shape[1] if self.parts else 0
         return (self.offsets[-1], width)
+
+
+class ShardPin:
+    """One shard as a read pinned it, in *slot space*.
+
+    ``base`` holds slots ``0:B`` -- a frozen matrix, dead slots
+    included, registered with the pool once -- ``appended`` the slots
+    ``B:size`` written since the base was taken, and ``dead`` the
+    sorted slots the read must skip.  The shard's rows are its live
+    slots in slot order; a row's index in that order is its *live
+    position*.  Slots below ``size`` are never rewritten (writes only
+    append or delete), so a pin copies nothing but its dead slots, and
+    every lookup costs ``O(log dead)`` per row, never ``O(size)``.
+    """
+
+    __slots__ = ("base", "appended", "dead", "_gaps")
+
+    def __init__(self, base: np.ndarray, appended: np.ndarray,
+                 dead: np.ndarray):
+        self.base = base
+        self.appended = appended
+        self.dead = dead
+        # live slots before each dead slot: live position p sits at
+        # slot p + (number of gaps <= p)
+        self._gaps = dead - np.arange(dead.size)
+
+    @property
+    def size(self) -> int:
+        return self.base.shape[0] + self.appended.shape[0]
+
+    def __len__(self) -> int:
+        return self.size - self.dead.size
+
+    def slots_of(self, positions) -> np.ndarray:
+        """The slots of the given live positions."""
+        positions = np.asarray(positions, dtype=np.intp)
+        return positions + np.searchsorted(self._gaps, positions,
+                                           side="right")
+
+    def positions_of(self, slots) -> np.ndarray:
+        """The live positions of the given (live) slots."""
+        slots = np.asarray(slots, dtype=np.intp)
+        return slots - np.searchsorted(self.dead, slots)
+
+    def is_alive(self, slots: np.ndarray) -> np.ndarray:
+        """Which of the given slots (all below ``size``) are live."""
+        if not self.dead.size:
+            return np.ones(slots.size, dtype=bool)
+        at = np.minimum(np.searchsorted(self.dead, slots),
+                        self.dead.size - 1)
+        return self.dead[at] != slots
+
+    @property
+    def live_slots(self) -> np.ndarray:
+        """Every live slot in slot order (``O(size)``: dense readers
+        only)."""
+        return np.delete(np.arange(self.size), self.dead)
+
+    def at_slots(self, slots: np.ndarray) -> np.ndarray:
+        """The rows in ``slots`` (a copy)."""
+        cut = self.base.shape[0]
+        if not self.appended.shape[0]:
+            return np.take(self.base, slots, axis=0)
+        rows = np.empty((slots.size, self.base.shape[1]))
+        low = slots < cut
+        rows[low] = np.take(self.base, slots[low], axis=0)
+        rows[~low] = np.take(self.appended, slots[~low] - cut, axis=0)
+        return rows
+
+    def runs(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The rows at live positions ``lo:hi`` as zero-copy views, one
+        per run of live slots between the dead ones (and split where
+        the base ends)."""
+        if hi <= lo:
+            return []
+        first, last = (int(slot) for slot in self.slots_of([lo, hi - 1]))
+        inside = self.dead[np.searchsorted(self.dead, first):
+                           np.searchsorted(self.dead, last)].tolist()
+        cut = self.base.shape[0]
+        views = []
+        for start, stop in zip([first] + [d + 1 for d in inside],
+                               inside + [last + 1]):
+            if start < min(stop, cut):
+                views.append(self.base[start:min(stop, cut)])
+            if max(start, cut) < stop:
+                views.append(self.appended[max(start, cut) - cut:
+                                           stop - cut])
+        return views
+
+
+class LiveRows:
+    """The live rows of pinned shards, addressed as their concatenation
+    without building it.
+
+    ``pin(i)`` returns shard ``i``'s :class:`ShardPin`, whose live rows
+    are virtual rows ``offsets[i]:offsets[i + 1]``.  Indexing takes a
+    slice (joined from the runs of live slots; a zero-copy view when it
+    is one run) or an index array (gathered in the given order).  The
+    parent's merge, the workers' tasks and the planner's estimate all
+    read sharded rows through it.
+    """
+
+    def __init__(self, pin: Callable[[int], ShardPin], offsets,
+                 width: int):
+        self._pin = pin
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.shape = (int(self.offsets[-1]), int(width))
+
+    @classmethod
+    def of(cls, pins) -> "LiveRows":
+        pins = list(pins)
+        offsets = np.cumsum([0] + [len(pin) for pin in pins])
+        width = pins[0].base.shape[1] if pins else 0
+        return cls(pins.__getitem__, offsets, width)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self.rows(key)
+
+    def rows(self, key, columns=None) -> np.ndarray:
+        """The rows at ``key`` (a slice or an index array), as a
+        row-major matrix of the columns ``columns`` when given."""
+        offsets = self.offsets
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self.shape[0])
+            if step != 1:
+                raise ValueError("live rows slice with step 1 only")
+            views = []
+            # side="right" - 1 lands on the part holding the row even
+            # when empty parts repeat an offset
+            part = int(np.searchsorted(offsets, start, side="right")) - 1
+            while start < stop:
+                end = min(stop, int(offsets[part + 1]))
+                views += self._pin(part).runs(start - int(offsets[part]),
+                                              end - int(offsets[part]))
+                start = end
+                part += 1
+            if len(views) == 1:
+                rows = views[0]
+            else:
+                rows = np.concatenate(views) if views \
+                    else np.empty((0, self.shape[1]))
+        else:
+            indices = np.asarray(key, dtype=np.intp)
+            part_of = np.searchsorted(offsets, indices, side="right") - 1
+            rows = np.empty((indices.size, self.shape[1]))
+            for part in np.unique(part_of):
+                mask = part_of == part
+                pin = self._pin(int(part))
+                rows[mask] = pin.at_slots(
+                    pin.slots_of(indices[mask] - offsets[part]))
+        if columns is None:
+            return rows
+        # column by column into a row-major matrix: about twice as fast
+        # as np.take along axis 1 on narrow rows, and the algorithms
+        # read row-major chunks faster
+        projected = np.empty((rows.shape[0], len(columns)))
+        for position, column in enumerate(columns):
+            projected[:, position] = rows[:, column]
+        return projected
 
 
 class SharedRegistration:
@@ -257,20 +441,6 @@ def _row_slices(n: int, chunks: int) -> list:
             for i in range(chunks)]
 
 
-def _take_rows(part, offsets, width: int, indices) -> np.ndarray:
-    """Rows ``indices`` of a virtual concatenation: ``part(i)`` is the
-    array covering rows ``offsets[i]:offsets[i + 1]``."""
-    indices = np.asarray(indices, dtype=np.intp)
-    # side="right" - 1 lands on the part containing the row even when
-    # empty parts produce repeated offsets
-    part_of = np.searchsorted(offsets, indices, side="right") - 1
-    rows = np.empty((indices.size, width), dtype=np.float64)
-    for index in np.unique(part_of):
-        mask = part_of == index
-        rows[mask] = part(index)[indices[mask] - offsets[index]]
-    return rows
-
-
 # -- worker side -------------------------------------------------------------
 
 
@@ -348,45 +518,28 @@ def _drop_attachments(attachments: dict, keep) -> None:
             pass
 
 
-def _gather_sharded(spec: ShardedArraySpec, kind: str, payload,
+def _gather_sharded(spec: ShardedArraySpec, kind: str, payload, columns,
                     attachments: dict):
-    """Gather rows of a virtually concatenated array across its part
-    segments; returns ``(rows, to_global)`` like the single-segment
-    path.  Stays zero-copy when a slice falls inside one part."""
-    offsets = np.asarray(spec.offsets, dtype=np.intp)
+    """Gather the ``columns`` (all when ``None``) of live rows of pinned
+    shards from their base segments and deltas; returns ``(rows,
+    to_global)`` like the single-segment path."""
+    pins: dict[int, ShardPin] = {}
+
+    def pin(part: int) -> ShardPin:
+        if part not in pins:
+            dead, appended = spec.deltas[part]
+            pins[part] = ShardPin(
+                _attach_view(spec.parts[part], attachments), appended,
+                dead)
+        return pins[part]
+
+    live = LiveRows(pin, spec.offsets, spec.shape[1])
     if kind == "slice":
         start, stop = payload
-        # side="right" - 1 lands on the part containing the row even
-        # when empty parts produce repeated offsets
-        first = int(np.searchsorted(offsets, start, side="right")) - 1
-        if stop <= offsets[first + 1]:  # inside one part: zero-copy
-            view = _attach_view(spec.parts[first], attachments)
-            rows = view[start - offsets[first]:stop - offsets[first]]
-        else:
-            pieces = []
-            cursor = start
-            part = first
-            while cursor < stop:
-                view = _attach_view(spec.parts[part], attachments)
-                lo = cursor - offsets[part]
-                hi = min(stop, int(offsets[part + 1])) - offsets[part]
-                if hi > lo:
-                    pieces.append(view[lo:hi])
-                cursor = int(offsets[part + 1])
-                part += 1
-            rows = np.vstack(pieces)
-
-        def to_global(local: np.ndarray) -> np.ndarray:
-            return local + start
-    else:
-        indices = np.asarray(payload, dtype=np.intp)
-        rows = _take_rows(
-            lambda part: _attach_view(spec.parts[part], attachments),
-            offsets, spec.shape[1], indices)
-
-        def to_global(local: np.ndarray) -> np.ndarray:
-            return indices[local]
-    return rows, to_global
+        return live.rows(slice(start, stop), columns), \
+            lambda local: local + start
+    indices = np.asarray(payload, dtype=np.intp)
+    return live.rows(indices, columns), indices.__getitem__
 
 
 def _run_task(spec: dict, attachments: dict, cancel_event):
@@ -402,8 +555,11 @@ def _run_task(spec: dict, attachments: dict, cancel_event):
     array_spec = spec["array"]
     kind, payload = spec["rows"]
     if isinstance(array_spec, ShardedArraySpec):
+        columns = spec["columns"]
         rows, to_global = _gather_sharded(array_spec, kind, payload,
-                                          attachments)
+                                          columns, attachments)
+        if columns is not None:
+            spec = dict(spec, columns=None)  # projected while gathered
     elif kind == "slice":
         view = _attach_view(array_spec, attachments)
         start, stop = payload
@@ -672,58 +828,60 @@ class WorkerPool:
                 row_tasks=_row_slices(n, chunks), algorithm=algorithm,
                 columns=columns, options=options, context=context)
 
-    def run_sharded(self, arrays, graph, *, algorithm: str = "osdc",
+    def run_sharded(self, shards, graph, *, algorithm: str = "osdc",
                     columns=None, options: dict | None = None,
                     context: ExecutionContext | None = None
                     ) -> np.ndarray:
-        """Evaluate ``M_pi`` over the virtual concatenation of
-        independently registered shard arrays; returns sorted indices in
-        the virtual (concatenated) coordinate space.
+        """Evaluate ``M_pi`` over the live rows of pinned shards; returns
+        sorted indices in the virtual space of their concatenation.
 
-        Each shard is registered into shared memory on its own, so a
-        mutation to one shard of a
-        :class:`~repro.core.sharding.ShardedRelation` invalidates only
-        that shard's registration on the next query.  The virtual rows
-        are sliced exactly like :meth:`run_query` slices a matrix: one
-        near-equal slice per worker, whatever the shard boundaries (the
-        partition identity holds for any partition, so a slice that
-        spans shards is gathered across their segments in the worker).
-        The slices are merged like :meth:`run_query`'s, which also
-        rejects NaNs in the columns read the same way.
+        Each shard is a :class:`ShardPin` whose base nothing writes in
+        place.  The base is registered into shared memory on its own
+        and stays registered while the shard only grows or loses rows,
+        so a read after a write ships that shard's delta -- its dead
+        slots and appended rows -- with the tasks instead of
+        registering it again.  The virtual rows are sliced exactly like
+        :meth:`run_query` slices a matrix: one near-equal slice per
+        worker, whatever the shard boundaries (the partition identity
+        holds for any partition, so a slice that spans shards is
+        gathered across their segments in the worker).  The slices are
+        merged like :meth:`run_query`'s, which also rejects NaNs in the
+        columns read the same way.
         """
         from ..algorithms.base import ensure_context
 
         context = ensure_context(context)
         if self._closed:
             raise RuntimeError("pool is closed")
-        arrays = [_frozen_matrix(a) for a in arrays if a.shape[0]]
-        n = sum(int(a.shape[0]) for a in arrays)
+        pins = [pin for pin in shards if len(pin)]
+        n = sum(len(pin) for pin in pins)
         context.check("pool-setup")
         with self._lock:
-            if not arrays:
+            if not pins:
                 return np.empty(0, dtype=np.intp)
-            spec, nan_columns = self._register_sharded(arrays)
+            spec, nan_columns = self._register_sharded(pins)
             _reject_nans(nan_columns, columns)
             return self._scatter_gather(
-                spec, graph, rows_of=_virtual_rows(arrays),
+                spec, graph, rows_of=LiveRows.of(pins).__getitem__,
                 row_tasks=_row_slices(n, min(self.processes, n)),
                 algorithm=algorithm, columns=columns,
                 options=options, context=context,
-                pool_extra={"shards": len(arrays)})
+                pool_extra={"shards": len(pins)})
 
-    def merge_sharded_skylines(self, arrays, graph, parts, *,
+    def merge_sharded_skylines(self, shards, graph, parts, *,
                                algorithm: str = "osdc", columns=None,
                                options: dict | None = None,
                                context: ExecutionContext | None = None
                                ) -> np.ndarray:
         """Tree-merge pre-computed per-shard skylines on the pool.
 
-        ``parts`` holds one index array per shard skyline, in the
-        virtual coordinate space of the concatenated ``arrays``.  This
-        is the serving path for maintained sharded relations: the
-        per-shard skylines are already known, so the chunk-evaluation
-        stage is skipped entirely and only the merge tree runs.
-        Returns sorted virtual indices of the global skyline.
+        ``shards`` are pinned like :meth:`run_sharded`'s; ``parts``
+        holds one index array per shard skyline, in the virtual
+        coordinate space of their concatenated live rows.  This is the
+        serving path for maintained sharded relations: the per-shard
+        skylines are already known, so the chunk-evaluation stage is
+        skipped entirely and only the merge tree runs.  Returns sorted
+        virtual indices of the global skyline.
         """
         from ..algorithms.base import ensure_context
 
@@ -732,30 +890,33 @@ class WorkerPool:
             raise RuntimeError("pool is closed")
         context.check("pool-setup")
         with self._lock:
-            arrays = [_frozen_matrix(a) for a in arrays]
-            spec, _ = self._register_sharded(arrays)
+            pins = [pin for pin in shards if len(pin)]
+            spec, _ = self._register_sharded(pins)
             parts = [np.asarray(part, dtype=np.intp) for part in parts]
             return self._scatter_gather(
-                spec, graph, rows_of=_virtual_rows(arrays),
+                spec, graph, rows_of=LiveRows.of(pins).__getitem__,
                 parts=parts, algorithm=algorithm, columns=columns,
                 options=options, context=context,
                 phase="pool-shard-merge",
                 pool_extra={"shards": len(parts), "merge_only": True})
 
-    def _register_sharded(self, arrays
+    def _register_sharded(self, pins
                           ) -> tuple[ShardedArraySpec, frozenset]:
-        """Register each shard array independently; returns the spec
-        and the columns holding NaNs in any shard.  Caller holds the
-        lock."""
+        """Register each pin's base (a cache hit while it is unchanged);
+        returns the spec carrying the deltas and the columns holding
+        NaNs in any shard.  Caller holds the lock."""
         offsets = [0]
         specs = []
+        deltas = []
         nan_columns = frozenset()
-        for array in arrays:
-            registration = self.register(array)
+        for pin in pins:
+            registration = self.register(pin.base)
             specs.append(registration.spec)
+            deltas.append((pin.dead, pin.appended))
             nan_columns |= registration.nan_columns
-            offsets.append(offsets[-1] + int(array.shape[0]))
-        return ShardedArraySpec(tuple(specs), tuple(offsets)), nan_columns
+            offsets.append(offsets[-1] + len(pin))
+        return (ShardedArraySpec(tuple(specs), tuple(offsets),
+                                 tuple(deltas)), nan_columns)
 
     def _scatter_gather(self, array_spec, graph, *, rows_of,
                         row_tasks=None, parts=None, algorithm: str,
@@ -1003,14 +1164,6 @@ class WorkerPool:
         }
         if pool_extra:
             stats.extra["pool"].update(pool_extra)
-
-
-def _virtual_rows(arrays):
-    """``rows_of`` for the virtual concatenation of ``arrays``."""
-    offsets = np.cumsum([0] + [array.shape[0] for array in arrays])
-    width = arrays[0].shape[1] if arrays else 0
-    return lambda indices: _take_rows(arrays.__getitem__, offsets,
-                                      width, indices)
 
 
 def _resolve_batch(data, queries):

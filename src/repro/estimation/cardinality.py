@@ -80,7 +80,11 @@ def estimate_pskyline_size(ranks: np.ndarray, graph: PGraph,
 
     ``columns`` names the columns of ``ranks`` the preference reads
     (all of them when ``None``); only the sampled rows and the windows
-    the scan reaches are sliced, never the whole projection.
+    the scan reaches are sliced, never the whole projection.  ``ranks``
+    is a matrix or anything with its ``shape`` that answers
+    ``ranks[index_array]`` and ``ranks[start:stop]`` with rows -- a
+    sharded snapshot's :class:`~repro.engine.pool.LiveRows` -- and
+    only those rows are read.
     """
     n = ranks.shape[0]
     if n == 0:
@@ -92,7 +96,7 @@ def estimate_pskyline_size(ranks: np.ndarray, graph: PGraph,
     alive = ranks[rows][:, columns]
     start, width = 0, FIRST_WINDOW
     while start < n and len(alive):
-        window = ranks[start:start + width, columns]
+        window = ranks[start:start + width][:, columns]
         alive = alive[dominance.screen_block(alive, window)]
         start += width
         width *= 2

@@ -35,7 +35,6 @@ projection, taken once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -212,9 +211,11 @@ class Planner:
         * everything else -> ``sharded-serial``, i.e. the ordinary
           single-matrix plan over the materialised snapshot.
         """
+        from .engine.pool import usable_cores
+
         n = len(snapshot)
-        populated = [index for index, shard in enumerate(snapshot.shards)
-                     if len(shard)]
+        populated = [index for index, pin in enumerate(snapshot.pins)
+                     if len(pin)]
         if len(populated) <= 1:
             shard = populated[0] if populated else 0
             return Plan(
@@ -226,12 +227,14 @@ class Planner:
         # on one core the pool's workers share it: scattering then
         # measured 1.35x the serial plan
         if n >= self.sharded_threshold and pool_available() \
-                and (os.cpu_count() or 1) > 1:
+                and usable_cores() > 1:
             estimate = None
+            # the estimate gathers its sample and windows from the pins:
+            # the snapshot is never concatenated
             if n and (columns is not None
-                      or snapshot.relation.arity == graph.d):
+                      or snapshot.rows.shape[1] == graph.d):
                 estimate = estimate_pskyline_size(
-                    snapshot.relation.ranks, graph, self.rng,
+                    snapshot.rows, graph, self.rng,
                     sample_size=self.sample_size, columns=columns)
             return Plan(
                 "sharded-scatter-gather",

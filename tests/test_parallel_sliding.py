@@ -64,9 +64,9 @@ class TestParallelOSDC:
             parallel_osdc("not a matrix", object(), min_chunk=0)
 
     def test_auto_processes_policy(self):
-        import os
         from repro.algorithms.parallel import auto_processes
-        cpus = os.cpu_count() or 1
+        from repro.engine.pool import usable_cores
+        cpus = usable_cores()
         assert auto_processes(0, 4096) == 1
         assert auto_processes(10_000_000, 4096) == \
             min(cpus, 10_000_000 // 4096)

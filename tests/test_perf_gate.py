@@ -1,8 +1,8 @@
 """The perf-gate tier registry: committed baselines, waivers, mutations.
 
 Every committed ``BENCH_*.json`` checked against itself must have no
-failing check, and every waiver it records must surface as an
-``unmeasured`` verdict.  Mutated copies of the baselines must fail
+failing check, and every check it recorded as ``unmeasured`` must come
+back ``unmeasured``.  Mutated copies of the baselines must fail
 exactly the check that guards the mutated field, and a gate run must
 never overwrite the committed baselines unless asked to.
 """
@@ -38,6 +38,18 @@ def test_registry_declares_the_five_tiers():
         assert {check.kind for check in tier.checks} <= KINDS
 
 
+def assert_waivers_hold(verdicts: dict, artifact: dict) -> None:
+    """Every check ``artifact`` recorded as unmeasured is unmeasured in
+    ``verdicts`` too, never a silent pass.  The waivers read the
+    artifact's own host tag and scale, not the host running the test,
+    so this holds on any host."""
+    recorded = {key: verdict
+                for key, verdict in artifact.get("verdicts", {}).items()
+                if verdict.startswith("unmeasured: ")}
+    for key, verdict in recorded.items():
+        assert verdicts.get(key) == verdict, key
+
+
 @pytest.mark.parametrize("tier", list(TIERS))
 def test_committed_baseline_passes_against_itself(tier):
     artifact = baseline(tier)
@@ -45,10 +57,32 @@ def test_committed_baseline_passes_against_itself(tier):
     assert verdicts and failing(verdicts) == []
     assert all(verdict == "pass" or verdict.startswith("unmeasured: ")
                for verdict in verdicts.values())
-    # a waiver the committed file records is an unmeasured check, never
-    # a silent pass
-    for waiver in artifact.get("waivers", []):
-        assert f"unmeasured: {waiver}" in verdicts.values(), waiver
+    assert_waivers_hold(verdicts, artifact)
+
+
+WAIVED = [tier for tier in TIERS
+          if any(verdict.startswith("unmeasured: ")
+                 for verdict in baseline(tier).get("verdicts", {}).values())]
+
+
+@pytest.mark.parametrize("tier", WAIVED)
+def test_a_passed_waiver_fails_the_recorded_verdicts(tier, monkeypatch):
+    """The waiver half of the self-check can fail: an ``evaluate`` that
+    passes a waived check breaks it."""
+    from repro.bench import perf_gate
+
+    verdicts_of = perf_gate._verdicts
+
+    def lenient(check, current, baseline):
+        for key, verdict in verdicts_of(check, current, baseline):
+            yield key, ("pass" if verdict.startswith("unmeasured: ")
+                        else verdict)
+
+    monkeypatch.setattr(perf_gate, "_verdicts", lenient)
+    artifact = baseline(tier)
+    verdicts = evaluate(TIERS[tier], artifact, artifact)
+    with pytest.raises(AssertionError):
+        assert_waivers_hold(verdicts, artifact)
 
 
 @pytest.mark.parametrize("tier", list(TIERS))
@@ -97,6 +131,10 @@ MUTATIONS = [
     ("shards", _set("insert.insert_overhead", 1.5),
      "ceiling insert.insert_overhead"),
     ("shards", _set("sharded.version", 2), "exact sharded.version"),
+    ("shards", _set("writes.registered_bytes", 4800),
+     "equal writes.registered_bytes"),
+    ("shards", _set("writes.touched_shards", 3),
+     "equal writes.touched_shards"),
     ("server", _set("server.cold_misses", lambda v: v + 1),
      "equal server.cold_misses"),
     ("server", _set("server.errors", 3), "equal server.errors"),

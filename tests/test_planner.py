@@ -1,6 +1,5 @@
 """Tests for the cost-based planner and ``algorithm='auto'``."""
 
-import os
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from repro.core.parser import parse
 from repro.core.pgraph import PGraph
 from repro.core.query import p_skyline
 from repro.core.sharding import ShardedRelation
+from repro.engine import pool as pool_module
 from repro.planner import Plan, Planner
 
 
@@ -127,31 +127,47 @@ class TestExecution:
 class TestShardedPlan:
     def test_estimator_reads_the_base_matrix_with_columns(
             self, monkeypatch, nrng):
+        """The estimate reads the pinned shards' rows -- the snapshot is
+        never concatenated -- and, live rows numbered as in the
+        concatenation, equals the estimate over it for the same seed,
+        with deletes and appends since the shards' bases."""
         import repro.planner as planner_module
 
         seen = []
         estimate = planner_module.estimate_pskyline_size
 
         def spy_estimate(ranks, graph, rng, **kwargs):
-            seen.append((ranks, kwargs.get("columns")))
+            seen.append(kwargs.get("columns"))
             return estimate(ranks, graph, rng, **kwargs)
 
         monkeypatch.setattr(planner_module, "estimate_pskyline_size",
                             spy_estimate)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # scatters
+        # scatters
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
+        rows = nrng.random((3040, 5))
+        rows[:, 2] = 1.0 - rows[:, 4] + 0.05 * rows[:, 2]  # many maximal
         relation = ShardedRelation.from_array(
-            nrng.integers(0, 20, size=(3000, 5)).astype(float),
-            names=[f"A{i}" for i in range(5)], shards=3)
+            rows[:3000], names=[f"A{i}" for i in range(5)], shards=3)
+        relation.snapshot().close()  # the shards take their bases
+        for row in rows[3000:]:
+            relation.insert_ranks(row)
+        for gid in range(0, 3000, 150):
+            relation.delete(gid)
         graph = PGraph.from_expression(parse("(A & B) * C"))
         planner = Planner(sharded_threshold=1000)
         with relation.snapshot() as snapshot:
+            assert any(pin.appended.shape[0] and pin.dead.size
+                       for pin in snapshot.pins)
             plan = planner.plan_sharded(snapshot, graph, columns=[4, 0, 2])
-            (ranks, columns), = seen
-            assert ranks is snapshot.relation.ranks  # no projection
-            assert list(columns) == [4, 0, 2]
+            assert seen == [[4, 0, 2]]
+            assert snapshot._relation is None  # never concatenated
             assert plan.algorithm == "sharded-scatter-gather"
+            concatenated = rows[snapshot.global_ids]
+            assert np.array_equal(snapshot.relation.ranks, concatenated)
             assert plan.estimated_output == estimate(
-                ranks[:, [4, 0, 2]], graph, np.random.default_rng(0))
+                concatenated[:, [4, 0, 2]], graph,
+                np.random.default_rng(0))
+            assert plan.estimated_output > 0
 
 
 def _weak_order(names, rng):
@@ -199,7 +215,8 @@ class TestAutoMatchesOsdc:
 
     @pytest.mark.parametrize("seed", range(9))
     def test_sharded_snapshot_with_columns(self, seed, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # scatters
+        # scatters
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
         ranks, names, text = self._case(seed)
         relation = ShardedRelation.from_array(ranks, names=names,
                                               shards=3)

@@ -18,6 +18,8 @@ from repro.algorithms.parallel import parallel_osdc
 from repro.algorithms.base import Stats
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
+from repro.engine import pool as pool_module
+from repro.engine.pool import ShardPin
 from repro.engine import (CancellationToken, ExecutionContext,
                           QueryCancelled, QueryTimeout, WorkerPool,
                           get_default_pool, shutdown_default_pool)
@@ -134,20 +136,28 @@ def sized_pool(request):
         yield pool
 
 
-def _shard_arrays(sizes, seed: int, dims: int = 6) -> list:
+def _shard_pins(sizes, seed: int, dims: int = 6) -> tuple:
+    """Pinned shards holding ``sizes`` live rows, and those rows
+    concatenated.  Each shard has a dead slot mid-base, and a third of
+    its rows sit in the rows appended after the base."""
     nrng = np.random.default_rng(seed)
-    arrays = [nrng.integers(0, 15, size=(size, dims)).astype(float)
-              for size in sizes]
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
+    pins, live = [], []
+    for size in sizes:
+        slots = nrng.integers(0, 15, size=(size + 1, dims)).astype(float)
+        cut = size + 1 - size // 3
+        base = slots[:cut].copy()
+        base.setflags(write=False)
+        dead = np.array([cut // 2])
+        pins.append(ShardPin(base, slots[cut:], dead))
+        live.append(np.delete(slots, dead, axis=0))
+    return pins, np.vstack(live)
 
 
 class TestShardedSlices:
     """``run_sharded`` cuts the virtual rows into one slice per worker,
     whatever the shard boundaries; a slice spanning shards is gathered
-    across their segments, and the answer is ``osdc`` on the
-    concatenation."""
+    across their segments and deltas, and the answer is ``osdc`` on
+    the concatenation of the live rows."""
 
     @pytest.mark.parametrize("sizes", [
         [1, 700, 1, 298],       # 1-row shards at both ends of a slice
@@ -160,16 +170,15 @@ class TestShardedSlices:
     def test_matches_osdc_on_the_concatenation(self, sized_pool, queued,
                                                sizes, seed, rng):
         rng.seed(100 * seed + len(sizes))
-        arrays = _shard_arrays(sizes, seed)
+        pins, union = _shard_pins(sizes, seed)
         # a permuted column subset of the six stored columns
         columns = rng.sample(range(6), rng.randint(2, 5))
         names = [f"A{i}" for i in range(len(columns))]
         graph = PGraph.from_expression(random_expression(names, rng),
                                        names=names)
         stats = Stats()
-        got = sized_pool.run_sharded(arrays, graph, columns=columns,
+        got = sized_pool.run_sharded(pins, graph, columns=columns,
                                      context=ExecutionContext(stats=stats))
-        union = np.vstack(arrays)
         expected = osdc(np.ascontiguousarray(union[:, columns]), graph)
         assert np.array_equal(got, np.sort(expected))
         n = union.shape[0]
@@ -183,12 +192,11 @@ class TestShardedSlices:
 
     def test_one_slice_per_worker_and_one_parent_merge(self, pool,
                                                        queued):
-        arrays = _shard_arrays([240, 260, 250, 250], seed=7)
+        pins, union = _shard_pins([240, 260, 250, 250], seed=7)
         graph = PGraph.from_expression(parse("(A & B) * C"))
         stats = Stats()
-        got = pool.run_sharded(arrays, graph, columns=[5, 0, 3],
+        got = pool.run_sharded(pins, graph, columns=[5, 0, 3],
                                context=ExecutionContext(stats=stats))
-        union = np.vstack(arrays)
         assert np.array_equal(
             got, osdc(np.ascontiguousarray(union[:, [5, 0, 3]]), graph))
         # two chunk tasks, no pooled merge round: the last (only) pair
@@ -471,7 +479,7 @@ class TestPlannerParallelRule:
         graph = PGraph.from_expression(parse("A & (B * C)"))
         assert graph.is_weak_order()
         ranks = nrng.integers(0, 50, size=(20_000, 3)).astype(float)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
         assert planner.plan(ranks, graph).algorithm == "parallel-osdc"
         assert planner.plan(ranks[:9_999], graph).algorithm == "layered"
         monkeypatch.setattr(planner_module, "pool_available",
@@ -483,7 +491,7 @@ class TestPlannerParallelRule:
         """On one core parallel-osdc is serial osdc: a weak order stays
         with layered, and only a general preference goes to the pool."""
         from repro.planner import Planner
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 1)
         planner = Planner(parallel_threshold=10_000)
         ranks = nrng.integers(0, 50, size=(20_000, 3)).astype(float)
         for text, algorithm in (("A & (B * C)", "layered"),
@@ -702,17 +710,17 @@ class TestNanRejectionOnThePool:
         relation = ShardedRelation.from_array(
             nrng.integers(0, 40, size=(9_000, 6)).astype(float), shards=2)
         with relation.snapshot() as snapshot:
-            arrays = [shard.ranks for shard in snapshot.shards
-                      if len(shard)]
-        arrays[-1] = arrays[-1].copy()
-        arrays[-1][3, 5] = np.nan
-        arrays[-1].setflags(write=False)
+            pins = list(snapshot.pins)
+            union = snapshot.relation.ranks
+        base = pins[-1].base.copy()  # a base a NaN got into
+        base[3, 5] = np.nan
+        base.setflags(write=False)
+        pins[-1] = ShardPin(base, pins[-1].appended, pins[-1].dead)
         reads = PGraph.from_expression(parse("(A & B) * C"))
         with pytest.raises(ValueError, match="NaN"):
-            pool.run_sharded(arrays, reads, columns=[4, 5, 0])
+            pool.run_sharded(pins, reads, columns=[4, 5, 0])
         assert queued == []
-        got = pool.run_sharded(arrays, reads, columns=[0, 1, 2])
-        union = np.vstack(arrays)
+        got = pool.run_sharded(pins, reads, columns=[0, 1, 2])
         expected = osdc(np.ascontiguousarray(union[:, :3]), reads)
         assert np.array_equal(got, expected)
 
@@ -761,14 +769,14 @@ class TestParallelAlgorithmOnThePool:
 #: Anti-correlated 20k x 2 rows: every row survives its chunk, so the
 #: parent merges a 20k-row union.
 _REENTRANT_BATCH_SCRIPT = """
-import os
 import numpy as np
 from repro import p_skyline_batch
 from repro.algorithms import osdc
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
+from repro.engine import pool
 
-os.cpu_count = lambda: 2  # the pool would split the union again
+pool.usable_cores = lambda: 2  # the pool would split the union again
 x = np.random.default_rng(5).permutation(20_000).astype(float)
 ranks = np.column_stack([x, 20_000.0 - x])
 (got,) = p_skyline_batch(ranks, ["A0 * A1"], algorithm="parallel-osdc")

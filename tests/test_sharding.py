@@ -17,6 +17,7 @@ from repro.core.pgraph import PGraph
 from repro.core.sharding import (ShardMap, ShardedPSkylineMaintainer,
                                  ShardedRelation, sharded_pskyline)
 from repro.engine import ExecutionContext, WorkerPool
+from repro.engine import pool as pool_module
 from repro.planner import Planner
 from repro.sql import PreferenceSQL
 
@@ -348,7 +349,7 @@ class TestPlannerShardRule:
         assert plan.algorithm == "sharded-serial"
 
     def test_one_core_stays_serial(self, monkeypatch, nrng):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 1)
         relation = ShardedRelation.from_array(
             nrng.normal(size=(3000, 2)), names=["A0", "A1"], shards=2)
         with relation.snapshot() as snapshot:
@@ -358,7 +359,7 @@ class TestPlannerShardRule:
         assert "one core" in plan.reason
 
     def test_large_snapshots_scatter_gather(self, monkeypatch, nrng):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
         ranks = nrng.normal(size=(3000, 2))
         relation = ShardedRelation.from_array(ranks, names=["A0", "A1"],
                                               shards=2)
@@ -379,6 +380,170 @@ class TestPlannerShardRule:
         assert "plan" in phases and "shard-query" in phases
         expected = osdc(ranks, _graph("A0 & A1", 2))
         assert np.array_equal(result.ranks, ranks[np.sort(expected)])
+
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform has no CPU affinity masks")
+    def test_one_cpu_affinity_mask_stays_serial(self, nrng):
+        """A one-CPU affinity mask (``taskset -c 0``) on a many-core
+        host is one core: scattering would only time-share it."""
+        relation = ShardedRelation.from_array(
+            nrng.normal(size=(3000, 2)), names=["A0", "A1"], shards=2)
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            with relation.snapshot() as snapshot:
+                plan = Planner(sharded_threshold=1000).plan_sharded(
+                    snapshot, _graph("A0 & A1", 2))
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert plan.algorithm == "sharded-serial"
+
+
+def _shard_vectors(relation: ShardedRelation, make) -> list:
+    """One vector ``make(k)`` routed to each shard (``k = 0, 1, ...``
+    until every shard has one)."""
+    vectors: dict[int, np.ndarray] = {}
+    k = 0
+    while len(vectors) < relation.num_shards:
+        vector = np.asarray(make(k), dtype=float)
+        vectors.setdefault(relation.shard_map.shard_of(vector), vector)
+        k += 1
+    return list(vectors.values())
+
+
+class TestPinnedScatterReads:
+    """A scatter read ships each shard's dead slots and appended rows
+    with its tasks, against bases the pool registered once."""
+
+    GRAPH = _graph("A0 * A1", 2)
+
+    @classmethod
+    def _read_after_writes(cls, pool) -> tuple[np.ndarray, np.ndarray]:
+        """Pin after deletes and inserts, write to every shard after the
+        pin, then read the pin on the pool; returns the read's rows and
+        those of serial OSDC over the pinned rows, built apart from the
+        snapshot."""
+        rng = np.random.default_rng(11)
+        x = rng.random(2400)
+        ranks = np.column_stack([x, 1.0 - x + 0.05 * rng.random(2400)])
+        relation = ShardedRelation.from_array(ranks, names=["A0", "A1"],
+                                              shards=3)
+        planner = Planner(sharded_threshold=1000)
+        relation.p_skyline(cls.GRAPH, planner=planner, pool=pool)
+        skyline = osdc(ranks, cls.GRAPH)
+        assert skyline.size > 10
+        deleted = skyline[:: skyline.size // 4][:4]
+        for gid in deleted[:3]:  # the pin's deletes
+            relation.delete(int(gid))
+        appended = np.array(_shard_vectors(  # appended before the pin
+            relation, lambda k: [0.5 + 0.01 * k, 0.5 + 0.01 * k]))
+        for row in appended:
+            relation.insert_ranks(row)
+        segments = set(pool.live_segments())
+        snapshot = relation.snapshot()
+        try:
+            relation.delete(int(deleted[3]))  # after the pin
+            for row in _shard_vectors(relation,
+                                      lambda k: [-1.0 - k, -1.0 - k]):
+                relation.insert_ranks(row)  # dominates every pinned row
+            stats = Stats()
+            got = relation.p_skyline(cls.GRAPH, snapshot=snapshot,
+                                     planner=planner, pool=pool,
+                                     stats=stats)
+        finally:
+            snapshot.close()
+        assert stats.extra["plan"]["algorithm"] == "sharded-scatter-gather"
+        assert set(pool.live_segments()) == segments  # no new bytes
+        pinned = np.vstack([np.delete(ranks, deleted[:3], axis=0),
+                            appended])
+        return got.ranks, pinned[np.sort(osdc(pinned, cls.GRAPH))]
+
+    def test_pinned_read_equals_osdc_on_the_pinned_rows(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
+        with WorkerPool(2) as pool:
+            got, expected = self._read_after_writes(pool)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("mutant", ["no-dead-slots", "live-alive"])
+    def test_a_read_off_the_pins_deletes_fails(self, monkeypatch, mutant):
+        """The check above catches a read whose tasks lose the pin's
+        deletes: shipping no dead slots, or the shards' alive arrays as
+        they are at read time."""
+        import dataclasses
+
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
+        register = WorkerPool._register_sharded
+        relations = []
+        snapshot = ShardedRelation.snapshot
+
+        def remember(relation):
+            relations.append(relation)
+            return snapshot(relation)
+
+        def mutated(pool, pins):
+            spec, nan_columns = register(pool, pins)
+            if mutant == "no-dead-slots":
+                deltas = [(dead[:0], appended)
+                          for dead, appended in spec.deltas]
+            else:
+                shards = relations[-1]._shards
+                deltas = [(np.flatnonzero(~shard.alive[: shard.size]),
+                           appended)
+                          for shard, (_dead, appended)
+                          in zip(shards, spec.deltas)]
+            return (dataclasses.replace(spec, deltas=tuple(deltas)),
+                    nan_columns)
+
+        monkeypatch.setattr(ShardedRelation, "snapshot", remember)
+        monkeypatch.setattr(WorkerPool, "_register_sharded", mutated)
+        with WorkerPool(2) as pool:
+            try:
+                got, expected = self._read_after_writes(pool)
+                exact = np.array_equal(got, expected)
+            except Exception:  # a garbled delta may fail outright
+                exact = False
+        assert not exact
+
+    def test_reads_across_the_rebase_share_stay_exact(self, monkeypatch):
+        """Rows appended past the re-base share re-base the shard: one
+        new registration, and every read stays exact."""
+        from repro.core.sharding import REBASE_SHARE
+
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
+        rng = np.random.default_rng(5)
+        ranks = rng.random((1600, 3))
+        graph = _graph("A0 & (A1 * A2)", 3)
+        relation = ShardedRelation.from_array(
+            ranks, names=["A0", "A1", "A2"], shards=2)
+        planner = Planner(sharded_threshold=500)
+        rows = list(ranks)
+        alive = set(range(len(rows)))
+        per_round = int(REBASE_SHARE * 800) + 40
+        with WorkerPool(2) as pool:
+            bases = []
+            for round_ in range(4):
+                if round_:
+                    for row in rng.random((per_round, 3)):
+                        alive.add(relation.insert_ranks(row))
+                        rows.append(row)
+                    for gid in rng.choice(sorted(alive), size=30,
+                                          replace=False):
+                        relation.delete(int(gid))
+                        alive.discard(int(gid))
+                with relation.snapshot() as snapshot:
+                    bases.append([pin.base.shape[0]
+                                  for pin in snapshot.pins])
+                    got = relation.p_skyline(graph, snapshot=snapshot,
+                                             planner=planner, pool=pool)
+                live = np.array(sorted(alive))
+                matrix = np.array(rows)[live]
+                expected = matrix[np.sort(osdc(matrix, graph))]
+                assert np.array_equal(got.ranks, expected)
+            assert len(pool.live_segments()) <= relation.num_shards
+        # every shard re-based at least once past its first base
+        assert all(last > first
+                   for first, last in zip(bases[0], bases[-1]))
 
 
 class TestPreferenceSqlOverShards:
