@@ -604,7 +604,7 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
              *_each("exact", "insert", ("output_size", "shard_skylines")),
              # writes below the re-base share leave every base
              # registered: the read ships deltas, registers nothing
-             Check("equal", "writes", "registered_bytes", 0),
+             Check("equal", "writes", "new_segments", 0),
              Check("equal", "writes", "touched_shards",
                    lambda r: r["shards"]),
              Check("exact", "writes", "output_size"),

@@ -19,8 +19,8 @@ builder is shared with ``benchmarks/bench_sharding.py``:
   its speedup.
 * :func:`measure_read_after_writes` -- a pinned scatter read after
   inserts and deletes that touch every shard: each shard's base stays
-  registered, so the read registers no new shared memory and ships
-  only the shards' deltas.
+  registered, so the read registers no new shared-memory segment and
+  ships only the shards' deltas.
 * :func:`measure_insert_overhead` -- per-row insert throughput of a
   :class:`~repro.core.sharding.ShardedPSkylineMaintainer` against a
   single flat :class:`~repro.algorithms.incremental.PSkylineMaintainer`
@@ -140,24 +140,24 @@ def measure_sharded(rows: int, dims: int, *, shards: int = 4,
 
 
 def measure_read_after_writes(rows: int, dims: int, *, shards: int = 4,
-                              workers: int = 4,
-                              alpha: float = DEFAULT_ALPHA,
-                              seed: int = 2015,
-                              writes: int = READ_WRITES) -> dict:
+                              workers: int = 4, seed: int = 2015) -> dict:
     """A pinned scatter read after writes to every shard.
 
-    A first read registers every shard's base.  Then ``writes`` rows
-    are inserted and as many live rows deleted, and a second pin is
-    read on the same warm pool; ``read_seconds`` times that pin and
-    read.  Below the re-base share the read registers no new shared
-    memory (``registered_bytes``).  Serial OSDC over the live rows is
-    the correctness oracle.
+    A first read registers every shard's base.  Then
+    :data:`READ_WRITES` rows are inserted and as many live rows
+    deleted, and a second pin is read on the same warm pool;
+    ``read_seconds`` times that pin and read.  Below the re-base share
+    the read registers no new shared-memory segment
+    (``new_segments``).  Serial OSDC over the live rows is the
+    correctness oracle.
     """
     from ..algorithms.osdc import osdc
     from ..core.sharding import ShardedRelation
     from ..engine.pool import WorkerPool
 
-    ranks, graph = pinned_parallel_case(rows + writes, dims, alpha, seed)
+    writes = READ_WRITES
+    ranks, graph = pinned_parallel_case(rows + writes, dims, DEFAULT_ALPHA,
+                                        seed)
     relation = ShardedRelation.from_array(ranks[:rows],
                                           names=list(graph.names),
                                           shards=shards)
@@ -171,21 +171,12 @@ def measure_read_after_writes(rows: int, dims: int, *, shards: int = 4,
         for gid in deleted:
             relation.delete(int(gid))
 
-        registered = []
-        register = pool.register
-
-        def counting(array):
-            before = set(pool.live_segments())
-            registration = register(array)
-            if registration.name not in before:
-                registered.append(registration.spec.nbytes)
-            return registration
-
-        pool.register = counting
+        before = set(pool.live_segments())
         start = time.perf_counter()
         with relation.snapshot() as snapshot:
             virtual = pool.run_sharded(snapshot.pins, graph)
             read_seconds = time.perf_counter() - start
+            new_segments = len(set(pool.live_segments()) - before)
             gids = np.sort(snapshot.gids_at(virtual))
             touched = sum(1 for pin in snapshot.pins
                           if pin.appended.shape[0] and pin.dead.size)
@@ -204,7 +195,7 @@ def measure_read_after_writes(rows: int, dims: int, *, shards: int = 4,
         "workers": int(workers),
         "output_size": int(expected.size),
         "touched_shards": int(touched),
-        "registered_bytes": int(sum(registered)),
+        "new_segments": new_segments,
         "read_seconds": read_seconds,
     }
 

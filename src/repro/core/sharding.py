@@ -436,14 +436,14 @@ class ShardSnapshot:
     pin time -- plus each slot's global id, and the relation version it
     pinned.  Pinning copies no shard: a scatter read hands the pins to
     the worker pool as they are, and the planner's estimate reads them
-    through :attr:`rows`.  Serial readers get the dense :attr:`shards`
-    and :attr:`relation`, materialised on first use and cached.
+    through :attr:`rows`.  Serial readers get the dense :attr:`relation`,
+    materialised on first use and cached.
     Closing the snapshot (idempotent; also via ``with``) releases the
     reader reference.
     """
 
     __slots__ = ("version", "schema", "pins", "_gids", "_values",
-                 "_owner", "_rows", "_shards", "_relation")
+                 "_owner", "_rows", "_relation")
 
     def __init__(self, owner: "ShardedRelation", version: int,
                  schema: tuple[Attribute, ...],
@@ -457,7 +457,6 @@ class ShardSnapshot:
         self._values = values
         self._owner = owner
         self._rows: LiveRows | None = None
-        self._shards: tuple[Relation, ...] | None = None
         self._relation: Relation | None = None
 
     def __len__(self) -> int:
@@ -483,20 +482,6 @@ class ShardSnapshot:
     def offsets(self) -> np.ndarray:
         """Row offset of each shard in :attr:`relation` (length k+1)."""
         return self.rows.offsets
-
-    @property
-    def shards(self) -> tuple[Relation, ...]:
-        """One dense relation per shard (materialised lazily and cached
-        on the snapshot)."""
-        if self._shards is None:
-            shards = []
-            for pin, values in zip(self.pins, self._values):
-                live = pin.live_slots
-                shards.append(Relation(
-                    self.schema, pin.at_slots(live),
-                    values[live] if values is not None else None))
-            self._shards = tuple(shards)
-        return self._shards
 
     @property
     def relation(self) -> Relation:
@@ -1091,14 +1076,8 @@ class ShardedRelation:
             indices = pool.run_sharded(snap.pins, graph, columns=columns,
                                        context=context)
             return snap.take_gids(snap.gids_at(indices))
-        if plan.algorithm == "single-shard":
-            index = plan.options["shard"]
-            local = planner.execute(
-                np.ascontiguousarray(snap.shards[index].ranks[:, columns]),
-                graph, context=context)
-            live = snap.pins[index].live_slots
-            return snap.take_gids(
-                snap._gids[index][live[np.asarray(local, dtype=np.intp)]])
+        # single-shard and sharded-serial: at most one shard holds rows
+        # in the first, so the dense snapshot is that shard's rows
         local = planner.execute(snap.relation.ranks[:, columns], graph,
                                 context=context)
         return self._finish(snap, np.asarray(local, dtype=np.intp))

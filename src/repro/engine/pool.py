@@ -178,8 +178,9 @@ class ShardPin:
     sorted slots the read must skip.  The shard's rows are its live
     slots in slot order; a row's index in that order is its *live
     position*.  Slots below ``size`` are never rewritten (writes only
-    append or delete), so a pin copies nothing but its dead slots, and
-    every lookup costs ``O(log dead)`` per row, never ``O(size)``.
+    append or delete), so a pin copies no row, and a lookup costs
+    ``O(log dead)`` per row.  Dead slots stay in the base, and a read
+    skips them.
     """
 
     __slots__ = ("base", "appended", "dead", "_gaps")
@@ -236,25 +237,27 @@ class ShardPin:
         rows[~low] = np.take(self.appended, slots[~low] - cut, axis=0)
         return rows
 
-    def runs(self, lo: int, hi: int) -> list[np.ndarray]:
-        """The rows at live positions ``lo:hi`` as zero-copy views, one
-        per run of live slots between the dead ones (and split where
-        the base ends)."""
-        if hi <= lo:
-            return []
+    def pieces(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows at live positions ``lo:hi`` (``lo < hi``) as two
+        pieces, those in the base and those appended since: zero-copy
+        views when no dead slot lies among them, else gathered
+        copies."""
         first, last = (int(slot) for slot in self.slots_of([lo, hi - 1]))
-        inside = self.dead[np.searchsorted(self.dead, first):
-                           np.searchsorted(self.dead, last)].tolist()
         cut = self.base.shape[0]
-        views = []
-        for start, stop in zip([first] + [d + 1 for d in inside],
-                               inside + [last + 1]):
-            if start < min(stop, cut):
-                views.append(self.base[start:min(stop, cut)])
-            if max(start, cut) < stop:
-                views.append(self.appended[max(start, cut) - cut:
-                                           stop - cut])
-        return views
+        if last - first == hi - lo - 1:  # no dead slot in between
+            return (self.base[first:min(last + 1, cut)],
+                    self.appended[max(first - cut, 0):
+                                  max(last + 1 - cut, 0)])
+        inside = self.dead[np.searchsorted(self.dead, first):
+                           np.searchsorted(self.dead, last)]
+        keep = np.ones(last + 1 - first, dtype=bool)
+        keep[inside - first] = False
+        slots = np.flatnonzero(keep) + first
+        split = int(np.searchsorted(slots, cut))
+        # np.take along rows: several times faster than fancy or boolean
+        # indexing on narrow rows
+        return (np.take(self.base, slots[:split], axis=0),
+                np.take(self.appended, slots[split:] - cut, axis=0))
 
 
 class LiveRows:
@@ -263,10 +266,11 @@ class LiveRows:
 
     ``pin(i)`` returns shard ``i``'s :class:`ShardPin`, whose live rows
     are virtual rows ``offsets[i]:offsets[i + 1]``.  Indexing takes a
-    slice (joined from the runs of live slots; a zero-copy view when it
-    is one run) or an index array (gathered in the given order).  The
-    parent's merge, the workers' tasks and the planner's estimate all
-    read sharded rows through it.
+    slice (a zero-copy view when it is one run of live slots in one
+    base or one delta, else one concatenation of the shards'
+    :meth:`ShardPin.pieces`) or an index array (gathered in the given
+    order).  The parent's merge, the workers' tasks and the planner's
+    estimate all read sharded rows through it.
     """
 
     def __init__(self, pin: Callable[[int], ShardPin], offsets,
@@ -286,49 +290,36 @@ class LiveRows:
         return self.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
-        return self.rows(key)
-
-    def rows(self, key, columns=None) -> np.ndarray:
-        """The rows at ``key`` (a slice or an index array), as a
-        row-major matrix of the columns ``columns`` when given."""
+        """The rows at ``key`` (a slice or an index array)."""
         offsets = self.offsets
         if isinstance(key, slice):
             start, stop, step = key.indices(self.shape[0])
             if step != 1:
                 raise ValueError("live rows slice with step 1 only")
-            views = []
+            pieces = []
             # side="right" - 1 lands on the part holding the row even
             # when empty parts repeat an offset
             part = int(np.searchsorted(offsets, start, side="right")) - 1
             while start < stop:
                 end = min(stop, int(offsets[part + 1]))
-                views += self._pin(part).runs(start - int(offsets[part]),
-                                              end - int(offsets[part]))
+                pieces += [piece for piece in self._pin(part).pieces(
+                    start - int(offsets[part]), end - int(offsets[part]))
+                    if piece.shape[0]]
                 start = end
                 part += 1
-            if len(views) == 1:
-                rows = views[0]
-            else:
-                rows = np.concatenate(views) if views \
-                    else np.empty((0, self.shape[1]))
-        else:
-            indices = np.asarray(key, dtype=np.intp)
-            part_of = np.searchsorted(offsets, indices, side="right") - 1
-            rows = np.empty((indices.size, self.shape[1]))
-            for part in np.unique(part_of):
-                mask = part_of == part
-                pin = self._pin(int(part))
-                rows[mask] = pin.at_slots(
-                    pin.slots_of(indices[mask] - offsets[part]))
-        if columns is None:
-            return rows
-        # column by column into a row-major matrix: about twice as fast
-        # as np.take along axis 1 on narrow rows, and the algorithms
-        # read row-major chunks faster
-        projected = np.empty((rows.shape[0], len(columns)))
-        for position, column in enumerate(columns):
-            projected[:, position] = rows[:, column]
-        return projected
+            if len(pieces) == 1:
+                return pieces[0]
+            return np.concatenate(pieces) if pieces \
+                else np.empty((0, self.shape[1]))
+        indices = np.asarray(key, dtype=np.intp)
+        part_of = np.searchsorted(offsets, indices, side="right") - 1
+        rows = np.empty((indices.size, self.shape[1]))
+        for part in np.unique(part_of):
+            mask = part_of == part
+            pin = self._pin(int(part))
+            rows[mask] = pin.at_slots(
+                pin.slots_of(indices[mask] - offsets[part]))
+        return rows
 
 
 class SharedRegistration:
@@ -518,11 +509,11 @@ def _drop_attachments(attachments: dict, keep) -> None:
             pass
 
 
-def _gather_sharded(spec: ShardedArraySpec, kind: str, payload, columns,
+def _gather_sharded(spec: ShardedArraySpec, kind: str, payload,
                     attachments: dict):
-    """Gather the ``columns`` (all when ``None``) of live rows of pinned
-    shards from their base segments and deltas; returns ``(rows,
-    to_global)`` like the single-segment path."""
+    """Gather live rows of pinned shards from their base segments and
+    deltas; returns ``(rows, to_global)`` like the single-segment
+    path."""
     pins: dict[int, ShardPin] = {}
 
     def pin(part: int) -> ShardPin:
@@ -536,10 +527,9 @@ def _gather_sharded(spec: ShardedArraySpec, kind: str, payload, columns,
     live = LiveRows(pin, spec.offsets, spec.shape[1])
     if kind == "slice":
         start, stop = payload
-        return live.rows(slice(start, stop), columns), \
-            lambda local: local + start
+        return live[start:stop], lambda local: local + start
     indices = np.asarray(payload, dtype=np.intp)
-    return live.rows(indices, columns), indices.__getitem__
+    return live[indices], indices.__getitem__
 
 
 def _run_task(spec: dict, attachments: dict, cancel_event):
@@ -555,11 +545,8 @@ def _run_task(spec: dict, attachments: dict, cancel_event):
     array_spec = spec["array"]
     kind, payload = spec["rows"]
     if isinstance(array_spec, ShardedArraySpec):
-        columns = spec["columns"]
         rows, to_global = _gather_sharded(array_spec, kind, payload,
-                                          columns, attachments)
-        if columns is not None:
-            spec = dict(spec, columns=None)  # projected while gathered
+                                          attachments)
     elif kind == "slice":
         view = _attach_view(array_spec, attachments)
         start, stop = payload

@@ -131,8 +131,8 @@ MUTATIONS = [
     ("shards", _set("insert.insert_overhead", 1.5),
      "ceiling insert.insert_overhead"),
     ("shards", _set("sharded.version", 2), "exact sharded.version"),
-    ("shards", _set("writes.registered_bytes", 4800),
-     "equal writes.registered_bytes"),
+    ("shards", _set("writes.new_segments", 1),
+     "equal writes.new_segments"),
     ("shards", _set("writes.touched_shards", 3),
      "equal writes.touched_shards"),
     ("server", _set("server.cold_misses", lambda v: v + 1),

@@ -19,7 +19,7 @@ from repro.algorithms.base import Stats
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
 from repro.engine import pool as pool_module
-from repro.engine.pool import ShardPin
+from repro.engine.pool import LiveRows, ShardPin
 from repro.engine import (CancellationToken, ExecutionContext,
                           QueryCancelled, QueryTimeout, WorkerPool,
                           get_default_pool, shutdown_default_pool)
@@ -151,6 +151,42 @@ def _shard_pins(sizes, seed: int, dims: int = 6) -> tuple:
         pins.append(ShardPin(base, slots[cut:], dead))
         live.append(np.delete(slots, dead, axis=0))
     return pins, np.vstack(live)
+
+
+class TestShardPinPieces:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pieces_skip_the_dead_slots(self, seed):
+        """Live positions ``lo:hi`` read the live slots in order, the
+        base's first, then the appended ones."""
+        nrng = np.random.default_rng(seed)
+        slots = nrng.random((60, 2))
+        cut = int(nrng.integers(0, 61))
+        dead = np.sort(nrng.choice(60, size=int(nrng.integers(0, 40)),
+                                   replace=False))
+        pin = ShardPin(slots[:cut], slots[cut:], dead)
+        live = np.delete(slots, dead, axis=0)
+        assert len(pin) == len(live)
+        for lo in range(len(live)):
+            for hi in range(lo + 1, len(live) + 1):
+                low, high = pin.pieces(lo, hi)
+                assert np.array_equal(np.concatenate([low, high]),
+                                      live[lo:hi])
+                assert high.shape[0] == np.sum(
+                    np.delete(np.arange(60), dead)[lo:hi] >= cut)
+
+    def test_a_run_of_live_slots_is_a_view(self):
+        slots = np.arange(30.0).reshape(15, 2)
+        pin = ShardPin(slots[:10], slots[10:], np.array([3]))
+        for lo, hi, view in [(0, 3, True),    # slots 0:3
+                             (3, 9, True),    # slots 4:10
+                             (9, 14, True),   # slots 10:15, appended
+                             (8, 11, True),   # slots 9:12, both sides
+                             (2, 5, False)]:  # across dead slot 3
+            assert all(np.shares_memory(piece, slots) == view
+                       for piece in pin.pieces(lo, hi) if piece.size)
+        live = LiveRows.of([pin])
+        assert np.shares_memory(live[3:9], slots)
+        assert not np.shares_memory(live[8:11], slots)
 
 
 class TestShardedSlices:

@@ -207,7 +207,7 @@ class TestShardedRelation:
             column="A0")
         assert relation.shard_map.kind == "range"
         with relation.snapshot() as snapshot:
-            sizes = [len(shard) for shard in snapshot.shards]
+            sizes = [len(pin) for pin in snapshot.pins]
         assert sum(sizes) == 200
         assert min(sizes) > 0  # quantile cuts balance the load
         result = relation.p_skyline("A0 & A1", algorithm="osdc")
@@ -504,6 +504,37 @@ class TestPinnedScatterReads:
             except Exception:  # a garbled delta may fail outright
                 exact = False
         assert not exact
+
+    def test_a_read_after_deleting_most_of_a_shard_is_exact(
+            self, monkeypatch):
+        """Deletes leave dead slots in the registered bases; a read
+        gathers each worker's slice past them in one copy and stays
+        exact, with no new registration."""
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
+        rng = np.random.default_rng(23)
+        ranks = rng.random((3000, 3))
+        graph = _graph("(A0 & A1) * A2", 3)
+        relation = ShardedRelation.from_array(
+            ranks, names=["A0", "A1", "A2"], shards=3)
+        planner = Planner(sharded_threshold=200)
+        gids = np.arange(len(ranks))
+        shard_of = relation.shard_map.shard_of_block(ranks)
+        with WorkerPool(2) as pool:
+            relation.p_skyline(graph, planner=planner, pool=pool)
+            segments = set(pool.live_segments())
+            # nine in ten rows of shard 0 and one in five elsewhere
+            share = np.where(shard_of == 0, 0.9, 0.2)
+            deleted = gids[rng.random(len(ranks)) < share]
+            for gid in deleted:
+                relation.delete(int(gid))
+            stats = Stats()
+            got = relation.p_skyline(graph, planner=planner, pool=pool,
+                                     stats=stats)
+            assert set(pool.live_segments()) == segments
+        assert stats.extra["plan"]["algorithm"] == "sharded-scatter-gather"
+        live = np.delete(ranks, deleted, axis=0)
+        assert np.array_equal(got.ranks,
+                              live[np.sort(osdc(live, graph))])
 
     def test_reads_across_the_rebase_share_stay_exact(self, monkeypatch):
         """Rows appended past the re-base share re-base the shard: one
