@@ -8,9 +8,10 @@ tiers and writes one JSON artifact per tier into ``--out`` (default
 is only regenerated by an explicit ``--out .``.  With no tier named it
 prints the host tag -- the core count -- and the tier catalogue.
 
-Every tier is declared once in :data:`TIERS`: its baseline file, a
-workload function returning the artifact payload, and a tuple of
-declarative :class:`Check` objects of five kinds:
+Every tier is declared once in :data:`TIERS`: its baseline file, its
+workload function (:mod:`repro.bench.gate_workloads`) with the ``full``
+and ``quick`` size maps it runs at, and a tuple of declarative
+:class:`Check` objects of five kinds:
 
 * ``floor`` / ``ceiling`` -- a within-run timing ratio (speedups,
   overheads) against a module constant; machine-independent to first
@@ -23,9 +24,8 @@ declarative :class:`Check` objects of five kinds:
   of the baseline's (tie-breaking in ``argpartition``/``argsort`` may
   shift slightly across NumPy versions);
 * ``time`` -- wall time under :data:`TIME_FACTOR` times the
-  baseline's, applied only between identically shaped hosts
-  (``cpu_count`` of the ``host`` tag; untagged baselines always
-  compare).
+  baseline's, applied only between identically shaped hosts (equal
+  ``host`` tags).
 
 A check that cannot be measured on this host or at this scale -- fewer
 cores than workers, quick workloads, no comparable baseline -- is
@@ -33,7 +33,8 @@ cores than workers, quick workloads, no comparable baseline -- is
 scale, and a waived check records ``"unmeasured: <reason>"``, never a
 pass.  Every artifact carries the resulting ``verdicts`` map
 (check -> ``pass`` / ``fail: ...`` / ``unmeasured: ...``); ``--check``
-exits non-zero when any verdict fails.
+exits non-zero when any verdict fails, and refuses to start when a
+tier's baseline or corpus is missing from the working directory.
 """
 
 from __future__ import annotations
@@ -42,55 +43,13 @@ import argparse
 import json
 import operator
 import os
-import random
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from ..core.bitsets import iter_bits
+from . import gate_workloads as workloads
 
 __all__ = ["Check", "Tier", "TIERS", "host_tag", "evaluate", "render",
-           "kernel_workload", "run_kernel_bench", "run_algorithm_bench",
-           "run_gate", "run_parallel_gate", "run_sharded_gate",
-           "run_server_gate", "run_batch_gate", "main"]
-
-#: Pinned workload parameters.  Changing any of these invalidates the
-#: committed baselines -- regenerate them (``--out .``) in the same
-#: commit.
-SEED = 2015
-KERNEL_DIMS = (4, 8, 16)
-KERNEL_ROWS = 100_000
-ALGO_ROWS = 20_000
-ALGO_DIMS = 6
-GATE_ALGORITHMS = ("bnl", "sfs", "less", "salsa", "osdc")
-PARALLEL_ROWS = 500_000
-PARALLEL_DIMS = 6
-PARALLEL_WORKERS = 4
-BATCH_ROWS = 64_000
-BATCH_QUERIES = 16
-BATCH_REPEATS = 5
-AUTO_DIMS = 8
-AUTO_WIDTH = 6
-AUTO_QUERIES = 4
-AUTO_REPEATS = 5
-AUTO_ALPHA = 1.0  # independent attributes
-SHARDED_ROWS = 100_000
-SHARDED_DIMS = 6
-SHARDED_SHARDS = 4
-SHARDED_WORKERS = 4
-INSERT_BASE_ROWS = 20_000
-INSERT_STREAM = 2_000
-SERVER_ROWS = 20_000
-SERVER_DIMS = 5
-SERVER_STATEMENTS = 64
-SERVER_CLIENTS = 4
-FUSION_ROWS = 40_000
-FUSION_DIMS = 6
-FUSION_QUERIES = 64
-FUSION_INTENTS = 6
-FUSION_CORPUS = "tests/corpus"
+           "main"]
 
 #: Baseline tolerances: structural counters may drift by this relative
 #: amount; wall time must stay under this factor (shared CI runners).
@@ -128,231 +87,6 @@ def host_tag() -> dict:
     from ..engine.pool import usable_cores
 
     return {"cpu_count": usable_cores()}
-
-
-def _shape(artifact: dict) -> dict | None:
-    """The host shape wall-time checks compare: the core count.  Older
-    baselines also carry a thread budget, which no check reads."""
-    host = artifact.get("host")
-    return host and {"cpu_count": host.get("cpu_count")}
-
-
-def _artifact(schema: str, quick: bool, workload: dict, **payload) -> dict:
-    host = host_tag()
-    return {"schema": schema,
-            "workload": {"seed": SEED, "quick": quick, **workload},
-            "cores": host["cpu_count"], "host": host, **payload}
-
-
-# -- workloads ---------------------------------------------------------------
-
-def _pinned_case(rows: int, dims: int, seed: int):
-    """The deterministic ``(ranks, graph)`` pair for one workload."""
-    from ..sampling.random_pexpr import PExpressionSampler
-
-    rng = random.Random(f"perf-gate:{seed}:{dims}")
-    nrng = np.random.default_rng(seed + dims)
-    graph = PExpressionSampler(
-        [f"A{i}" for i in range(dims)],
-        method="counting").sample_graph(rng)
-    ranks = np.ascontiguousarray(nrng.normal(size=(rows, dims)).round(3))
-    return ranks, graph
-
-
-def kernel_workload(ranks: np.ndarray, graph):
-    """Split a dataset into the ``bench_pscreen``-style screening pair.
-
-    Median split on the first root attribute: the better half is the
-    ``against`` set, the worse half is the ``block`` to screen -- the
-    exact shape of PSCREEN's dense base case at scale.
-    """
-    root = next(iter_bits(graph.roots))
-    column = ranks[:, root]
-    tau = float(np.median(column))
-    against = np.ascontiguousarray(ranks[column < tau])
-    block = np.ascontiguousarray(ranks[column >= tau])
-    if against.shape[0] == 0 or block.shape[0] == 0:  # degenerate median
-        half = ranks.shape[0] // 2
-        against, block = ranks[:half], ranks[half:]
-    return block, against
-
-
-def run_kernel_bench(dims: int, rows: int, seed: int = SEED,
-                     kernels: Sequence[str] = ("bitmask", "gemm")) -> dict:
-    """Time ``screen_block`` per kernel on one pinned workload."""
-    from ..core.dominance import Dominance
-
-    ranks, graph = _pinned_case(rows, dims, seed)
-    dominance = Dominance(graph).prepare()
-    block, against = kernel_workload(ranks, graph)
-    record = {
-        "name": f"screen-d{dims}",
-        "d": dims,
-        "rows": int(rows),
-        "block_rows": int(block.shape[0]),
-        "against_rows": int(against.shape[0]),
-        "timings": {},
-    }
-    survivors = None
-    for kernel in kernels:
-        # warm up workspaces and tables off the clock
-        dominance.screen_block(block[:512], against[:512], kernel=kernel)
-        start = time.perf_counter()
-        mask = dominance.screen_block(block, against, kernel=kernel)
-        record["timings"][kernel] = time.perf_counter() - start
-        count = int(mask.sum())
-        if survivors is None:
-            survivors = count
-        elif count != survivors:
-            raise AssertionError(
-                f"kernel {kernel!r} disagrees on screen-d{dims}: "
-                f"{count} survivors vs {survivors}")
-    record["survivors"] = survivors
-    if "bitmask" in record["timings"] and "gemm" in record["timings"]:
-        record["speedup_bitmask_over_gemm"] = (
-            record["timings"]["gemm"] / record["timings"]["bitmask"])
-    return record
-
-
-def run_algorithm_bench(name: str, ranks: np.ndarray, graph) -> dict:
-    """One end-to-end algorithm run with counters and the chosen kernel."""
-    from ..algorithms.base import Stats, get_algorithm
-    from ..engine import ExecutionContext
-
-    stats = Stats()
-    context = ExecutionContext.create(stats=stats, trace=64)
-    function = get_algorithm(name)
-    function(ranks, graph, context=context)  # warm caches off the clock
-    stats = Stats()
-    context = ExecutionContext.create(stats=stats, trace=64)
-    start = time.perf_counter()
-    result = function(ranks, graph, context=context)
-    seconds = time.perf_counter() - start
-    return {
-        "name": name,
-        "rows": int(ranks.shape[0]),
-        "d": int(graph.d),
-        "seconds": seconds,
-        "output_size": int(np.asarray(result).size),
-        "kernel": stats.extra.get("kernel"),
-        "dominance_tests": stats.dominance_tests,
-        "passes": stats.passes,
-        "recursive_calls": stats.recursive_calls,
-        "pruned_by_filter": stats.pruned_by_filter,
-    }
-
-
-def run_gate(*, quick: bool = False) -> dict:
-    """The ``kernels`` tier: per-kernel screens plus scan/D&C runs."""
-    kernel_rows = 4_000 if quick else KERNEL_ROWS
-    algo_rows = 2_000 if quick else ALGO_ROWS
-    kernels = [run_kernel_bench(dims, kernel_rows) for dims in KERNEL_DIMS]
-    # scalar parity probe: tiny, but pins all three families to the same
-    # survivor count on a shared workload
-    parity = run_kernel_bench(KERNEL_DIMS[0], 400,
-                              kernels=("bitmask", "gemm", "scalar"))
-    parity["name"] = "scalar-parity-d4"
-    # too small to gate on a timing ratio -- only survivor parity matters
-    parity.pop("speedup_bitmask_over_gemm", None)
-    ranks, graph = _pinned_case(algo_rows, ALGO_DIMS, SEED)
-    algorithms = [run_algorithm_bench(name, ranks, graph)
-                  for name in GATE_ALGORITHMS]
-    return _artifact(
-        "repro-perf-gate/1", quick,
-        {"kernel_rows": kernel_rows, "kernel_dims": list(KERNEL_DIMS),
-         "algorithm_rows": algo_rows, "algorithm_dims": ALGO_DIMS,
-         "algorithms": list(GATE_ALGORITHMS)},
-        kernels=kernels + [parity],
-        algorithms=algorithms)
-
-
-def run_parallel_gate(*, quick: bool = False) -> dict:
-    """The ``pool`` tier (:mod:`repro.bench.pool_bench`).  The auto
-    workload stays at the planner's parallel threshold in quick mode
-    too: below it no query would reach the pool."""
-    from ..planner import DEFAULT_PLANNER
-    from .pool_bench import measure_auto, measure_batch, measure_parallel
-
-    parallel_rows = 40_000 if quick else PARALLEL_ROWS
-    batch_rows = 8_000 if quick else BATCH_ROWS
-    batch_queries = 6 if quick else BATCH_QUERIES
-    batch_repeats = 1 if quick else BATCH_REPEATS
-    auto_rows = DEFAULT_PLANNER.parallel_threshold
-    auto_queries = 2 if quick else AUTO_QUERIES
-    auto_repeats = 1 if quick else AUTO_REPEATS
-    return _artifact(
-        "repro-perf-gate-parallel/1", quick,
-        {"parallel_rows": parallel_rows, "batch_rows": batch_rows,
-         "batch_queries": batch_queries, "dims": PARALLEL_DIMS,
-         "workers": PARALLEL_WORKERS, "auto_rows": auto_rows},
-        parallel=measure_parallel(parallel_rows, PARALLEL_DIMS,
-                                  workers=PARALLEL_WORKERS, seed=SEED),
-        batch=measure_batch(batch_rows, PARALLEL_DIMS,
-                            queries=batch_queries,
-                            workers=PARALLEL_WORKERS, seed=SEED,
-                            repeats=batch_repeats),
-        auto=measure_auto(auto_rows, AUTO_DIMS, queries=auto_queries,
-                          width=AUTO_WIDTH, repeats=auto_repeats,
-                          alpha=AUTO_ALPHA, seed=SEED))
-
-
-def run_sharded_gate(*, quick: bool = False) -> dict:
-    """The ``shards`` tier (:mod:`repro.bench.shard_bench`)."""
-    from .shard_bench import (measure_insert_overhead,
-                              measure_read_after_writes, measure_sharded)
-
-    sharded_rows = 10_000 if quick else SHARDED_ROWS
-    insert_base = 4_000 if quick else INSERT_BASE_ROWS
-    insert_stream = 400 if quick else INSERT_STREAM
-    return _artifact(
-        "repro-perf-gate-sharded/1", quick,
-        {"sharded_rows": sharded_rows, "insert_base_rows": insert_base,
-         "insert_stream": insert_stream, "dims": SHARDED_DIMS,
-         "shards": SHARDED_SHARDS, "workers": SHARDED_WORKERS},
-        sharded=measure_sharded(sharded_rows, SHARDED_DIMS,
-                                shards=SHARDED_SHARDS,
-                                workers=SHARDED_WORKERS, seed=SEED),
-        writes=measure_read_after_writes(sharded_rows, SHARDED_DIMS,
-                                         shards=SHARDED_SHARDS,
-                                         workers=SHARDED_WORKERS,
-                                         seed=SEED),
-        insert=measure_insert_overhead(insert_base, insert_stream,
-                                       SHARDED_DIMS,
-                                       shards=SHARDED_SHARDS, seed=SEED))
-
-
-def run_server_gate(*, quick: bool = False) -> dict:
-    """The ``server`` tier (:mod:`repro.bench.server_bench`)."""
-    from .server_bench import measure_server
-
-    rows = 4_000 if quick else SERVER_ROWS
-    repeat = 1 if quick else 2
-    return _artifact(
-        "repro-perf-gate-server/1", quick,
-        {"rows": rows, "dims": SERVER_DIMS,
-         "statements": SERVER_STATEMENTS, "clients": SERVER_CLIENTS,
-         "repeat": repeat},
-        server=measure_server(rows, SERVER_DIMS,
-                              statements=SERVER_STATEMENTS,
-                              clients=SERVER_CLIENTS, repeat=repeat,
-                              seed=SEED))
-
-
-def run_batch_gate(*, quick: bool = False) -> dict:
-    """The ``fusion`` tier (:mod:`repro.bench.batch_bench`).  Quick
-    mode keeps the full batch width: the speedup is driven by the
-    dedup/sharing ratio of the workload, not its size."""
-    from .batch_bench import measure_fused_batch, replay_fused_batch_corpus
-
-    rows = 4_000 if quick else FUSION_ROWS
-    return _artifact(
-        "repro-perf-gate-fusion/1", quick,
-        {"rows": rows, "dims": FUSION_DIMS, "queries": FUSION_QUERIES,
-         "intents": FUSION_INTENTS},
-        batch=measure_fused_batch(rows, FUSION_DIMS,
-                                  queries=FUSION_QUERIES,
-                                  intents=FUSION_INTENTS, seed=SEED),
-        corpus=replay_fused_batch_corpus(FUSION_CORPUS))
 
 
 # -- checks ------------------------------------------------------------------
@@ -419,8 +153,8 @@ def _scale_differs(current, baseline):
 
 
 def _shape_differs(current, baseline):
-    mine, theirs = _shape(current), _shape(baseline)
-    if mine and theirs and mine != theirs:
+    mine, theirs = current.get("host"), baseline.get("host")
+    if mine != theirs:
         return f"host shape {mine} differs from the baseline's {theirs}"
 
 
@@ -429,19 +163,16 @@ def _quick_scale(current, baseline):
         return "quick scale: workloads too small for a stable ratio"
 
 
-def _fewer_cores(need: int | Callable[[dict], int], noun: str,
+def _fewer_cores(section: str, field: str, noun: str,
                  tail: str) -> Waiver:
+    """Waived when the host has fewer cores than the
+    ``artifact[section][field]`` processes or clients the record ran."""
     def waiver(current, baseline):
-        cores = current.get("cores") or \
-            (current.get("host") or {}).get("cpu_count", 1)
-        floor = need(current) if callable(need) else need
-        if cores < floor:
-            return f"host has {cores} core(s) < {floor}{noun}: {tail}"
+        cores = current["host"]["cpu_count"]
+        need = current[section][field]
+        if cores < need:
+            return f"host has {cores} core(s) < {need}{noun}: {tail}"
     return waiver
-
-
-def _workload(key: str) -> Callable[[dict], int]:
-    return lambda artifact: artifact["workload"][key]
 
 
 def _auto_serial(current, baseline):
@@ -514,13 +245,30 @@ def _verdicts(check: Check, current: dict, baseline: dict | None):
 
 @dataclass(frozen=True)
 class Tier:
-    """One gate tier: a workload, its committed baseline, its checks."""
+    """One gate tier: a workload, the sizes it runs at, its committed
+    baseline, its checks.
+
+    ``workload`` receives ``full`` or ``quick`` (rows, queries,
+    repeats) and returns the artifact's sections.  ``inputs`` are the
+    other paths, relative to the working directory, that the workload
+    reads."""
 
     name: str
     baseline: str
     about: str
-    workload: Callable[..., dict]
+    workload: Callable[[dict], dict]
+    full: dict[str, int]
+    quick: dict[str, int]
     checks: tuple[Check, ...]
+    inputs: tuple[str, ...] = ()
+
+    def run(self, quick: bool = False) -> dict:
+        """The artifact of one run, without its verdicts."""
+        sizes = self.quick if quick else self.full
+        return {"schema": f"repro-perf-gate-{self.name}/2",
+                "workload": {"seed": workloads.SEED, "quick": quick,
+                             **sizes},
+                "host": host_tag(), **self.workload(sizes)}
 
 
 def evaluate(tier: Tier, current: dict,
@@ -539,7 +287,9 @@ def _replaced(speedup: str) -> str:
 TIERS: dict[str, Tier] = {tier.name: tier for tier in (
     Tier("kernels", "BENCH_4.json",
          "bitmask vs gemm screens at d=4/8/16 plus scan and "
-         "divide-and-conquer algorithm runs", run_gate, (
+         "divide-and-conquer algorithm runs", workloads.kernels,
+         {"kernel_rows": 100_000, "algorithm_rows": 20_000},
+         {"kernel_rows": 4_000, "algorithm_rows": 2_000}, (
              Check("floor", "kernels", "speedup_bitmask_over_gemm",
                    MIN_SPEEDUP,  # the scalar-parity probe has no ratio
                    where=lambda r: "speedup_bitmask_over_gemm" in r),
@@ -553,12 +303,18 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
     Tier("pool", "BENCH_5.json",
          "serial vs cold vs warm worker pool, a warm query batch vs "
          "cold calls, and auto vs osdc at the parallel threshold",
-         run_parallel_gate, (
+         workloads.pool,
+         {"parallel_rows": 500_000, "batch_rows": 64_000,
+          "batch_queries": 16, "batch_repeats": 5, "auto_queries": 4,
+          "auto_repeats": 5},
+         {"parallel_rows": 40_000, "batch_rows": 8_000,
+          "batch_queries": 6, "batch_repeats": 1, "auto_queries": 2,
+          "auto_repeats": 1}, (
              Check("floor", "parallel", "speedup_warm_over_cold",
                    MIN_WARM_OVER_COLD),
              Check("floor", "parallel", "speedup_warm_over_serial",
                    MIN_PARALLEL_SPEEDUP, waivers=(_fewer_cores(
-                       _workload("workers"), " workers",
+                       "parallel", "workers", " workers",
                        _replaced(f"{MIN_PARALLEL_SPEEDUP:.1f}x "
                                  "parallel-over-serial")),)),
              Check("ceiling", "parallel", "warm_over_serial",
@@ -572,8 +328,7 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
                    waivers=(_auto_serial,)),
              Check("ceiling", "auto", "auto_over_osdc",
                    MAX_AUTO_OVER_OSDC, waivers=(_fewer_cores(
-                       lambda a: a.get("auto", {}).get("workers", 0),
-                       " pool workers",
+                       "auto", "workers", " pool workers",
                        f"the {MAX_AUTO_OVER_OSDC:.1f}x auto-over-osdc "
                        "ceiling needs a core per worker"), _auto_serial)),
              *_each("exact", "parallel", ("output_size", "chunk_skylines")),
@@ -584,12 +339,16 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
              *_each("time", "parallel", ("warm_seconds", "cold_seconds")),
              *_each("time", "batch", ("warm_seconds", "cold_seconds")))),
     Tier("shards", "BENCH_6.json",
-         "maintained per-shard serve vs monolithic scatter/gather, a "
-         "scatter read after writes, and sharded vs flat insert cost",
-         run_sharded_gate, (
+         "maintained per-shard serve vs monolithic scatter/gather, the "
+         "serve over 2/4/8 shards, a scatter read after writes, and "
+         "sharded vs flat insert cost", workloads.shards,
+         {"sharded_rows": 100_000, "insert_base_rows": 20_000,
+          "insert_stream": 2_000},
+         {"sharded_rows": 10_000, "insert_base_rows": 4_000,
+          "insert_stream": 400}, (
              Check("floor", "sharded", "speedup_serve_over_monolithic",
                    MIN_SHARDED_SPEEDUP, waivers=(_fewer_cores(
-                       _workload("workers"), " workers",
+                       "sharded", "workers", " workers",
                        _replaced(f"{MIN_SHARDED_SPEEDUP:.1f}x "
                                  "serve-over-monolithic")),)),
              Check("ceiling", "sharded", "serve_over_monolithic",
@@ -612,10 +371,13 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
              *_each("time", "sharded", ("monolithic_seconds",
                                         "scatter_seconds", "serve_seconds")),
              *_each("time", "insert", ("single_seconds",
-                                       "sharded_seconds")))),
+                                       "sharded_seconds")),
+             *_each("exact", "sweep", ("output_size", "shard_skylines")),
+             Check("time", "sweep", "serve_seconds"))),
     Tier("server", "BENCH_7.json",
          "correlated statements from concurrent clients, result cache "
-         "off vs warm", run_server_gate, (
+         "off vs warm", workloads.server,
+         {"rows": 20_000, "repeat": 2}, {"rows": 4_000, "repeat": 1}, (
              Check("floor", "server", "speedup_cached_over_uncached",
                    MIN_CACHE_SPEEDUP),
              Check("equal", "server", "cold_misses",
@@ -628,14 +390,15 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
              Check("exact", "server", "distinct_statements"),
              *_each("time", "server",
                     ("uncached_p99_ms", "warm_p99_ms", "warm_seconds"),
-                    _fewer_cores(_workload("clients"), " clients",
+                    _fewer_cores("server", "clients", " clients",
                                  "baseline qps/p99 comparisons are "
                                  f"advisory; the {MIN_CACHE_SPEEDUP:.1f}x "
                                  "cache speedup and the exact counter "
                                  "checks still gate")))),
     Tier("fusion", "BENCH_8.json",
          "fused vs sequential execute_batch, plus the fused-batch "
-         "corpus replay", run_batch_gate, (
+         "corpus replay", workloads.fusion,
+         {"rows": 40_000}, {"rows": 4_000}, (
              Check("floor", "batch", "speedup_fused_over_unfused",
                    MIN_FUSED_SPEEDUP),
              Check("equal", "batch", "dedup_hits",
@@ -647,7 +410,8 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
                     ("queries", "distinct", "groups", "dedup_hits",
                      "base_evaluations", "screened", "fallbacks",
                      "mask_hits", "mask_misses", "output_sizes")),
-             *_each("time", "batch", ("unfused_seconds", "fused_seconds")))),
+             *_each("time", "batch", ("unfused_seconds", "fused_seconds"))),
+         inputs=(workloads.CORPUS,)),
 )}
 
 
@@ -702,11 +466,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         for tier in TIERS.values():
             print(f"  {tier.name}: {tier.baseline} -- {tier.about}")
         return 0
+    if arguments.check:
+        # a missing baseline would leave every baseline check unmeasured
+        for name in arguments.tiers:
+            for path in (TIERS[name].baseline, *TIERS[name].inputs):
+                if not os.path.exists(path):
+                    parser.error(f"--check: {name} needs {path}, not found "
+                                 f"at {os.path.abspath(path)}; run from "
+                                 "the repository root")
     os.makedirs(arguments.out, exist_ok=True)
     failed = False
     for name in arguments.tiers:
         tier = TIERS[name]
-        artifact = tier.workload(quick=arguments.quick)
+        artifact = tier.run(arguments.quick)
         artifact["verdicts"] = evaluate(tier, artifact,
                                         _load_baseline(tier.baseline))
         path = os.path.join(arguments.out, tier.baseline)

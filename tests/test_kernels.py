@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import Stats
-from repro.bench.perf_gate import TIERS, evaluate, run_gate
+from repro.bench.perf_gate import TIERS, evaluate
 from repro.core.dominance import (DENSE_TABLE_LIMIT, KERNELS, Dominance,
                                   current_forced_kernel, forced_kernel,
                                   select_kernel)
@@ -231,7 +231,7 @@ def test_dense_table_limit_crossing():
 
 
 def test_perf_gate_quick_run_and_compare():
-    artifact = run_gate(quick=True)
+    artifact = TIERS["kernels"].run(quick=True)
     names = {record["name"] for record in artifact["kernels"]}
     assert {"screen-d4", "screen-d8", "screen-d16",
             "scalar-parity-d4"} <= names
@@ -266,8 +266,14 @@ def test_perf_gate_quick_run_and_compare():
 def test_cli_gate_kernels_quick_smoke(tmp_path, monkeypatch, capsys):
     import json
 
+    from pathlib import Path
+
     from repro.cli import main
 
+    # --check reads the committed baseline from the working directory
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "BENCH_4.json").write_text(
+        (root / "BENCH_4.json").read_text())
     monkeypatch.chdir(tmp_path)
     assert main(["gate", "kernels", "--quick", "--check"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,8 @@ Every committed ``BENCH_*.json`` checked against itself must have no
 failing check, and every check it recorded as ``unmeasured`` must come
 back ``unmeasured``.  Mutated copies of the baselines must fail
 exactly the check that guards the mutated field, and a gate run must
-never overwrite the committed baselines unless asked to.
+never overwrite the committed baselines unless asked to, nor check
+without them.
 """
 
 import copy
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.perf_gate import TIERS, _shape, evaluate, host_tag, main
+from repro.bench.gate_workloads import SEED
+from repro.bench.perf_gate import TIERS, evaluate, host_tag, main
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = {"floor", "ceiling", "equal", "exact", "close", "time"}
@@ -36,6 +38,17 @@ def test_registry_declares_the_five_tiers():
         f"BENCH_{n}.json" for n in range(4, 9))
     for tier in TIERS.values():
         assert {check.kind for check in tier.checks} <= KINDS
+        assert set(tier.quick) == set(tier.full)
+
+
+@pytest.mark.parametrize("quick", [False, True])
+def test_workload_block_is_the_chosen_size_map(quick):
+    tier = replace(TIERS["fusion"], workload=lambda sizes: {"ran": sizes})
+    artifact = tier.run(quick)
+    sizes = tier.quick if quick else tier.full
+    assert artifact["workload"] == {"seed": SEED, "quick": quick, **sizes}
+    assert artifact["ran"] is sizes
+    assert artifact["host"] == host_tag() and "cores" not in artifact
 
 
 def assert_waivers_hold(verdicts: dict, artifact: dict) -> None:
@@ -60,9 +73,22 @@ def test_committed_baseline_passes_against_itself(tier):
     assert_waivers_hold(verdicts, artifact)
 
 
+def one_core(tier: str) -> dict:
+    """The committed baseline as a one-core host records it against
+    itself: its core-scaled checks are waived."""
+    artifact = baseline(tier)
+    artifact["host"] = {"cpu_count": 1}
+    artifact["verdicts"] = evaluate(TIERS[tier], artifact, artifact)
+    return artifact
+
+
 WAIVED = [tier for tier in TIERS
           if any(verdict.startswith("unmeasured: ")
-                 for verdict in baseline(tier).get("verdicts", {}).values())]
+                 for verdict in one_core(tier)["verdicts"].values())]
+
+
+def test_core_scaled_tiers_waive_on_one_core():
+    assert WAIVED == ["pool", "shards", "server"]
 
 
 @pytest.mark.parametrize("tier", WAIVED)
@@ -71,6 +97,7 @@ def test_a_passed_waiver_fails_the_recorded_verdicts(tier, monkeypatch):
     passes a waived check breaks it."""
     from repro.bench import perf_gate
 
+    artifact = one_core(tier)
     verdicts_of = perf_gate._verdicts
 
     def lenient(check, current, baseline):
@@ -79,7 +106,6 @@ def test_a_passed_waiver_fails_the_recorded_verdicts(tier, monkeypatch):
                         else verdict)
 
     monkeypatch.setattr(perf_gate, "_verdicts", lenient)
-    artifact = baseline(tier)
     verdicts = evaluate(TIERS[tier], artifact, artifact)
     with pytest.raises(AssertionError):
         assert_waivers_hold(verdicts, artifact)
@@ -135,6 +161,8 @@ MUTATIONS = [
      "equal writes.new_segments"),
     ("shards", _set("writes.touched_shards", 3),
      "equal writes.touched_shards"),
+    ("shards", _set("sweep.0.shard_skylines", lambda v: v[::-1] + [1]),
+     "exact sweep[serve-s2].shard_skylines"),
     ("server", _set("server.cold_misses", lambda v: v + 1),
      "equal server.cold_misses"),
     ("server", _set("server.errors", 3), "equal server.errors"),
@@ -161,10 +189,11 @@ def test_gate_writes_into_out_and_leaves_baselines_alone(tmp_path,
     monkeypatch.chdir(tmp_path)
     committed = json.dumps(baseline("fusion"), indent=2)
     (tmp_path / "BENCH_8.json").write_text(committed)
+    (tmp_path / "tests" / "corpus").mkdir(parents=True)
     canned = baseline("fusion")
     tier = TIERS["fusion"]
     monkeypatch.setitem(TIERS, "fusion", replace(
-        tier, workload=lambda quick: copy.deepcopy(canned)))
+        tier, workload=lambda sizes: copy.deepcopy(canned)))
     assert main(["fusion", "--check"]) == 0
     assert (tmp_path / "BENCH_8.json").read_text() == committed
     written = json.loads((tmp_path / "bench-out" / "BENCH_8.json")
@@ -177,13 +206,40 @@ def test_gate_writes_into_out_and_leaves_baselines_alone(tmp_path,
 
 def test_check_exit_status_follows_the_verdicts(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCH_7.json").write_text(json.dumps(baseline("server")))
     broken = baseline("server")
     broken["server"]["errors"] = 1
     tier = TIERS["server"]
     monkeypatch.setitem(TIERS, "server", replace(
-        tier, workload=lambda quick: copy.deepcopy(broken)))
+        tier, workload=lambda sizes: copy.deepcopy(broken)))
     assert main(["server"]) == 0  # recorded, not enforced
     assert main(["server", "--check"]) == 1
+
+
+@pytest.mark.parametrize("tier,present,missing", [
+    ("kernels", [], "BENCH_4.json"),
+    ("fusion", [], "BENCH_8.json"),
+    ("fusion", ["BENCH_8.json"], "tests/corpus"),
+], ids=["kernels-baseline", "fusion-baseline", "fusion-corpus"])
+def test_check_refuses_to_run_without_its_baseline(tier, present, missing,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    """Run outside the repository root, ``--check`` would read every
+    baseline check as unmeasured and pass; it exits non-zero, naming
+    the path it tried, before any workload runs."""
+    monkeypatch.chdir(tmp_path)
+    for name in present:
+        (tmp_path / name).write_text(json.dumps(baseline(tier)))
+
+    def never(sizes):
+        raise AssertionError("the workload ran")
+
+    monkeypatch.setitem(TIERS, tier, replace(TIERS[tier], workload=never))
+    with pytest.raises(SystemExit) as exit_info:
+        main([tier, "--quick", "--check"])
+    assert exit_info.value.code != 0
+    assert str(tmp_path / missing) in capsys.readouterr().err
+    assert not (tmp_path / "bench-out").exists()
 
 
 def test_unknown_tier_is_rejected(capsys):
@@ -208,23 +264,17 @@ def _kernels_on(host: dict) -> dict:
 
 
 def test_host_shape_compares_cpu_count_only():
-    """A fresh host tag against a baseline tagged before the thread
-    layer and the compiled kernels were deleted (that tag also named
-    the screen layer and each kernel backend): same core count compares
-    the timings, another core count waives them, and no other host key
-    enters the shape."""
+    """The host tag is the core count alone: the same core count
+    compares the timings, another core count waives them."""
     fresh = host_tag()
     assert set(fresh) == {"cpu_count"}
     cores = fresh["cpu_count"]
-    old = dict(fresh, layer="serial",
-               backends={"bitmask": "available", "gemm": "available"})
-    assert _shape({"host": old}) == {"cpu_count": cores}
     verdicts = evaluate(TIERS["kernels"], _kernels_on(fresh),
-                        _kernels_on(old))
+                        _kernels_on(dict(fresh)))
     timed = {key: verdict for key, verdict in verdicts.items()
              if key.startswith("time ")}
     assert timed and all(verdict == "pass" for verdict in timed.values())
-    moved = dict(old, cpu_count=cores + 1)
+    moved = dict(fresh, cpu_count=cores + 1)
     verdicts = evaluate(TIERS["kernels"], _kernels_on(fresh),
                         _kernels_on(moved))
     assert failing(verdicts) == []
@@ -247,7 +297,7 @@ def test_bare_gate_prints_host_and_catalogue(capsys):
 def _with_auto(cores: int, **auto) -> dict:
     """The committed pool baseline with its ``auto`` record replaced."""
     artifact = baseline("pool")
-    artifact["cores"] = cores
+    artifact["host"] = {"cpu_count": cores}
     artifact["auto"] = {"name": "auto-q4-n200000-d8-k6", "workers": 2,
                         "pooled": 4, "segments": 1, "auto_over_osdc": 0.8,
                         **auto}

@@ -128,6 +128,13 @@ def _wait_for_cancel(server, before: int, seconds: float = 5.0) -> bool:
     return False
 
 
+def _wait_for_active(server, count: int, seconds: float = 5.0) -> None:
+    deadline = time.monotonic() + seconds
+    while server.stats()["active"] != count \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def test_hangup_cancels_a_queued_request():
     """With the only slot busy, a second client's request waits; its
     hang-up cancels it in the queue, long before the slot frees up."""
@@ -136,11 +143,11 @@ def test_hangup_cancels_a_queued_request():
     with serve_in_thread(server) as handle:
         with SkylineClient(handle.address) as busy:
             busy.send_only({"statement": SLOW_STATEMENT, "no_cache": True})
-            time.sleep(0.2)  # the busy query holds the only slot
+            _wait_for_active(server, 1)  # the busy query takes the slot
             queued = SkylineClient(handle.address)
             queued.send_only({"statement": SLOW_STATEMENT,
                               "no_cache": True})
-            time.sleep(0.2)
+            _wait_for_active(server, 2)
             assert server.stats()["active"] == 2
             before = server.stats()["counters"]["cancelled"]
             started = time.monotonic()
