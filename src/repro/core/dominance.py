@@ -401,6 +401,15 @@ class Dominance:
         return union
 
     # -- bulk kernels ----------------------------------------------------------
+    # Every operand of the GEMM kernel is 0/1 float32 (flags, the 0/1
+    # descendant matrix, ones) and every product a count <= d, so no NaN
+    # can arise.  A BLAS sgemm may still leave the FPU's invalid flag
+    # set: it was seen twice as "invalid value encountered in matmul",
+    # both times with exact answers, and never reproduced.  The flag is
+    # noise, not a result, so the kernel does not turn it into a
+    # warning.  (The decorator form costs less per call than a ``with``
+    # block, which matters on the one-row insert path.)
+    @np.errstate(invalid="ignore")
     def _dominated_flags(self, lt: np.ndarray, gt: np.ndarray) -> np.ndarray:
         """Pairwise dominance from comparison flags (the GEMM kernel).
 
@@ -414,7 +423,7 @@ class Dominance:
         gt_flat = gt.reshape(-1, d).astype(np.float32)
         covered = lt_flat @ self._desc_matrix
         # a win of the dominated side is fatal unless an ancestor covers it
-        fatal = gt_flat * (1.0 - np.minimum(covered, 1.0))
+        fatal = gt_flat * (covered == 0)
         fatal_any = (fatal @ self._ones)[:, 0] > 0
         distinguishable = ((lt_flat + gt_flat) @ self._ones)[:, 0] > 0
         return (distinguishable & ~fatal_any).reshape(shape)

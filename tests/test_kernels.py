@@ -76,6 +76,22 @@ def test_kernels_agree_on_adversarial_data(d):
                     f"{kernel} disagrees on {label} for {name} at d={d}"
 
 
+@pytest.mark.parametrize("d", [1, 4, 9, 20])
+def test_gemm_pair_flags_are_exact_without_numeric_warnings(d):
+    """The coverage GEMM equals the scalar reference pair for pair, and
+    no floating-point warning escapes it (they are raised as errors)."""
+    dominance = Dominance(sample_graph(d, seed=3))
+    rng = np.random.default_rng(100 + d)
+    with np.errstate(all="raise"):
+        for rows, cols in ((1, 1), (7, 13), (64, 40), (150, 3)):
+            block = rng.integers(-3, 4, size=(rows, d)).astype(float)
+            against = rng.normal(size=(cols, d)).round(1)
+            against[: cols // 2] = block[0]  # exact ties
+            assert np.array_equal(
+                dominance._pair_flags(block, against, "gemm"),
+                dominance._pair_flags(block, against, "scalar"))
+
+
 def test_kernels_agree_self_screen_with_duplicates():
     graph = sample_graph(6)
     dominance = Dominance(graph).prepare()

@@ -63,6 +63,74 @@ class TestShardMap:
             ShardMap(3, "range")
 
 
+def _routing_block(rows: int, d: int = 5, seed: int = 2015) -> np.ndarray:
+    """Seeded ranks holding the values a router must hash exactly:
+    subnormals, +-1e308 and signed zeros -- every odd row repeats the
+    even row before it with each zero negated."""
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(rows, d))
+    special = rng.choice(np.array([0.0, 5e-324, -2.5e-310, 1e308, -1e308]),
+                         size=(rows, d))
+    block = np.where(rng.random((rows, d)) < 0.25, special, block)
+    block[1::2] = np.where(block[::2] == 0.0, -0.0, block[::2])
+    return block
+
+
+#: ``ShardMap.hashed(4)`` of ``_routing_block(5000)[:32]``, recorded from
+#: the per-row router (one ``zlib.crc32`` call per row)
+GOLDEN_HASHED_4 = [2, 2, 3, 3, 3, 3, 3, 3, 1, 1, 3, 3, 0, 0, 0, 0,
+                   3, 3, 2, 2, 2, 2, 3, 3, 3, 3, 1, 1, 3, 3, 3, 3]
+
+
+class TestBlockRouting:
+    """``shard_of_block`` routes a whole block in one pass; every row
+    must land where the single-row ``shard_of`` puts it."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
+    def test_block_routing_equals_row_routing(self, shards):
+        block = _routing_block(5000)
+        assert np.signbit(block[1::2][block[1::2] == 0.0]).all()
+        shard_map = ShardMap.hashed(shards)
+        expected = [shard_map.shard_of(row) for row in block]
+        assert shard_map.shard_of_block(block).tolist() == expected
+        assert shard_map.shard_of_block(
+            np.asfortranarray(block)).tolist() == expected
+
+    def test_integer_and_empty_blocks(self):
+        shard_map = ShardMap.hashed(7)
+        ints = np.random.default_rng(3).integers(-10**6, 10**6,
+                                                 size=(500, 4))
+        assert shard_map.shard_of_block(ints).tolist() == \
+            [shard_map.shard_of(row) for row in ints]
+        empty = shard_map.shard_of_block(np.empty((0, 5)))
+        assert empty.shape == (0,) and empty.dtype == np.intp
+
+    def test_signed_zero_rows_share_a_shard(self):
+        routed = ShardMap.hashed(7).shard_of_block(_routing_block(5000))
+        assert np.array_equal(routed[0::2], routed[1::2])
+
+    def test_golden_shard_ids(self):
+        routed = ShardMap.hashed(4).shard_of_block(_routing_block(5000))
+        assert routed[:32].tolist() == GOLDEN_HASHED_4
+
+    def test_bulk_loaded_id_maps_hold_python_ints(self):
+        ranks = np.random.default_rng(5).normal(size=(10_000, 3))
+        relation = ShardedRelation.from_array(ranks, shards=4)
+        maintainer = ShardedPSkylineMaintainer(_graph("A0 & A1 & A2", 3), 4)
+        maintainer.bulk_load(ranks)
+        for ids in (relation._gid_shard, relation._gid_slot,
+                    maintainer._shard_of, maintainer._slot_of):
+            assert len(ids) == 10_000
+            assert all(type(entry) is int for entry in ids)
+        sampled = np.random.default_rng(6).choice(10_000, 40, replace=False)
+        for gid in sampled.tolist():
+            assert gid in relation and gid in maintainer
+            relation.delete(gid)
+            maintainer.delete(gid)
+            assert gid not in relation and gid not in maintainer
+        assert len(relation) == maintainer.num_alive == 10_000 - 40
+
+
 class TestShardedPSkyline:
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
     def test_equals_monolithic_osdc(self, nrng, shards):
