@@ -27,8 +27,8 @@ from .core import (Att, Attribute, Direction, Dominance, ExtensionOrder,
 from .core.preferring import (PreferringClause, evaluate_preferring,
                               parse_preferring)
 from .core.query import p_skyline, p_skyline_batch, skyline
-from .core.sharding import (ShardMap, ShardSnapshot, ShardedPSkylineMaintainer,
-                            ShardedRelation, sharded_pskyline)
+from .core.sharding import (ShardMap, ShardSnapshot, ShardedRelation,
+                            sharded_pskyline)
 from .core.checks import VerificationError, verify_pskyline
 from .core.explain import PairExplanation, explain_not_maximal, explain_pair
 from .core.semantics import equivalent, normal_form, refines, to_dot
@@ -80,7 +80,6 @@ __all__ = [
     # sharded storage
     "ShardMap",
     "ShardSnapshot",
-    "ShardedPSkylineMaintainer",
     "ShardedRelation",
     "sharded_pskyline",
     # algorithms

@@ -25,26 +25,14 @@ class SlidingWindowPSkyline:
 
     def __init__(self, graph: PGraph, window: int,
                  context: ExecutionContext | None = None,
-                 kernel: str = "auto", shards: int = 1):
+                 kernel: str = "auto"):
         if window < 1:
             raise ValueError("window must hold at least one tuple")
-        if shards < 1:
-            raise ValueError("shards must be positive")
         self.graph = graph
         self.window = window
-        if shards > 1:
-            # imported lazily: core.sharding imports this module's
-            # sibling (incremental), not the other way around
-            from ..core.sharding import ShardedPSkylineMaintainer
-
-            self._maintainer = ShardedPSkylineMaintainer(
-                graph, shards, context=context, kernel=kernel,
-                capacity=2 * window)
-        else:
-            self._maintainer = PSkylineMaintainer(graph,
-                                                  capacity=2 * window,
-                                                  context=context,
-                                                  kernel=kernel)
+        self._maintainer = PSkylineMaintainer(graph, capacity=2 * window,
+                                              context=context,
+                                              kernel=kernel)
         self._queue: deque[int] = deque()
 
     def append(self, values) -> int:

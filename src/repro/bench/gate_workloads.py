@@ -379,20 +379,20 @@ def _tracked(ranks, graph, shards: int):
 def _sharded(rows: int, workers: int) -> tuple[dict, list[dict]]:
     """On one warm pool: a monolithic scatter/gather over the flat
     matrix (the oracle), a sharded one over the per-shard
-    registrations, and the maintained serve, which tree-merges the
-    tracked per-shard skylines -- a few hundred rows instead of all
-    ``rows``.  The serve's speedup is the median of
-    :data:`SERVE_REPEATS` alternating pairs: one serve takes about ten
-    milliseconds, so a single pair swings with the host's load.  Then
-    the same serve over :data:`SWEEP_SHARDS` shards."""
+    registrations, and the maintained serve, which merges the tracked
+    per-shard skylines with one ``osdc`` in this process -- a few
+    hundred rows instead of all ``rows``.  The serve's speedup is the
+    median of :data:`SERVE_REPEATS` alternating pairs: one serve takes
+    a few milliseconds, so a single pair swings with the host's load.
+    Then the same serve over :data:`SWEEP_SHARDS` shards."""
     from ..engine.pool import WorkerPool
 
     ranks, graph = pinned_case(rows, DIMS, CORRELATED)
 
-    def serve(relation, pool) -> dict:
+    def serve(relation) -> dict:
         """Serve once (off the clock) and check the answer."""
         stats = Stats()
-        served = relation.p_skyline(graph, pool=pool, stats=stats)
+        served = relation.p_skyline(graph, stats=stats)
         if not np.array_equal(relation.skyline_gids(graph), expected) \
                 or len(served) != expected.size:
             raise AssertionError(
@@ -412,19 +412,19 @@ def _sharded(rows: int, workers: int) -> tuple[dict, list[dict]]:
                                   expected):
                 raise AssertionError("sharded scatter/gather disagrees "
                                      "with the monolithic pool run")
-        info = serve(relation, pool)
+        info = serve(relation)
         speedup, _, monolithic_seconds, serve_seconds = alternating(
             lambda _: pool.run_query(ranks, graph, chunks=workers),
-            lambda _: relation.p_skyline(graph, pool=pool), SERVE_REPEATS)
+            lambda _: relation.p_skyline(graph), SERVE_REPEATS)
         sweep = []
         for shards in SWEEP_SHARDS:
             swept = _tracked(ranks, graph, shards)
-            skylines = serve(swept, pool)["skylines"]
+            skylines = serve(swept)["skylines"]
             sweep.append({"name": f"serve-s{shards}", "shards": shards,
                           "output_size": int(expected.size),
                           "shard_skylines": [int(s) for s in skylines],
-                          "serve_seconds": timed(lambda: swept.p_skyline(
-                              graph, pool=pool))[0]})
+                          "serve_seconds": timed(
+                              lambda: swept.p_skyline(graph))[0]})
     return {
         "name": f"sharded-n{rows}-d{DIMS}-s{SHARDS}-w{workers}",
         "rows": rows, "d": DIMS, "alpha": CORRELATED,
@@ -490,36 +490,48 @@ def _writes(rows: int, workers: int) -> dict:
 
 
 def _insert(base_rows: int, inserts: int) -> dict:
-    """Per-row inserts into a sharded maintainer over a flat one, both
-    bulk-loaded with the same base; routing a write touches one shard,
-    so the sharded maintainer stays within a small constant factor.
-    Ids are append order in both, so the skylines must match."""
+    """Per-row ``insert_ranks`` into a sharded relation tracking one
+    p-graph over per-row inserts into a flat maintainer, both holding
+    the same base first; routing a write touches one shard's maintainer,
+    so the sharded write stays within a small constant factor.  Global
+    ids and maintainer ids are both append order, so the skylines must
+    match."""
     from ..algorithms.incremental import PSkylineMaintainer
-    from ..core.sharding import ShardedPSkylineMaintainer
 
     ranks, graph = pinned_case(base_rows + inserts, DIMS, CORRELATED)
     base, stream = ranks[:base_rows], ranks[base_rows:]
-    capacity = base_rows + inserts
 
-    def inserting(maintainer) -> float:
+    def flat() -> tuple[float, PSkylineMaintainer]:
+        maintainer = PSkylineMaintainer(graph,
+                                        capacity=base_rows + inserts)
         maintainer.bulk_load(base)
-        return timed(lambda: [maintainer.insert(row) for row in stream])[0]
+        return timed(lambda: [maintainer.insert(row)
+                              for row in stream])[0], maintainer
+
+    def sharded() -> tuple[float, Any]:
+        relation = _tracked(base, graph, SHARDS)
+        return timed(lambda: [relation.insert_ranks(row)
+                              for row in stream])[0], relation
 
     single_seconds = sharded_seconds = float("inf")
     for _ in range(INSERT_REPEATS):
-        single = PSkylineMaintainer(graph, capacity=capacity)
-        single_seconds = min(single_seconds, inserting(single))
-        sharded = ShardedPSkylineMaintainer(graph, SHARDS, capacity=capacity)
-        sharded_seconds = min(sharded_seconds, inserting(sharded))
-    if not np.array_equal(single.skyline_ids(), sharded.skyline_ids()):
+        seconds, single = flat()
+        single_seconds = min(single_seconds, seconds)
+        seconds, relation = sharded()
+        sharded_seconds = min(sharded_seconds, seconds)
+    stats = Stats()
+    relation.p_skyline(graph, stats=stats)
+    if not np.array_equal(single.skyline_ids(),
+                          relation.skyline_gids(graph)):
         raise AssertionError(
-            "sharded maintainer disagrees with the flat maintainer")
+            "the sharded relation disagrees with the flat maintainer")
     return {
         "name": f"insert-b{base_rows}-i{inserts}-d{DIMS}-s{SHARDS}",
         "base_rows": base_rows, "inserts": inserts, "d": DIMS,
         "alpha": CORRELATED, "shards": SHARDS,
         "output_size": int(single.skyline_ids().size),
-        "shard_skylines": [int(s) for s in sharded.shard_skyline_sizes()],
+        "shard_skylines": [int(s)
+                           for s in stats.extra["shards"]["skylines"]],
         "single_seconds": single_seconds,
         "sharded_seconds": sharded_seconds,
         "insert_overhead": sharded_seconds / single_seconds,
@@ -529,7 +541,7 @@ def _insert(base_rows: int, inserts: int) -> dict:
 def shards(sizes: dict) -> dict:
     """The maintained per-shard serve vs monolithic scatter/gather, the
     serve over 2, 4 and 8 shards, a scatter read after writes, and
-    sharded vs flat insert cost."""
+    tracked sharded vs flat insert cost."""
     from ..engine.pool import default_worker_count
 
     workers = default_worker_count()

@@ -339,9 +339,11 @@ TIERS: dict[str, Tier] = {tier.name: tier for tier in (
              *_each("time", "parallel", ("warm_seconds", "cold_seconds")),
              *_each("time", "batch", ("warm_seconds", "cold_seconds")))),
     Tier("shards", "BENCH_6.json",
-         "maintained per-shard serve vs monolithic scatter/gather, the "
-         "serve over 2/4/8 shards, a scatter read after writes, and "
-         "sharded vs flat insert cost", workloads.shards,
+         "maintained serve (one in-process merge of the per-shard "
+         "skylines) vs monolithic scatter/gather, the serve over 2/4/8 "
+         "shards, a scatter read after writes, and tracked "
+         "ShardedRelation.insert_ranks vs flat maintainer inserts",
+         workloads.shards,
          {"sharded_rows": 100_000, "insert_base_rows": 20_000,
           "insert_stream": 2_000},
          {"sharded_rows": 10_000, "insert_base_rows": 4_000,

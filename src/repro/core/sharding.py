@@ -1,4 +1,4 @@
-"""Sharded, MVCC-versioned relations with partition-parallel maintenance.
+"""Sharded, MVCC-versioned relations with per-shard maintenance.
 
 The paper's partition/merge identity ``M_pi(D) = M_pi(U_i M_pi(D_i))``
 (the correctness backbone of OSDC's divide step and of the pool's tree
@@ -8,10 +8,6 @@ that identity into a storage architecture:
 * :class:`ShardMap` -- a deterministic row-to-shard router, either by a
   platform-independent hash of the rank vector or by range partitioning
   on one column.
-* :class:`ShardedPSkylineMaintainer` -- ``k`` independent
-  :class:`~repro.algorithms.incremental.PSkylineMaintainer` instances,
-  one per shard; inserts and deletes are routed to the owning shard and
-  the global answer is the merge of the per-shard skylines.
 * :class:`ShardedRelation` -- a mutable, hash- or range-partitioned
   relation.  Writes bump a monotonically increasing **version**, and
   readers pin :class:`ShardSnapshot` views: a long-running or deadline
@@ -22,15 +18,17 @@ that identity into a storage architecture:
   ordinary immutable :class:`~repro.core.relation.Relation` from it on
   first use, so every registry algorithm consumes it unchanged.
 
-Serving a query over a tracked p-graph reduces to merging the per-shard
-skylines -- exactly the second application of the partition identity --
-either serially or through :meth:`WorkerPool.merge_sharded_skylines
-<repro.engine.pool.WorkerPool.merge_sharded_skylines>`'s tree of
-pairwise merges.
+:meth:`ShardedRelation.track` keeps one
+:class:`~repro.algorithms.incremental.PSkylineMaintainer` per shard for a
+p-graph.  Serving that query is the second application of the partition
+identity: one OSDC run, in this process, over the union of the
+per-shard skylines -- a few hundred to a few thousand rows, too few to
+repay a round on the worker pool.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import zlib
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -42,8 +40,8 @@ from .attributes import Attribute, lowest, orders_signature
 from .pgraph import PGraph
 from .relation import Relation
 
-__all__ = ["ShardMap", "ShardedPSkylineMaintainer", "ShardedRelation",
-           "ShardSnapshot", "sharded_pskyline"]
+__all__ = ["ShardMap", "ShardedRelation", "ShardSnapshot",
+           "sharded_pskyline"]
 
 
 def _row_hash(vector: np.ndarray) -> int:
@@ -214,157 +212,6 @@ def sharded_pskyline(ranks: np.ndarray, graph: PGraph, *,
     return np.sort(candidates[np.asarray(local, dtype=np.intp)])
 
 
-class ShardedPSkylineMaintainer:
-    """``M_pi`` maintenance over ``k`` independent shards.
-
-    The public surface mirrors
-    :class:`~repro.algorithms.incremental.PSkylineMaintainer`: tuples
-    are identified by the id :meth:`insert` returns, and the maintained
-    answer always equals ``M_pi`` of the alive tuples.  Internally each
-    insert is routed to its owning shard's maintainer (one comparison
-    against that shard's -- smaller -- skyline) and the global skyline
-    is the merge of the per-shard skylines, cached per write version.
-    """
-
-    def __init__(self, graph: PGraph, shards: int | ShardMap = 4, *,
-                 context=None, kernel: str = "auto",
-                 capacity: int = 1024):
-        from ..algorithms.base import ensure_context
-        from ..algorithms.incremental import PSkylineMaintainer
-
-        self.graph = graph
-        self.shard_map = shards if isinstance(shards, ShardMap) \
-            else ShardMap.hashed(shards)
-        self.context = ensure_context(context)
-        self.kernel = kernel
-        self._maintainers = [
-            PSkylineMaintainer(graph, capacity=capacity,
-                               context=self.context, kernel=kernel)
-            for _ in range(self.shard_map.shards)]
-        #: global id -> (shard, shard-local id); append-only
-        self._shard_of: list[int] = []
-        self._slot_of: list[int] = []
-        self._version = 0
-        self._merged: tuple[int, np.ndarray] | None = None
-
-    @property
-    def num_shards(self) -> int:
-        return self.shard_map.shards
-
-    @property
-    def version(self) -> int:
-        """Bumped by every insert and delete."""
-        return self._version
-
-    @property
-    def num_alive(self) -> int:
-        return sum(m.num_alive for m in self._maintainers)
-
-    def __contains__(self, tuple_id: int) -> bool:
-        if not 0 <= tuple_id < len(self._shard_of):
-            return False
-        shard, slot = self._shard_of[tuple_id], self._slot_of[tuple_id]
-        return slot in self._maintainers[shard]
-
-    # -- mutation ------------------------------------------------------------
-    def insert(self, values) -> int:
-        """Insert a rank vector; returns its global tuple id."""
-        values = np.asarray(values, dtype=np.float64)
-        shard = self.shard_map.shard_of(values)
-        slot = self._maintainers[shard].insert(values)
-        tuple_id = len(self._shard_of)
-        self._shard_of.append(shard)
-        self._slot_of.append(slot)
-        self._version += 1
-        self._merged = None
-        return tuple_id
-
-    def bulk_load(self, block) -> np.ndarray:
-        """Insert a block of rows in one routed pass; returns their ids."""
-        block = np.ascontiguousarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[1] != self.graph.d:
-            raise ValueError(
-                f"expected an (n, {self.graph.d}) rank matrix")
-        ids = np.arange(len(self._shard_of),
-                        len(self._shard_of) + block.shape[0],
-                        dtype=np.intp)
-        if block.shape[0] == 0:
-            return ids
-        assignment = self.shard_map.shard_of_block(block)
-        slots = np.empty(block.shape[0], dtype=np.intp)
-        for shard in range(self.num_shards):
-            rows = np.flatnonzero(assignment == shard)
-            if rows.size:
-                slots[rows] = self._maintainers[shard].bulk_load(
-                    block[rows])
-        self._shard_of.extend(assignment.tolist())
-        self._slot_of.extend(slots.tolist())
-        self._version += 1
-        self._merged = None
-        return ids
-
-    def delete(self, tuple_id: int) -> None:
-        """Delete a tuple by its global id (promotion stays shard-local)."""
-        if not 0 <= tuple_id < len(self._shard_of):
-            raise KeyError(f"tuple {tuple_id} is not alive")
-        shard, slot = self._shard_of[tuple_id], self._slot_of[tuple_id]
-        self._maintainers[shard].delete(slot)  # raises if not alive
-        self._version += 1
-        self._merged = None
-
-    # -- views ---------------------------------------------------------------
-    def shard_skyline_sizes(self) -> list[int]:
-        return [int(m.skyline_ids().size) for m in self._maintainers]
-
-    def skyline_ids(self) -> np.ndarray:
-        """The global p-skyline as sorted global ids (merged, cached)."""
-        if self._merged is not None and self._merged[0] == self._version:
-            return self._merged[1]
-        from ..algorithms.osdc import osdc
-
-        slot_to_global: list[np.ndarray] = []
-        offset = 0
-        pieces_ranks: list[np.ndarray] = []
-        pieces_ids: list[np.ndarray] = []
-        globals_by_shard = self._globals_by_shard()
-        for shard, maintainer in enumerate(self._maintainers):
-            slots = maintainer.skyline_ids()
-            if slots.size == 0:
-                continue
-            pieces_ranks.append(maintainer.ranks_of(slots))
-            pieces_ids.append(globals_by_shard[shard][slots])
-        if not pieces_ids:
-            merged = np.empty(0, dtype=np.intp)
-        else:
-            union_ids = np.concatenate(pieces_ids)
-            union_ranks = np.ascontiguousarray(np.vstack(pieces_ranks))
-            local = osdc(union_ranks, self.graph, context=self.context,
-                         kernel=self.kernel)
-            merged = np.sort(union_ids[local])
-        self._merged = (self._version, merged)
-        return merged
-
-    def skyline_ranks(self) -> np.ndarray:
-        return self.ranks_of(self.skyline_ids())
-
-    def ranks_of(self, ids) -> np.ndarray:
-        """Rank vectors for the given global ids (in the given order)."""
-        ids = np.asarray(ids, dtype=np.intp)
-        out = np.empty((ids.size, self.graph.d), dtype=np.float64)
-        for position, tuple_id in enumerate(ids):
-            shard = self._shard_of[tuple_id]
-            slot = self._slot_of[tuple_id]
-            out[position] = self._maintainers[shard].ranks_of([slot])[0]
-        return out
-
-    def _globals_by_shard(self) -> list[np.ndarray]:
-        """Per shard, the global id of each shard-local slot."""
-        by_shard: list[list[int]] = [[] for _ in self._maintainers]
-        for tuple_id, shard in enumerate(self._shard_of):
-            by_shard[shard].append(tuple_id)
-        return [np.asarray(ids, dtype=np.intp) for ids in by_shard]
-
-
 # -- the sharded relation ----------------------------------------------------
 
 
@@ -422,18 +269,20 @@ class _Shard:
         self.alive = np.concatenate(
             [self.alive, np.zeros(new_capacity - capacity, dtype=bool)])
 
-    def append_block(self, ranks: np.ndarray, gids: np.ndarray,
-                     values: np.ndarray | None) -> np.ndarray:
+    def append_block(self, ranks: np.ndarray, gids: np.ndarray | int,
+                     values: np.ndarray | None) -> int:
+        """Append rows to the contiguous slots ``start:start + n``;
+        returns ``start``."""
         count = ranks.shape[0]
         self._reserve(count)
-        slots = np.arange(self.size, self.size + count, dtype=np.intp)
-        self.ranks[slots] = ranks
+        start, end = self.size, self.size + count
+        self.ranks[start:end] = ranks
         if self.values is not None:
-            self.values[slots] = values if values is not None else None
-        self.gids[slots] = gids
-        self.alive[slots] = True
-        self.size += count
-        return slots
+            self.values[start:end] = values if values is not None else None
+        self.gids[start:end] = gids
+        self.alive[start:end] = True
+        self.size = end
+        return start
 
     def kill(self, slot: int) -> None:
         self.alive[slot] = False
@@ -620,7 +469,9 @@ class _TrackedGraph:
     def __init__(self, graph: PGraph, columns: list[int],
                  maintainers: list) -> None:
         self.graph = graph
-        self.columns = columns
+        #: an index array: projecting a rank vector by one is several
+        #: times faster than by a list, and every tracked insert does it
+        self.columns = np.asarray(columns, dtype=np.intp)
         self.maintainers = maintainers
 
 
@@ -790,6 +641,8 @@ class ShardedRelation:
                 pass
 
     def _notify_write(self) -> None:
+        if not self._write_listeners:
+            return
         with self._lock:
             listeners = list(self._write_listeners)
             version = self._version
@@ -827,15 +680,17 @@ class ShardedRelation:
         if vector.shape != (self.arity,):
             raise ValueError(
                 f"expected a rank vector of length {self.arity}")
-        if not np.isfinite(vector).all():
+        # a NumPy reduction over a handful of values costs several
+        # times this Python loop
+        if not all(map(math.isfinite, vector.tolist())):
             raise ValueError("rank vector contains non-finite values")
         with self._lock:
             shard_index = self.shard_map.shard_of(vector)
             shard = self._shards[shard_index]
             gid = len(self._gid_shard)
-            slot = int(shard.append_block(
-                vector[None, :], np.asarray([gid], dtype=np.intp),
-                values[None, :] if values is not None else None)[0])
+            slot = shard.append_block(
+                vector[None, :], gid,
+                values[None, :] if values is not None else None)
             self._gid_shard.append(shard_index)
             self._gid_slot.append(slot)
             for tracked in self._tracked.values():
@@ -876,10 +731,10 @@ class ShardedRelation:
             for shard_index, rows in enumerate(routed):
                 if rows.size == 0:
                     continue
-                slots = self._shards[shard_index].append_block(
+                start = self._shards[shard_index].append_block(
                     ranks[rows], gids[rows],
                     values[rows] if values is not None else None)
-                slot_of[rows] = slots
+                slot_of[rows] = np.arange(start, start + rows.size)
                 for tracked in self._tracked.values():
                     self._tracked_bulk_load(tracked, shard_index,
                                             ranks[rows])
@@ -931,8 +786,6 @@ class ShardedRelation:
     def skyline_gids(self, expression) -> np.ndarray:
         """The maintained ``M_pi`` of a tracked p-graph, as sorted
         global ids (merged from the per-shard skylines)."""
-        from ..algorithms.osdc import osdc
-
         graph, _columns = self._resolve(expression)
         with self._lock:
             tracked = self._tracked.get(self._graph_key(graph))
@@ -941,28 +794,34 @@ class ShardedRelation:
                     f"p-graph over {graph.names} is not tracked; call "
                     "track() first")
             pieces = self._shard_skylines(tracked)
-        if not pieces:
-            return np.empty(0, dtype=np.intp)
-        union_gids = np.concatenate([gids for _i, _r, gids in pieces])
-        union_ranks = np.ascontiguousarray(
-            np.vstack([ranks for _i, ranks, _g in pieces]))
-        local = osdc(union_ranks, graph, context=self.context,
-                     kernel=self.kernel)
-        return np.sort(union_gids[local])
+        return self._merge_skylines(pieces, graph, self.context)
 
     def _shard_skylines(self, tracked: _TrackedGraph
-                        ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Per-shard skyline as ``(shard index, projected ranks, global
-        ids)`` triples, empty shards skipped; caller holds the lock."""
-        pieces: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for index, (shard, maintainer) in enumerate(
-                zip(self._shards, tracked.maintainers)):
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-shard skyline as ``(projected ranks, global ids)`` pairs,
+        empty shards skipped; caller holds the lock."""
+        pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        for shard, maintainer in zip(self._shards, tracked.maintainers):
             slots = maintainer.skyline_ids()
-            if slots.size == 0:
-                continue
-            pieces.append((index, maintainer.ranks_of(slots),
-                           shard.gids[slots].copy()))
+            if slots.size:
+                pieces.append((maintainer.ranks_of(slots),
+                               shard.gids[slots].copy()))
         return pieces
+
+    def _merge_skylines(self, pieces, graph: PGraph,
+                        context) -> np.ndarray:
+        """The second half of the partition identity: ``osdc`` over the
+        union of the per-shard skylines, under ``context``; returns
+        sorted global ids."""
+        from ..algorithms.osdc import osdc
+
+        if not pieces:
+            return np.empty(0, dtype=np.intp)
+        union_ranks = np.concatenate([ranks for ranks, _gids in pieces])
+        union_gids = np.concatenate([gids for _ranks, gids in pieces])
+        local = osdc(union_ranks, graph, context=context,
+                     kernel=self.kernel)
+        return np.sort(union_gids[local])
 
     # -- MVCC snapshots ------------------------------------------------------
     def snapshot(self) -> ShardSnapshot:
@@ -1005,13 +864,13 @@ class ShardedRelation:
         :class:`Relation` of the maximal tuples in global-id order.
 
         Reads run on the snapshot (the one given, or a fresh pin), so
-        concurrent writes never shift the answer mid-query.  Tracked
-        p-graphs are served by merging the per-shard skylines --
-        through the worker pool's tree merge when one is available --
-        and untracked queries go through the planner's shard-aware rule
-        (scatter/gather over pre-registered shards, single-shard, or
-        serial).  An explicit ``algorithm`` runs that registry
-        algorithm over the materialised snapshot unchanged.
+        concurrent writes never shift the answer mid-query.  A tracked
+        p-graph read at the current version is served by merging the
+        per-shard skylines in this process; untracked queries go
+        through the planner's shard-aware rule (scatter/gather over
+        pre-registered shards on ``pool`` or the default pool,
+        single-shard, or serial).  An explicit ``algorithm`` runs that
+        registry algorithm over the materialised snapshot unchanged.
         """
         from ..algorithms.base import ensure_context
         from ..engine.context import ExecutionContext
@@ -1028,65 +887,21 @@ class ShardedRelation:
         with self._lock:
             snap = self.snapshot() if owned else snapshot
             tracked = self._tracked.get(self._graph_key(graph)) \
-                if algorithm in ("auto", "maintained") else None
-            serve = None
+                if algorithm == "auto" else None
+            pieces = None
             if tracked is not None and snap.version == self._version:
-                serve = self._shard_skylines(tracked)
+                pieces = self._shard_skylines(tracked)
         try:
-            if serve is not None:
-                return self._serve_tracked(snap, graph, columns, serve,
-                                           pool, context)
+            if pieces is not None:
+                self._annotate(context, snap, "maintained",
+                               [int(gids.size) for _ranks, gids in pieces])
+                return snap.take_gids(
+                    self._merge_skylines(pieces, graph, context))
             return self._query_snapshot(snap, graph, columns, algorithm,
                                         pool, planner, context, options)
         finally:
             if owned:
                 snap.close()
-
-    def _serve_tracked(self, snap: ShardSnapshot, graph: PGraph,
-                       columns: list[int], serve, pool,
-                       context) -> Relation:
-        """Merge per-shard skylines (the second half of the partition
-        identity), on the pool when available."""
-        from ..algorithms.osdc import osdc
-        from ..engine.pool import pool_available
-
-        self._annotate(context, snap, "maintained",
-                       [int(gids.size) for _i, _r, gids in serve])
-        if not serve:
-            return snap.take_gids([])
-        union = int(sum(gids.size for _i, _r, gids in serve))
-        if pool is None and pool_available() and union >= 2048:
-            from ..engine.pool import get_default_pool
-            pool = get_default_pool()
-        if pool is not None and len(serve) > 1:
-            gids = self._pool_merge(snap, graph, columns, serve, pool,
-                                    context)
-        else:
-            union_gids = np.concatenate([gids for _i, _r, gids in serve])
-            union_ranks = np.ascontiguousarray(
-                np.vstack([ranks for _i, ranks, _g in serve]))
-            local = osdc(union_ranks, graph, context=context,
-                         kernel=self.kernel)
-            gids = np.sort(union_gids[local])
-        return snap.take_gids(gids)
-
-    def _pool_merge(self, snap: ShardSnapshot, graph: PGraph,
-                    columns: list[int], serve, pool,
-                    context) -> np.ndarray:
-        """Tree-merge the per-shard skylines on the worker pool against
-        the pinned shards' base registrations."""
-        offsets = snap.offsets
-        parts = []
-        for index, _ranks, gids in serve:
-            # gids are strictly increasing within a shard (appends only
-            # ever grow them): one searchsorted finds the slots, and a
-            # second their live positions
-            slots = np.searchsorted(snap._gids[index], gids)
-            parts.append(offsets[index]
-                         + snap.pins[index].positions_of(slots))
-        merged = pool.merge_sharded_skylines(
-            snap.pins, graph, parts, columns=columns, context=context)
-        return np.sort(snap.gids_at(merged))
 
     def _query_snapshot(self, snap: ShardSnapshot, graph: PGraph,
                         columns: list[int], algorithm: str, pool,
@@ -1096,7 +911,7 @@ class ShardedRelation:
         from ..algorithms.base import get_algorithm
         from ..engine.pool import get_default_pool, pool_available
 
-        if algorithm not in ("auto", "maintained"):
+        if algorithm != "auto":
             # any registry algorithm consumes the materialised snapshot
             # relation unchanged
             self._annotate(context, snap, algorithm, None)

@@ -243,6 +243,24 @@ class TestShardedSlices:
         assert info["merge_rounds"] == 1 and info["tasks"] == 2
         assert "parent" in info["per_worker_dominance_tests"]
 
+    def test_merge_sharded_skylines_is_osdc_over_the_union_of_parts(
+            self, pool):
+        """Pre-computed per-shard skylines, in virtual coordinates,
+        merge to ``osdc`` over their union."""
+        sizes = [240, 260, 250, 250]
+        pins, union = _shard_pins(sizes, seed=9)
+        columns = [2, 4, 1]
+        graph = PGraph.from_expression(parse("A * (B & C)"))
+        projected = np.ascontiguousarray(union[:, columns])
+        offsets = np.cumsum([0] + sizes)
+        parts = [lo + osdc(projected[lo:hi], graph)
+                 for lo, hi in zip(offsets, offsets[1:])]
+        got = pool.merge_sharded_skylines(pins, graph, parts,
+                                          columns=columns)
+        candidates = np.concatenate(parts)
+        expected = candidates[osdc(projected[candidates], graph)]
+        assert np.array_equal(got, np.sort(expected))
+
 
 class TestInterruption:
     def test_cancel_mid_query_from_the_pool(self, nrng):

@@ -11,13 +11,13 @@ from repro import Relation, lowest, highest, p_skyline, p_skyline_batch
 from repro.algorithms.base import Stats
 from repro.algorithms.incremental import PSkylineMaintainer
 from repro.algorithms.osdc import osdc
-from repro.algorithms.sliding import SlidingWindowPSkyline
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
-from repro.core.sharding import (ShardMap, ShardedPSkylineMaintainer,
-                                 ShardedRelation, sharded_pskyline)
+from repro.core.sharding import (ShardMap, ShardedRelation,
+                                 sharded_pskyline)
 from repro.engine import ExecutionContext, WorkerPool
 from repro.engine import pool as pool_module
+from repro.engine.pool import get_default_pool, shutdown_default_pool
 from repro.planner import Planner
 from repro.sql import PreferenceSQL
 
@@ -116,19 +116,15 @@ class TestBlockRouting:
     def test_bulk_loaded_id_maps_hold_python_ints(self):
         ranks = np.random.default_rng(5).normal(size=(10_000, 3))
         relation = ShardedRelation.from_array(ranks, shards=4)
-        maintainer = ShardedPSkylineMaintainer(_graph("A0 & A1 & A2", 3), 4)
-        maintainer.bulk_load(ranks)
-        for ids in (relation._gid_shard, relation._gid_slot,
-                    maintainer._shard_of, maintainer._slot_of):
+        for ids in (relation._gid_shard, relation._gid_slot):
             assert len(ids) == 10_000
             assert all(type(entry) is int for entry in ids)
         sampled = np.random.default_rng(6).choice(10_000, 40, replace=False)
         for gid in sampled.tolist():
-            assert gid in relation and gid in maintainer
+            assert gid in relation
             relation.delete(gid)
-            maintainer.delete(gid)
-            assert gid not in relation and gid not in maintainer
-        assert len(relation) == maintainer.num_alive == 10_000 - 40
+            assert gid not in relation
+        assert len(relation) == 10_000 - 40
 
 
 class TestShardedPSkyline:
@@ -157,54 +153,6 @@ class TestShardedPSkyline:
         assert np.array_equal(
             sharded_pskyline(ranks, graph, shard_map=shard_map),
             osdc(ranks, graph))
-
-
-class TestShardedMaintainer:
-    def test_matches_recompute_under_churn(self, nrng, rng):
-        graph = _graph("A0 & (A1 * A2)", 3)
-        maintainer = ShardedPSkylineMaintainer(graph, 3)
-        rows: dict[int, np.ndarray] = {}
-        for _ in range(200):
-            if rows and rng.random() < 0.3:
-                victim = rng.choice(sorted(rows))
-                maintainer.delete(victim)
-                del rows[victim]
-            else:
-                row = nrng.integers(0, 10, size=3).astype(float)
-                rows[maintainer.insert(row)] = row
-            alive = sorted(rows)
-            expected = {alive[j] for j in osdc(
-                np.array([rows[i] for i in alive]), graph)} \
-                if alive else set()
-            assert set(maintainer.skyline_ids().tolist()) == expected
-        assert maintainer.num_alive == len(rows)
-
-    def test_bulk_load_equals_sequential_inserts(self, nrng):
-        graph = _graph("A0 * (A1 & A2)", 3)
-        block = nrng.normal(size=(150, 3))
-        bulk = ShardedPSkylineMaintainer(graph, 4)
-        ids = bulk.bulk_load(block)
-        assert ids.tolist() == list(range(150))
-        sequential = ShardedPSkylineMaintainer(graph, 4)
-        for row in block:
-            sequential.insert(row)
-        assert np.array_equal(bulk.skyline_ids(),
-                              sequential.skyline_ids())
-        assert np.array_equal(bulk.skyline_ids(),
-                              np.sort(osdc(block, graph)))
-
-    def test_matches_flat_maintainer(self, nrng):
-        graph = _graph("(A0 & A1) * A2", 3)
-        block = nrng.normal(size=(100, 3))
-        flat = PSkylineMaintainer(graph)
-        sharded = ShardedPSkylineMaintainer(graph, 3)
-        for row in block:
-            flat.insert(row)
-            sharded.insert(row)
-        assert np.array_equal(flat.skyline_ids(), sharded.skyline_ids())
-        flat.delete(int(flat.skyline_ids()[0]))
-        sharded.delete(int(sharded.skyline_ids()[0]))
-        assert np.array_equal(flat.skyline_ids(), sharded.skyline_ids())
 
 
 class TestShardedRelation:
@@ -267,6 +215,43 @@ class TestShardedRelation:
         alive_gids = np.array([g for g in range(51) if g != 3])
         expected = np.sort(alive_gids[osdc(alive_rows, graph)])
         assert np.array_equal(relation.skyline_gids(graph), expected)
+
+    def test_bulk_load_equals_sequential_inserts(self, nrng):
+        graph = _graph("A0 * (A1 & A2)", 3)
+        block = nrng.normal(size=(150, 3))
+        names = ["A0", "A1", "A2"]
+        bulk = ShardedRelation.from_array(block, names=names, shards=4)
+        bulk.track(graph)
+        sequential = ShardedRelation.from_array(block[:0], names=names,
+                                                shards=4)
+        sequential.track(graph)
+        assert [sequential.insert_ranks(row) for row in block] == \
+            list(range(150))
+        assert bulk.shard_sizes() == sequential.shard_sizes()
+        assert np.array_equal(bulk.skyline_gids(graph),
+                              sequential.skyline_gids(graph))
+        assert np.array_equal(bulk.skyline_gids(graph),
+                              np.sort(osdc(block, graph)))
+
+    def test_deleting_a_skyline_member_matches_the_flat_maintainer(
+            self, nrng):
+        graph = _graph("(A0 & A1) * A2", 3)
+        block = nrng.normal(size=(100, 3))
+        flat = PSkylineMaintainer(graph)
+        relation = ShardedRelation.from_array(
+            block[:0], names=["A0", "A1", "A2"], shards=3)
+        relation.track(graph)
+        for row in block:
+            flat.insert(row)
+            relation.insert_ranks(row)
+        assert np.array_equal(flat.skyline_ids(),
+                              relation.skyline_gids(graph))
+        for _ in range(3):  # a deleted member may promote shadowed rows
+            victim = int(flat.skyline_ids()[0])
+            flat.delete(victim)
+            relation.delete(victim)
+            assert np.array_equal(flat.skyline_ids(),
+                                  relation.skyline_gids(graph))
 
     def test_range_partitioning_from_quantiles(self, nrng):
         ranks = nrng.normal(size=(200, 2))
@@ -383,6 +368,27 @@ class TestQueryDispatch:
         expected = p_skyline(Relation.from_array(ranks, names=names),
                              "A0 & A1 & A2")
         assert np.array_equal(got.ranks, expected.ranks)
+
+    def test_large_tracked_serve_stays_in_process(self):
+        """A tracked serve merges its per-shard skylines in this
+        process however large their union, even with the default pool
+        up and idle."""
+        x = np.random.default_rng(17).permutation(3000) / 3000.0
+        ranks = np.column_stack([x, 1.0 - x])  # every row is maximal
+        sharded = ShardedRelation.from_array(ranks, names=["A0", "A1"],
+                                             shards=4)
+        graph = sharded.track("A0 * A1")
+        get_default_pool()
+        try:
+            stats = Stats()
+            got = sharded.p_skyline(graph, stats=stats)
+        finally:
+            shutdown_default_pool()
+        info = stats.extra["shards"]
+        assert info["mode"] == "maintained"
+        assert sum(info["skylines"]) == 3000 >= 2048
+        assert "pool" not in stats.extra
+        assert np.array_equal(got.ranks, ranks[np.sort(osdc(ranks, graph))])
 
     def test_batch_pins_one_snapshot(self, nrng):
         ranks = nrng.normal(size=(100, 3))
@@ -672,19 +678,6 @@ class TestPreferenceSqlOverShards:
         sharded.insert({"a": 1.0})
         second = engine.execute("SELECT a FROM t PREFERRING a")
         assert len(second) == 1 and second.ranks[0, 0] == 1.0
-
-
-class TestSlidingWindowShards:
-    def test_sharded_window_equals_flat(self, nrng):
-        graph = _graph("A0 * (A1 & A2)", 3)
-        flat = SlidingWindowPSkyline(graph, window=40)
-        sharded = SlidingWindowPSkyline(graph, window=40, shards=3)
-        for row in nrng.integers(0, 9, size=(150, 3)).astype(float):
-            flat.append(row)
-            sharded.append(row)
-            assert np.array_equal(flat.skyline_ids(),
-                                  sharded.skyline_ids())
-        assert np.array_equal(flat.contents(), sharded.contents())
 
 
 class TestConcurrentWriteWhileQuery:
