@@ -13,11 +13,22 @@ supports:
   dominated by it and by no other survivor (computed with one screening
   pass over the retained set).
 
+The maintainer keeps the p-skyline itself -- its ids and their rank
+rows -- so an insert compares against that block and touches no
+retained row.  Retained rows are read back only by a bulk load and by a
+promotion, through one read path: the maintainer's own buffer, or a
+*row source* over storage the caller owns (a shard of a
+:class:`~repro.core.sharding.ShardedRelation`), so the rows are not
+held twice.
+
 The maintained set always equals ``M_pi`` of the alive tuples -- verified
 in the tests against recomputation from scratch after every operation.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable
 
 import numpy as np
 
@@ -36,19 +47,30 @@ class PSkylineMaintainer:
     A shared :class:`ExecutionContext` (or the default one created here)
     supplies the compiled preference, so the dominance oracle is built
     once per p-graph across all maintainers.
+
+    ``rows``, when given, is a row source: ``rows(ids)`` returns the
+    rank rows (``(len(ids), d)``, the graph's columns) of the given
+    tuple ids from storage the caller keeps, where the caller has put
+    tuple ``i``'s row before inserting it.  The maintainer then keeps
+    no copy of the rows.  Without one it keeps its own buffer.
     """
 
     def __init__(self, graph: PGraph, capacity: int = 1024,
                  context: ExecutionContext | None = None,
-                 kernel: str = "auto"):
+                 kernel: str = "auto",
+                 rows: Callable[[np.ndarray], np.ndarray] | None = None):
         self.graph = graph
         self.context = ensure_context(context)
         self.dominance = self.context.compiled(graph).dominance
         self.kernel = None if kernel == "auto" else kernel
-        self._ranks = np.empty((capacity, graph.d), dtype=np.float64)
+        self._source = rows
+        self._ranks = np.empty((capacity, graph.d), dtype=np.float64) \
+            if rows is None else None
         self._alive = np.zeros(capacity, dtype=bool)
-        self._in_skyline = np.zeros(capacity, dtype=bool)
         self._size = 0
+        #: the p-skyline: sorted ids and their rank rows, row for row
+        self._sky_ids = np.empty(0, dtype=np.intp)
+        self._sky_rows = np.empty((0, graph.d), dtype=np.float64)
 
     # -- views ---------------------------------------------------------------
     @property
@@ -57,14 +79,16 @@ class PSkylineMaintainer:
 
     def skyline_ids(self) -> np.ndarray:
         """The current p-skyline, as sorted tuple ids."""
-        return np.flatnonzero(self._in_skyline[: self._size])
+        return self._sky_ids.copy()
 
     def skyline_ranks(self) -> np.ndarray:
-        return self._ranks[self.skyline_ids()]
+        """Rank rows of the current p-skyline, in :meth:`skyline_ids`
+        order."""
+        return self._sky_rows.copy()
 
     def ranks_of(self, ids) -> np.ndarray:
         """Rank vectors for the given tuple ids (in the given order)."""
-        return self._ranks[np.asarray(ids, dtype=np.intp)].copy()
+        return self._rows(np.asarray(ids, dtype=np.intp))
 
     def alive_ids(self) -> np.ndarray:
         """All alive tuple ids, sorted."""
@@ -78,27 +102,41 @@ class PSkylineMaintainer:
     def insert(self, values) -> int:
         """Insert a tuple (length-``d`` ranks, smaller better); returns its
         id.  Cost: one comparison against the current p-skyline."""
+        return self.insert_valid(self.validate(values))
+
+    def validate(self, values) -> np.ndarray:
+        """``values`` as the float64 rank vector :meth:`insert` takes;
+        :class:`ValueError` on a wrong length or a NaN."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.graph.d,):
             raise ValueError(
                 f"expected a rank vector of length {self.graph.d}"
             )
-        if np.isnan(values).any():
+        # a NumPy reduction over a handful of values costs several times
+        # this Python loop
+        if any(map(math.isnan, values.tolist())):
             raise ValueError("NaN ranks are not allowed")
+        return values
+
+    def insert_valid(self, values: np.ndarray) -> int:
+        """:meth:`insert` of a vector :meth:`validate` (or an equal or
+        stricter check by the caller) has already accepted."""
         self.context.check("maintainer-insert")
         tuple_id = self._append(values)
-        skyline = self.skyline_ids()
-        # the new tuple id is already stored but not yet in the skyline
-        if skyline.size:
-            block = self._ranks[skyline]
+        block = self._sky_rows
+        if block.shape[0]:
             if self.dominance.dominators_mask(
                     block, values, kernel=self.kernel).any():
                 return tuple_id  # shadowed: retained but not maximal
             beaten = self.dominance.dominated_mask(block, values,
                                                    kernel=self.kernel)
             if beaten.any():
-                self._in_skyline[skyline[beaten]] = False
-        self._in_skyline[tuple_id] = True
+                kept = ~beaten
+                self._sky_ids = self._sky_ids[kept]
+                block = block[kept]
+        # the new id is the largest, so the ids stay sorted
+        self._sky_ids = np.append(self._sky_ids, tuple_id)
+        self._sky_rows = np.concatenate([block, values[None, :]])
         return tuple_id
 
     def bulk_load(self, block) -> np.ndarray:
@@ -107,7 +145,8 @@ class PSkylineMaintainer:
         Equivalent to inserting row by row but pays one OSDC run over
         the old skyline plus the block instead of ``n`` per-row skyline
         comparisons -- the fast path for building a maintainer over an
-        existing relation (or shard).
+        existing relation (or shard).  Nothing changes if that run is
+        cancelled.
         """
         block = np.ascontiguousarray(block, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self.graph.d:
@@ -116,22 +155,26 @@ class PSkylineMaintainer:
         if np.isnan(block).any():
             raise ValueError("NaN ranks are not allowed")
         self.context.check("maintainer-bulk-load")
-        ids = np.arange(self._size, self._size + block.shape[0],
-                        dtype=np.intp)
-        if block.shape[0] == 0:
+        count = block.shape[0]
+        start = self._size
+        ids = np.arange(start, start + count, dtype=np.intp)
+        if count == 0:
             return ids
-        self._reserve(block.shape[0])
-        self._ranks[ids] = block
-        self._alive[ids] = True
-        self._size += block.shape[0]
         # the new skyline is M_pi of (old skyline + new block): old
         # non-skyline tuples stay shadowed because their dominators are
         # all among the candidates
-        candidates = np.concatenate([self.skyline_ids(), ids])
-        local = osdc(self._ranks[candidates], self.graph,
-                     context=self.context, kernel=self.kernel or "auto")
-        self._in_skyline[: self._size] = False
-        self._in_skyline[candidates[local]] = True
+        candidates = np.concatenate([self._sky_ids, ids])
+        rows = np.concatenate([self._sky_rows, block]) \
+            if self._sky_ids.size else block
+        local = np.sort(osdc(rows, self.graph, context=self.context,
+                             kernel=self.kernel or "auto"))
+        self._reserve(count)
+        if self._ranks is not None:
+            self._ranks[start:start + count] = block
+        self._alive[start:start + count] = True
+        self._size += count
+        self._sky_ids = candidates[local]
+        self._sky_rows = rows[local]
         return ids
 
     def delete(self, tuple_id: int) -> None:
@@ -139,61 +182,70 @@ class PSkylineMaintainer:
 
         Atomic with respect to cancellation: the promotion pass runs
         through the shared context, so a deadline or cancel token can
-        fire mid-promotion.  If it does, the deletion is rolled back and
-        the maintainer still equals ``M_pi`` of the alive tuples -- the
+        fire mid-promotion.  If it does, nothing has changed and the
+        maintainer still equals ``M_pi`` of the alive tuples -- the
         caller may simply retry the delete.
         """
         if tuple_id not in self:
             raise KeyError(f"tuple {tuple_id} is not alive")
         self.context.check("maintainer-delete")
-        was_maximal = bool(self._in_skyline[tuple_id])
-        self._alive[tuple_id] = False
-        self._in_skyline[tuple_id] = False
-        if not was_maximal:
+        at = int(np.searchsorted(self._sky_ids, tuple_id))
+        if at == self._sky_ids.size or self._sky_ids[at] != tuple_id:
+            self._alive[tuple_id] = False
             return
-        try:
-            # candidates: alive non-skyline tuples not dominated by the
-            # remaining skyline; their maxima join the skyline
-            alive = np.flatnonzero(self._alive[: self._size])
-            shadowed = alive[~self._in_skyline[alive]]
-            if shadowed.size == 0:
-                return
-            survivors_mask = self.dominance.screen_block(
-                self._ranks[shadowed], self.skyline_ranks(),
-                kernel=self.kernel)
-            candidates = shadowed[survivors_mask]
-            if candidates.size == 0:
-                return
-            local = osdc(self._ranks[candidates], self.graph,
-                         context=self.context,
-                         kernel=self.kernel or "auto")
-        except BaseException:
-            self._alive[tuple_id] = True
-            self._in_skyline[tuple_id] = True
-            raise
-        self._in_skyline[candidates[local]] = True
+        sky_ids = np.delete(self._sky_ids, at)
+        sky_rows = np.delete(self._sky_rows, at, axis=0)
+        # candidates: alive non-skyline tuples not dominated by the
+        # remaining skyline; their maxima join the skyline
+        shadowed = self._alive[: self._size].copy()
+        shadowed[tuple_id] = False
+        shadowed[sky_ids] = False
+        shadowed = np.flatnonzero(shadowed)
+        if shadowed.size:
+            rows = self._rows(shadowed)
+            survivors = self.dominance.screen_block(rows, sky_rows,
+                                                    kernel=self.kernel)
+            if survivors.any():
+                rows = rows[survivors]
+                local = osdc(rows, self.graph, context=self.context,
+                             kernel=self.kernel or "auto")
+                sky_ids = np.concatenate([sky_ids,
+                                          shadowed[survivors][local]])
+                sky_rows = np.concatenate([sky_rows, rows[local]])
+                order = np.argsort(sky_ids)
+                sky_ids, sky_rows = sky_ids[order], sky_rows[order]
+        # nothing above changed the maintainer, so a cancelled promotion
+        # leaves the tuple alive and maximal
+        self._alive[tuple_id] = False
+        self._sky_ids, self._sky_rows = sky_ids, sky_rows
 
     # -- internals -------------------------------------------------------------
+    def _rows(self, ids: np.ndarray) -> np.ndarray:
+        """The one read path of retained rows."""
+        if self._source is not None:
+            return self._source(ids)
+        return self._ranks[ids]
+
     def _reserve(self, extra: int) -> None:
         needed = self._size + extra
-        capacity = self._ranks.shape[0]
+        capacity = self._alive.shape[0]
         if needed <= capacity:
             return
         new_capacity = max(needed, 2 * capacity)
-        grown = np.empty((new_capacity, self.graph.d))
-        grown[: self._size] = self._ranks[: self._size]
-        self._ranks = grown
+        if self._ranks is not None:
+            grown = np.empty((new_capacity, self.graph.d))
+            grown[: self._size] = self._ranks[: self._size]
+            self._ranks = grown
         self._alive = np.concatenate(
             [self._alive,
              np.zeros(new_capacity - capacity, dtype=bool)])
-        self._in_skyline = np.concatenate(
-            [self._in_skyline,
-             np.zeros(new_capacity - capacity, dtype=bool)])
 
     def _append(self, values: np.ndarray) -> int:
-        self._reserve(1)
         tuple_id = self._size
-        self._ranks[tuple_id] = values
+        if tuple_id == self._alive.shape[0]:
+            self._reserve(1)
+        if self._ranks is not None:
+            self._ranks[tuple_id] = values
         self._alive[tuple_id] = True
         self._size += 1
         return tuple_id

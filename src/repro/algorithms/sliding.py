@@ -45,16 +45,12 @@ class SlidingWindowPSkyline:
         every exception point the answer still equals ``M_pi`` of the
         window contents and the append can simply be retried.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.graph.d,):
-            raise ValueError(
-                f"expected a rank vector of length {self.graph.d}")
-        if np.isnan(values).any():
-            raise ValueError("NaN ranks are not allowed")
+        # checked before the eviction, so a rejected item evicts nothing
+        values = self._maintainer.validate(values)
         if len(self._queue) >= self.window:
             self._maintainer.delete(self._queue[0])
             self._queue.popleft()
-        tuple_id = self._maintainer.insert(values)
+        tuple_id = self._maintainer.insert_valid(values)
         self._queue.append(tuple_id)
         return tuple_id
 

@@ -20,10 +20,12 @@ that identity into a storage architecture:
 
 :meth:`ShardedRelation.track` keeps one
 :class:`~repro.algorithms.incremental.PSkylineMaintainer` per shard for a
-p-graph.  Serving that query is the second application of the partition
-identity: one OSDC run, in this process, over the union of the
-per-shard skylines -- a few hundred to a few thousand rows, too few to
-repay a round on the worker pool.
+p-graph.  A maintainer holds its shard's skyline (ids and projected
+rows) and reads any other row from the shard's own buffer, so tracking
+keeps one copy of the rows.  Serving that query is the second
+application of the partition identity: one OSDC run, in this process,
+over the union of the per-shard skylines -- a few hundred to a few
+thousand rows, too few to repay a round on the worker pool.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..engine.pool import LiveRows, ShardPin
-from .attributes import Attribute, lowest, orders_signature
+from .attributes import Attribute, Direction, lowest, orders_signature
 from .pgraph import PGraph
 from .relation import Relation
 
@@ -52,7 +54,11 @@ def _row_hash(vector: np.ndarray) -> int:
     path.  ``-0.0`` is normalised so bitwise-different equal ranks
     land on the same shard.
     """
-    vector = np.ascontiguousarray(vector, dtype=np.float64) + 0.0
+    vector = np.asarray(vector, dtype=np.float64)
+    # adding 0.0 turns -0.0 into 0.0, but the copy costs more than the
+    # rest of the hash, so it is made only for a row holding a zero
+    if 0.0 in vector.tolist():
+        vector = vector + 0.0
     return zlib.crc32(vector.tobytes())
 
 
@@ -269,7 +275,22 @@ class _Shard:
         self.alive = np.concatenate(
             [self.alive, np.zeros(new_capacity - capacity, dtype=bool)])
 
-    def append_block(self, ranks: np.ndarray, gids: np.ndarray | int,
+    def append(self, vector: np.ndarray, gid: int,
+               values: np.ndarray | None) -> int:
+        """Append one row; returns its slot.  (The one-row write path:
+        scalar stores, no block views.)"""
+        slot = self.size
+        if slot == self.alive.shape[0]:
+            self._reserve(1)
+        self.ranks[slot] = vector
+        if self.values is not None:
+            self.values[slot] = values
+        self.gids[slot] = gid
+        self.alive[slot] = True
+        self.size = slot + 1
+        return slot
+
+    def append_block(self, ranks: np.ndarray, gids: np.ndarray,
                      values: np.ndarray | None) -> int:
         """Append rows to the contiguous slots ``start:start + n``;
         returns ``start``."""
@@ -461,18 +482,33 @@ class _TrackedGraph:
 
     The shard-local maintainers are fed in storage slot order, so a
     maintainer tuple id *is* the shard storage slot -- deletes route by
-    slot with no extra translation.
+    slot with no extra translation, and a maintainer reads a retained
+    row from its shard's buffer by slot (:func:`_shard_rows`).
     """
 
     __slots__ = ("graph", "columns", "maintainers")
 
-    def __init__(self, graph: PGraph, columns: list[int],
+    def __init__(self, graph: PGraph, columns: np.ndarray,
                  maintainers: list) -> None:
         self.graph = graph
-        #: an index array: projecting a rank vector by one is several
-        #: times faster than by a list, and every tracked insert does it
-        self.columns = np.asarray(columns, dtype=np.intp)
+        self.columns = columns
         self.maintainers = maintainers
+
+
+def _shard_rows(shard: _Shard, columns: np.ndarray):
+    """A maintainer's row source over one shard: the rows of the given
+    slots, projected to ``columns``.  It reads ``shard.ranks`` on every
+    call, never a cached array, because a growing shard replaces it."""
+    def rows(slots: np.ndarray) -> np.ndarray:
+        return shard.ranks[slots][:, columns]
+    return rows
+
+
+def _grown(array: np.ndarray, needed: int) -> np.ndarray:
+    """A copy of ``array`` with room for ``needed`` entries (doubling)."""
+    grown = np.empty(max(needed, 2 * array.shape[0]), dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown
 
 
 class ShardedRelation:
@@ -522,9 +558,20 @@ class ShardedRelation:
         arity = len(self.schema)
         self._shards = [_Shard(arity, store_values)
                         for _ in range(self.shard_map.shards)]
-        #: global id -> (shard, slot); append-only
-        self._gid_shard: list[int] = []
-        self._gid_slot: list[int] = []
+        #: global id -> (shard, slot) for the first ``_gid_count`` gids;
+        #: append-only
+        self._gid_shard = np.empty(64, dtype=np.intp)
+        self._gid_slot = np.empty(64, dtype=np.intp)
+        self._gid_count = 0
+        #: per attribute: value -> rank of a ranked order, else None; and
+        #: the sign that turns a value into a rank (see :meth:`_encode`)
+        self._rank_of = [
+            {value: i for i, value in enumerate(attribute.order)}
+            if attribute.direction is Direction.RANKED else None
+            for attribute in self.schema]
+        self._signs = np.array(
+            [-1.0 if attribute.direction is Direction.MAX else 1.0
+             for attribute in self.schema])
         self._version = 0
         self._tracked: dict[tuple, _TrackedGraph] = {}
         self._readers: dict[int, int] = {}
@@ -602,7 +649,7 @@ class ShardedRelation:
 
     def __contains__(self, gid: int) -> bool:
         with self._lock:
-            if not 0 <= gid < len(self._gid_shard):
+            if not 0 <= gid < self._gid_count:
                 return False
             shard = self._shards[self._gid_shard[gid]]
             return bool(shard.alive[self._gid_slot[gid]])
@@ -666,12 +713,30 @@ class ShardedRelation:
                 raise ValueError(
                     f"record of arity {len(row)} does not match the "
                     f"schema arity {self.arity}")
-        ranks = np.array([attribute.encode([value])[0]
-                          for attribute, value in zip(self.schema, row)],
-                         dtype=np.float64)
+        ranks = self._encode(row)
         values = np.empty(self.arity, dtype=object)
         values[:] = row
         return self.insert_ranks(ranks, values)
+
+    def _encode(self, row: list) -> np.ndarray:
+        """The rank vector of one schema-ordered record, in one pass.
+
+        Equal to ``Attribute.encode([value])`` per attribute.  A record
+        that pass rejects, or that encodes to a NaN, is encoded again
+        attribute by attribute, so it raises the same error."""
+        try:
+            ranks = np.array(
+                [value if rank_of is None else rank_of[value]
+                 for rank_of, value in zip(self._rank_of, row)],
+                dtype=np.float64)
+            if ranks.shape == self._signs.shape \
+                    and not any(map(math.isnan, ranks.tolist())):
+                return ranks * self._signs
+        except (KeyError, TypeError, ValueError):
+            pass
+        return np.array([attribute.encode([value])[0]
+                         for attribute, value in zip(self.schema, row)],
+                        dtype=np.float64)
 
     def insert_ranks(self, vector, values: np.ndarray | None = None
                      ) -> int:
@@ -687,15 +752,16 @@ class ShardedRelation:
         with self._lock:
             shard_index = self.shard_map.shard_of(vector)
             shard = self._shards[shard_index]
-            gid = len(self._gid_shard)
-            slot = shard.append_block(
-                vector[None, :], gid,
-                values[None, :] if values is not None else None)
-            self._gid_shard.append(shard_index)
-            self._gid_slot.append(slot)
+            gid = self._gid_count
+            slot = shard.append(vector, gid, values)
+            self._map_gids(1)
+            self._gid_shard[gid] = shard_index
+            self._gid_slot[gid] = slot
             for tracked in self._tracked.values():
-                maintainer_slot = tracked.maintainers[shard_index].insert(
-                    vector[tracked.columns])
+                # the finite check above is stricter than the
+                # maintainer's NaN check
+                maintainer_slot = tracked.maintainers[
+                    shard_index].insert_valid(vector[tracked.columns])
                 assert maintainer_slot == slot
             self._version += 1
         self._notify_write()
@@ -706,8 +772,8 @@ class ShardedRelation:
         with self._lock:
             if gid not in self:
                 raise KeyError(f"tuple {gid} is not alive")
-            shard_index = self._gid_shard[gid]
-            slot = self._gid_slot[gid]
+            shard_index = int(self._gid_shard[gid])
+            slot = int(self._gid_slot[gid])
             for tracked in self._tracked.values():
                 tracked.maintainers[shard_index].delete(slot)
             self._shards[shard_index].kill(slot)
@@ -723,11 +789,13 @@ class ShardedRelation:
         routed = [np.flatnonzero(assignment == shard_index)
                   for shard_index in range(self.num_shards)]
         with self._lock:
-            base = len(self._gid_shard)
+            base = self._gid_count
             gids = np.arange(base, base + ranks.shape[0], dtype=np.intp)
             if ranks.shape[0] == 0:
                 return gids
-            slot_of = np.empty(ranks.shape[0], dtype=np.intp)
+            self._map_gids(ranks.shape[0])
+            self._gid_shard[base:base + ranks.shape[0]] = assignment
+            slot_of = self._gid_slot[base:base + ranks.shape[0]]
             for shard_index, rows in enumerate(routed):
                 if rows.size == 0:
                     continue
@@ -736,19 +804,20 @@ class ShardedRelation:
                     values[rows] if values is not None else None)
                 slot_of[rows] = np.arange(start, start + rows.size)
                 for tracked in self._tracked.values():
-                    self._tracked_bulk_load(tracked, shard_index,
-                                            ranks[rows])
-            self._gid_shard.extend(assignment.tolist())
-            self._gid_slot.extend(slot_of.tolist())
+                    tracked.maintainers[shard_index].bulk_load(
+                        ranks[rows][:, tracked.columns])
             self._version += 1
         self._notify_write()
         return gids
 
-    @staticmethod
-    def _tracked_bulk_load(tracked: _TrackedGraph, shard_index: int,
-                           ranks: np.ndarray) -> None:
-        tracked.maintainers[shard_index].bulk_load(
-            ranks[:, tracked.columns])
+    def _map_gids(self, count: int) -> None:
+        """Make room in the gid map for ``count`` more gids and count
+        them; the caller holds the lock and fills their entries."""
+        needed = self._gid_count + count
+        if needed > self._gid_shard.shape[0]:
+            self._gid_shard = _grown(self._gid_shard, needed)
+            self._gid_slot = _grown(self._gid_slot, needed)
+        self._gid_count = needed
 
     # -- tracked maintenance -------------------------------------------------
     def track(self, expression) -> PGraph:
@@ -762,11 +831,15 @@ class ShardedRelation:
         with self._lock:
             if key in self._tracked:
                 return self._tracked[key].graph
+            # an index array: projecting a rank vector by one is several
+            # times faster than by a list, and every tracked insert does it
+            columns = np.asarray(columns, dtype=np.intp)
             maintainers = []
             for shard in self._shards:
                 maintainer = PSkylineMaintainer(
                     graph, capacity=max(64, shard.size),
-                    context=self.context, kernel=self.kernel)
+                    context=self.context, kernel=self.kernel,
+                    rows=_shard_rows(shard, columns))
                 # replay the shard in slot order so maintainer ids align
                 # with storage slots, dead rows included
                 if shard.size:
@@ -804,8 +877,8 @@ class ShardedRelation:
         for shard, maintainer in zip(self._shards, tracked.maintainers):
             slots = maintainer.skyline_ids()
             if slots.size:
-                pieces.append((maintainer.ranks_of(slots),
-                               shard.gids[slots].copy()))
+                pieces.append((maintainer.skyline_ranks(),
+                               shard.gids[slots]))
         return pieces
 
     def _merge_skylines(self, pieces, graph: PGraph,

@@ -113,3 +113,57 @@ def test_random_workload_matches_recomputation(seed, rng, nrng):
         expected = reference_skyline(maintainer, ranks_by_id)
         got = set(maintainer.skyline_ids().tolist())
         assert got == expected, step
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kept_skyline_equals_osdc_of_alive_rows(seed):
+    """The skyline is kept as ids plus their rows, never rescanned: after
+    every operation of a seeded random sequence both equal a
+    from-scratch ``osdc`` over the alive rows."""
+    from repro.algorithms.osdc import osdc
+
+    nrng = np.random.default_rng(seed)
+    graph = PGraph.from_expression(parse("(A0 & A1) * A2 * A3"),
+                                   names=["A0", "A1", "A2", "A3"])
+    maintainer = PSkylineMaintainer(graph, capacity=8)
+    rows = {}
+    for step in range(300):
+        alive = sorted(rows)
+        if alive and nrng.random() < 0.4:
+            # favour skyline members, whose deletes promote
+            skyline = maintainer.skyline_ids()
+            pool = skyline if skyline.size and nrng.random() < 0.5 \
+                else alive
+            victim = int(nrng.choice(pool))
+            maintainer.delete(victim)
+            del rows[victim]
+        elif nrng.random() < 0.1:
+            block = nrng.integers(0, 6, size=(20, 4)).astype(float)
+            for tuple_id, row in zip(maintainer.bulk_load(block), block):
+                rows[int(tuple_id)] = row
+        else:
+            row = nrng.integers(0, 6, size=4).astype(float)
+            rows[maintainer.insert(row)] = row
+        alive = np.array(sorted(rows), dtype=np.intp)
+        if not alive.size:
+            assert maintainer.skyline_ids().size == 0
+            continue
+        block = np.array([rows[i] for i in alive.tolist()])
+        expected = np.sort(alive[osdc(block, graph)])
+        assert np.array_equal(maintainer.skyline_ids(), expected), step
+        assert np.array_equal(maintainer.skyline_ranks(),
+                              maintainer.ranks_of(expected)), step
+
+
+def test_rejected_inputs_stay_rejected():
+    graph = PGraph.from_expression(parse("A * B"))
+    maintainer = PSkylineMaintainer(graph)
+    for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [np.nan, 1.0],
+                [1.0, float("nan")]):
+        with pytest.raises(ValueError):
+            maintainer.insert(bad)
+    with pytest.raises((TypeError, ValueError)):
+        maintainer.insert(["a", 1.0])
+    assert maintainer._size == 0
+    # infinities are ranks like any other; only NaN has no order
+    assert maintainer.insert([np.inf, -np.inf]) == 0

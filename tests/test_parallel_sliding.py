@@ -174,6 +174,17 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             SlidingWindowPSkyline(graph, window=0)
 
+    def test_rejected_item_evicts_nothing(self):
+        graph = PGraph.from_expression(parse("A & B"))
+        stream = SlidingWindowPSkyline(graph, window=2)
+        stream.append([1.0, 0.0])
+        stream.append([2.0, 0.0])
+        for bad in ([3.0], [np.nan, 0.0], [0.0, 1.0, 2.0]):
+            with pytest.raises(ValueError):
+                stream.append(bad)
+        assert stream.contents().tolist() == [[1.0, 0.0], [2.0, 0.0]]
+        assert stream.skyline_ids().tolist() == [0]
+
     def test_contents_order(self):
         graph = PGraph.from_expression(parse("A"))
         stream = SlidingWindowPSkyline(graph, window=2)

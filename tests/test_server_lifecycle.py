@@ -154,7 +154,10 @@ def test_hangup_cancels_a_queued_request():
             queued.close()
             assert _wait_for_cancel(server, before)
             assert time.monotonic() - started < 1.0
-            # cancelled while the busy query still held the slot
+            # cancelled while the busy query still held the slot; the
+            # cancelled request counts as in flight until its (unread)
+            # answer is written, which may trail the cancel counter
+            _wait_for_active(server, 1)
             assert server.stats()["active"] == 1
             from repro.server.protocol import read_frame
 

@@ -1,13 +1,16 @@
 """Tests for sharded, MVCC-versioned relations (core.sharding)."""
 
 import os
+import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import pool_segments, random_expression
-from repro import Relation, lowest, highest, p_skyline, p_skyline_batch
+from repro import (Relation, highest, lowest, p_skyline, p_skyline_batch,
+                   ranked)
 from repro.algorithms.base import Stats
 from repro.algorithms.incremental import PSkylineMaintainer
 from repro.algorithms.osdc import osdc
@@ -113,12 +116,19 @@ class TestBlockRouting:
         routed = ShardMap.hashed(4).shard_of_block(_routing_block(5000))
         assert routed[:32].tolist() == GOLDEN_HASHED_4
 
-    def test_bulk_loaded_id_maps_hold_python_ints(self):
+    def test_bulk_loaded_id_maps_are_intp_arrays(self):
         ranks = np.random.default_rng(5).normal(size=(10_000, 3))
         relation = ShardedRelation.from_array(ranks, shards=4)
-        for ids in (relation._gid_shard, relation._gid_slot):
-            assert len(ids) == 10_000
-            assert all(type(entry) is int for entry in ids)
+        assert relation._gid_count == 10_000
+        shard_of = relation._gid_shard[:10_000]
+        slot_of = relation._gid_slot[:10_000]
+        assert shard_of.dtype == slot_of.dtype == np.intp
+        assert np.array_equal(shard_of,
+                              ShardMap.hashed(4).shard_of_block(ranks))
+        for shard_index, shard in enumerate(relation._shards):
+            mine = np.flatnonzero(shard_of == shard_index)
+            assert np.array_equal(slot_of[mine], np.arange(mine.size))
+            assert np.array_equal(shard.gids[: shard.size], mine)
         sampled = np.random.default_rng(6).choice(10_000, 40, replace=False)
         for gid in sampled.tolist():
             assert gid in relation
@@ -266,6 +276,154 @@ class TestShardedRelation:
         result = relation.p_skyline("A0 & A1", algorithm="osdc")
         expected = osdc(ranks, _graph("A0 & A1", 2))
         assert np.array_equal(result.ranks, ranks[np.sort(expected)])
+
+
+class TestRecordEncoding:
+    """``insert`` encodes a record in one pass; ranks and errors equal
+    ``Attribute.encode`` run one attribute at a time."""
+
+    SCHEMA = [lowest("price"), highest("hp"),
+              ranked("color", ["red", "green", "blue"]), highest("age")]
+
+    @classmethod
+    def per_attribute(cls, row) -> np.ndarray:
+        return np.array([attribute.encode([value])[0]
+                         for attribute, value in zip(cls.SCHEMA, row)],
+                        dtype=np.float64)
+
+    def relation(self) -> ShardedRelation:
+        return ShardedRelation(self.SCHEMA, shards=2, store_values=True)
+
+    def test_ranks_equal_the_per_attribute_encoding(self):
+        relation = self.relation()
+        rows = [[3.0, 100.0, "green", 4], [-0.0, -0.0, "red", 0.0],
+                [2, 7, "blue", -1.5], [1e300, -1e300, "red", True],
+                [np.float32(2.5), np.int64(9), "blue", "3.5"]]
+        gids = [relation.insert(row) for row in rows]
+        gids.append(relation.insert(dict(zip(relation.names, rows[0]))))
+        rows.append(rows[0])
+        with relation.snapshot() as snap:
+            stored = snap.take_gids(gids).ranks
+        expected = np.array([self.per_attribute(row) for row in rows])
+        assert stored.tobytes() == expected.tobytes()  # -0.0 included
+
+    @pytest.mark.parametrize("row", [
+        [np.nan, 1.0, "red", 1.0],             # NaN, MIN
+        [1.0, float("nan"), "red", 1.0],       # NaN, MAX
+        [None, 1.0, "red", 1.0],               # None encodes to NaN
+        [1.0, "fast", "red", 1.0],             # not a number
+        [1.0, 1.0, "purple", 1.0],             # outside the ranked order
+        [1.0, 1.0, ["red"], 1.0],              # unhashable ranked value
+        [[1.0], 1.0, "red", 1.0],              # not a scalar
+        [[1.0], [2.0], ["red"], [3.0]],        # every value a list
+        [np.nan, 1.0, "purple", np.nan],       # the first error wins
+        [1.0, 1.0, "purple", np.nan],
+    ])
+    def test_errors_equal_the_per_attribute_encoding(self, row):
+        with pytest.raises(Exception) as expected:
+            self.per_attribute(row)
+        relation = self.relation()
+        for record in (row, dict(zip(relation.names, row))):
+            with pytest.raises(type(expected.value),
+                               match=re.escape(str(expected.value))):
+                relation.insert(record)
+        assert len(relation) == 0 and relation.version == 0
+
+    def test_shape_errors_keep_their_messages(self):
+        relation = self.relation()
+        with pytest.raises(ValueError, match="arity 3 does not match"):
+            relation.insert([1.0, 1.0, "red"])
+        with pytest.raises(ValueError, match="missing attribute 'age'"):
+            relation.insert({"price": 1.0, "hp": 1.0, "color": "red"})
+        with pytest.raises(ValueError, match="non-finite"):
+            relation.insert([np.inf, 1.0, "red", 1.0])
+        assert len(relation) == 0 and relation.version == 0
+
+
+class TestOneCopyOfRows:
+    """Tracked maintainers keep their shard's skyline, not a copy of its
+    rows: other rows are read from the shard's own buffer."""
+
+    def test_tracking_allocates_less_than_one_copy_of_the_rows(self):
+        rows, d = 20_000, 6
+        ranks = np.random.default_rng(3).normal(size=(rows, d))
+        relation = ShardedRelation.from_array(ranks, shards=4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            relation.track("A0 * A1 * (A2 & A3) * A4 * A5")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a maintainer copy of the projected rows alone is rows * d * 8
+        assert held < rows * d * 8
+
+    def test_tracked_reads_match_osdc_while_shards_grow(self, nrng):
+        graph = _graph("(A0 & A1) * A2", 3)
+        relation = ShardedRelation.from_array(
+            nrng.normal(size=(40, 3)), names=["A0", "A1", "A2"],
+            shards=4)
+        relation.track(graph)
+        first = [shard.ranks for shard in relation._shards]
+        for step in range(600):
+            relation.insert_ranks(nrng.normal(size=3))
+            if step % 20 == 19:
+                # a deleted member makes its shard promote, reading
+                # rows from the shard's current buffer
+                gids = relation.skyline_gids(graph)
+                relation.delete(int(gids[nrng.integers(gids.size)]))
+            if step % 50 == 49:
+                with relation.snapshot() as snap:
+                    served = relation.p_skyline(graph)
+                    expected = relation.p_skyline(
+                        graph, algorithm="osdc", snapshot=snap)
+                    assert served.ranks.tobytes() == \
+                        expected.ranks.tobytes(), step
+        # every shard outgrew its first buffer more than once
+        for shard, buffer in zip(relation._shards, first):
+            assert shard.ranks is not buffer
+            assert shard.ranks.shape[0] >= 4 * buffer.shape[0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shard_skylines_equal_osdc_of_alive_slots(self, seed):
+        nrng = np.random.default_rng(seed)
+        names = ["A0", "A1", "A2", "A3"]
+        relation = ShardedRelation.from_array(
+            nrng.integers(0, 5, size=(60, 4)).astype(float), names=names,
+            shards=3)
+        graphs = [relation.track("A0 * (A1 & A3)"),
+                  relation.track("(A2 & A0) * A1 * A3")]
+        alive = list(range(60))
+        for step in range(250):
+            if alive and nrng.random() < 0.4:
+                tracked = relation._tracked[relation._graph_key(
+                    graphs[step % 2])]
+                shard_index = int(nrng.integers(relation.num_shards))
+                members = relation._shards[shard_index].gids[
+                    tracked.maintainers[shard_index].skyline_ids()]
+                pool = members if members.size and nrng.random() < 0.5 \
+                    else alive
+                victim = int(nrng.choice(pool))
+                relation.delete(victim)
+                alive.remove(victim)
+            elif nrng.random() < 0.1:
+                block = nrng.integers(0, 5, size=(15, 4)).astype(float)
+                alive.extend(relation._bulk_insert(block, None).tolist())
+            else:
+                alive.append(relation.insert_ranks(
+                    nrng.integers(0, 5, size=4).astype(float)))
+            for tracked in relation._tracked.values():
+                for shard, maintainer in zip(relation._shards,
+                                             tracked.maintainers):
+                    slots = np.flatnonzero(shard.alive[: shard.size])
+                    rows = shard.ranks[slots][:, tracked.columns]
+                    expected = np.sort(slots[osdc(rows, tracked.graph)]) \
+                        if slots.size else slots
+                    assert np.array_equal(maintainer.skyline_ids(),
+                                          expected), step
+                    assert np.array_equal(maintainer.skyline_ranks(),
+                                          shard.ranks[expected][
+                                              :, tracked.columns]), step
 
 
 class TestSnapshotIsolation:
