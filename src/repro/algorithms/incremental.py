@@ -148,6 +148,13 @@ class PSkylineMaintainer:
         existing relation (or shard).  Nothing changes if that run is
         cancelled.
         """
+        return self._bulk_load(block, None)
+
+    def _bulk_load(self, block, alive: np.ndarray | None) -> np.ndarray:
+        """:meth:`bulk_load`, where the rows whose ``alive`` flag is
+        false take their ids already deleted: they never join the
+        skyline, so a sharded relation loads a shard with dead slots
+        in one pass and keeps its ids equal to the slots."""
         block = np.ascontiguousarray(block, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] != self.graph.d:
             raise ValueError(
@@ -160,18 +167,21 @@ class PSkylineMaintainer:
         ids = np.arange(start, start + count, dtype=np.intp)
         if count == 0:
             return ids
+        loaded, rows = ids, block
+        if alive is not None and not alive.all():
+            loaded, rows = ids[alive], block[alive]
         # the new skyline is M_pi of (old skyline + new block): old
         # non-skyline tuples stay shadowed because their dominators are
         # all among the candidates
-        candidates = np.concatenate([self._sky_ids, ids])
-        rows = np.concatenate([self._sky_rows, block]) \
-            if self._sky_ids.size else block
+        candidates = np.concatenate([self._sky_ids, loaded])
+        if self._sky_ids.size:
+            rows = np.concatenate([self._sky_rows, rows])
         local = np.sort(osdc(rows, self.graph, context=self.context,
                              kernel=self.kernel or "auto"))
         self._reserve(count)
         if self._ranks is not None:
             self._ranks[start:start + count] = block
-        self._alive[start:start + count] = True
+        self._alive[start:start + count] = True if alive is None else alive
         self._size += count
         self._sky_ids = candidates[local]
         self._sky_rows = rows[local]

@@ -65,7 +65,6 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
                   processes: int | None = None,
                   min_chunk: int = DEFAULT_MIN_CHUNK,
                   pool: WorkerPool | None = None,
-                  fresh_pool: bool = False,
                   columns=None,
                   **osdc_options) -> np.ndarray:
     """Compute ``M_pi(D)`` partitioned across pool workers.
@@ -85,10 +84,6 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
         A specific :class:`~repro.engine.pool.WorkerPool` to run on;
         by default the process-wide warm pool
         (:func:`~repro.engine.pool.get_default_pool`).
-    fresh_pool:
-        Fork a dedicated pool for this one call and tear it down after
-        (the historical cold-start behaviour; benchmarks use it as the
-        cold comparator).
     columns:
         Evaluate over these columns of ``ranks`` (one per p-graph
         attribute, in order).  ``ranks`` is then the base matrix: the
@@ -123,16 +118,8 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
                     context=context, **osdc_options)
 
     chunks = min(processes, max(1, n // min_chunk))
-    own_pool = False
-    if fresh_pool:
-        pool = WorkerPool(processes)
-        own_pool = True
-    elif pool is None:
+    if pool is None:
         pool = get_default_pool()
-    try:
-        return pool.run_query(ranks, graph, algorithm="osdc",
-                              chunks=chunks, columns=columns,
-                              options=osdc_options, context=context)
-    finally:
-        if own_pool:
-            pool.close()
+    return pool.run_query(ranks, graph, algorithm="osdc", chunks=chunks,
+                          columns=columns, options=osdc_options,
+                          context=context)

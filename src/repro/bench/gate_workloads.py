@@ -59,9 +59,10 @@ SWEEP_SHARDS = (2, 4, 8)
 #: Inserts, and deletes, before the read after writes: enough to touch
 #: every shard, far below the re-base share.
 READ_WRITES = 16
-#: Inserts mutate the maintainers, so each repeat rebuilds them and the
-#: minimum is kept.
-INSERT_REPEATS = 3
+#: Alternating rounds of the insert comparison, enough for quartiles of
+#: the per-round ratio.  Inserts mutate the maintainers, so every round
+#: gets its own, built off the clock.
+INSERT_REPEATS = 9
 SERVER_DIMS = 5
 STATEMENTS = 64
 INTENTS = 6
@@ -194,18 +195,27 @@ def _serial(ranks, graph):
     return seconds, np.asarray(result), stats
 
 
+def _cold(ranks, graph) -> np.ndarray:
+    """``parallel-osdc`` on a pool forked for this one call and torn
+    down after it: the pre-pool start-up and registration cost."""
+    from ..algorithms.parallel import parallel_osdc
+    from ..engine.pool import WorkerPool
+
+    with WorkerPool(POOL_WORKERS) as workers:
+        return parallel_osdc(ranks, graph, processes=POOL_WORKERS,
+                             min_chunk=1, pool=workers)
+
+
 def _parallel(rows: int) -> dict:
     """Serial OSDC vs a cold pool (forked, used once, torn down: the
     pre-pool ``parallel-osdc``) vs a warm pool that reuses its workers
     and registration.  Serial OSDC is the oracle."""
-    from ..algorithms.parallel import parallel_osdc
     from ..engine.pool import WorkerPool
 
     ranks, graph = pinned_case(rows, DIMS, CORRELATED)
     _serial(ranks, graph)  # warm caches; the second run is timed
     serial_seconds, expected, serial_stats = _serial(ranks, graph)
-    cold_seconds, cold = timed(lambda: parallel_osdc(
-        ranks, graph, processes=POOL_WORKERS, min_chunk=1, fresh_pool=True))
+    cold_seconds, cold = timed(lambda: _cold(ranks, graph))
     with WorkerPool(POOL_WORKERS) as workers:
         # the first warm query pays the one-off registration; the second
         # is the steady state of a service
@@ -239,10 +249,12 @@ def _parallel(rows: int) -> dict:
 
 
 def _batch(rows: int, queries: int, repeats: int) -> dict:
-    """One warm :meth:`~repro.engine.pool.WorkerPool.map_queries` batch
-    vs ``queries`` cold parallel calls: the start-up and registration
-    cost the batch amortises away."""
-    from ..algorithms.parallel import parallel_osdc
+    """``queries`` warm :meth:`~repro.engine.pool.WorkerPool.run_query`
+    calls on one pool vs as many cold parallel calls: the start-up and
+    registration cost the warm pool amortises away.  (Fused by
+    :class:`~repro.core.fusion.FusionPlan`, the sampled graphs form one
+    group of distinct graphs with no shared base, so a fused batch
+    would run the same calls.)"""
     from ..core.pgraph import PGraph
     from ..engine.pool import WorkerPool
 
@@ -252,22 +264,19 @@ def _batch(rows: int, queries: int, repeats: int) -> dict:
     graphs = [PGraph.from_expression(sampler.sample_expression(rng),
                                      names=_names(DIMS))
               for _ in range(queries)]
-    batch = [(graph, None) for graph in graphs]
     results = {}
 
     def cold(_):
         # each query forks its own pool and registers its own copy
-        results["cold"] = [parallel_osdc(ranks, graph,
-                                         processes=POOL_WORKERS,
-                                         min_chunk=1, fresh_pool=True)
-                           for graph in graphs]
+        results["cold"] = [_cold(ranks, graph) for graph in graphs]
 
     with WorkerPool(POOL_WORKERS) as workers:
-        workers.map_queries(ranks, batch[:1], chunks=POOL_WORKERS)
+        workers.run_query(ranks, graphs[0], chunks=POOL_WORKERS)
 
         def warm(_):  # one registration, descriptor-only dispatches
-            results["warm"] = workers.map_queries(ranks, batch,
-                                                  chunks=POOL_WORKERS)
+            results["warm"] = [workers.run_query(ranks, graph,
+                                                 chunks=POOL_WORKERS)
+                               for graph in graphs]
 
         speedup, _, cold_seconds, warm_seconds = alternating(cold, warm,
                                                              repeats)
@@ -493,32 +502,33 @@ def _insert(base_rows: int, inserts: int) -> dict:
     """Per-row ``insert_ranks`` into a sharded relation tracking one
     p-graph over per-row inserts into a flat maintainer, both holding
     the same base first; routing a write touches one shard's maintainer,
-    so the sharded write stays within a small constant factor.  Global
-    ids and maintainer ids are both append order, so the skylines must
-    match."""
+    so the sharded write stays within a small constant factor.  The
+    overhead is the median of :data:`INSERT_REPEATS` alternating
+    per-round ratios (quartiles in ``insert_overhead_iqr``), the
+    seconds each side's median.  Global ids and maintainer ids are both
+    append order, so the skylines must match."""
     from ..algorithms.incremental import PSkylineMaintainer
 
     ranks, graph = pinned_case(base_rows + inserts, DIMS, CORRELATED)
     base, stream = ranks[:base_rows], ranks[base_rows:]
-
-    def flat() -> tuple[float, PSkylineMaintainer]:
-        maintainer = PSkylineMaintainer(graph,
-                                        capacity=base_rows + inserts)
-        maintainer.bulk_load(base)
-        return timed(lambda: [maintainer.insert(row)
-                              for row in stream])[0], maintainer
-
-    def sharded() -> tuple[float, Any]:
-        relation = _tracked(base, graph, SHARDS)
-        return timed(lambda: [relation.insert_ranks(row)
-                              for row in stream])[0], relation
-
-    single_seconds = sharded_seconds = float("inf")
+    singles, relations = [], []
     for _ in range(INSERT_REPEATS):
-        seconds, single = flat()
-        single_seconds = min(single_seconds, seconds)
-        seconds, relation = sharded()
-        sharded_seconds = min(sharded_seconds, seconds)
+        single = PSkylineMaintainer(graph, capacity=base_rows + inserts)
+        single.bulk_load(base)
+        singles.append(single)
+        relations.append(_tracked(base, graph, SHARDS))
+
+    def flat(i):
+        for row in stream:
+            singles[i].insert(row)
+
+    def sharded(i):
+        for row in stream:
+            relations[i].insert_ranks(row)
+
+    overhead, quartiles, sharded_seconds, single_seconds = alternating(
+        sharded, flat, INSERT_REPEATS)
+    single, relation = singles[-1], relations[-1]
     stats = Stats()
     relation.p_skyline(graph, stats=stats)
     if not np.array_equal(single.skyline_ids(),
@@ -534,7 +544,8 @@ def _insert(base_rows: int, inserts: int) -> dict:
                            for s in stats.extra["shards"]["skylines"]],
         "single_seconds": single_seconds,
         "sharded_seconds": sharded_seconds,
-        "insert_overhead": sharded_seconds / single_seconds,
+        "insert_overhead": overhead,
+        "insert_overhead_iqr": quartiles,
     }
 
 

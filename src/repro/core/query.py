@@ -32,17 +32,54 @@ from .relation import Relation
 __all__ = ["p_skyline", "p_skyline_batch", "skyline"]
 
 
-def _resolve_expression(expression: PExpr | str) -> PExpr:
+def _matrix_names(width: int) -> tuple[str, ...]:
+    """The attribute names of a bare matrix's columns."""
+    return tuple(f"A{j}" for j in range(width))
+
+
+def resolve_expression(names, schema, expression
+                       ) -> tuple[PGraph, list[int]]:
+    """The one resolver of every query entry point: ``expression`` (a
+    p-expression, its textual form or a p-graph) over the attributes
+    ``names`` -> ``(graph, columns)``, where ``columns[i]`` is the
+    index in ``names`` of the graph's ``i``-th attribute.
+
+    With a relation's ``schema`` the graph carries the order signature
+    of those columns (a p-graph keeps one it already has), so a tracked
+    graph and a queried graph compare equal; a bare matrix passes
+    ``None`` and its graph has no orders.  Raises :class:`KeyError`
+    naming the attributes missing from ``names``, and
+    :class:`TypeError` for anything that is not an expression.
+    """
     if isinstance(expression, str):
-        return parse(expression)
-    if isinstance(expression, PExpr):
-        return expression
-    raise TypeError(
-        f"expected a PExpr or its textual form, got {type(expression)}"
-    )
+        expression = parse(expression)
+    if isinstance(expression, PGraph):
+        graph = expression
+    elif isinstance(expression, PExpr):
+        graph = PGraph.from_expression(expression,
+                                       names=expression.attributes())
+    else:
+        raise TypeError(
+            f"expected a p-expression, its textual form or a p-graph, "
+            f"got {type(expression)}")
+    missing = [name for name in graph.names if name not in names]
+    if missing:
+        kind = "p-graph" if expression is graph else "expression"
+        if schema is not None:
+            raise KeyError(
+                f"{kind} uses attributes not in the relation: {missing}")
+        raise KeyError(
+            f"{kind} uses attributes not in the matrix: {missing} "
+            f"(matrix columns are named A0..A{len(names) - 1})")
+    columns = [names.index(name) for name in graph.names]
+    if schema is not None and graph.orders is None:
+        graph = graph.with_orders(orders_signature(
+            [schema[c] for c in columns]))
+    return graph, columns
 
 
-def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
+def p_skyline(data: Relation | np.ndarray,
+              expression: PExpr | str | PGraph, *,
               algorithm: str = "osdc", stats: Stats | None = None,
               context: ExecutionContext | None = None,
               timeout: float | None = None,
@@ -55,9 +92,10 @@ def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
         A :class:`Relation`, or a raw ``(n, d)`` matrix in which smaller
         values are better and columns are named ``A0..A{d-1}``.
     expression:
-        A p-expression AST or its textual form (see
-        :mod:`repro.core.parser`).  Attributes the expression does not
-        mention are ignored (they are irrelevant for ``≻_pi``).
+        A p-expression AST, its textual form (see
+        :mod:`repro.core.parser`) or a p-graph
+        (:func:`resolve_expression`).  Attributes the expression does
+        not mention are ignored (they are irrelevant for ``≻_pi``).
     algorithm:
         A registry name (``osdc`` by default; see
         :data:`repro.algorithms.REGISTRY`).
@@ -93,8 +131,6 @@ def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
         return data.p_skyline(expression, algorithm=algorithm,
                               stats=stats, context=context,
                               timeout=timeout, **options)
-    expr = _resolve_expression(expression)
-    names = expr.attributes()
     if timeout is not None:
         if context is not None:
             raise ValueError("pass either timeout or context, not both")
@@ -103,32 +139,20 @@ def p_skyline(data: Relation | np.ndarray, expression: PExpr | str, *,
     if algorithm != "auto":
         get_algorithm(algorithm)  # an unknown name fails first
     if isinstance(data, Relation):
-        missing = [name for name in names if name not in data.names]
-        if missing:
-            raise KeyError(
-                f"expression uses attributes not in the relation: {missing}"
-            )
-        columns = [data.names.index(name) for name in names]
-        graph = PGraph.from_expression(expr, names=names).with_orders(
-            orders_signature([data.schema[c] for c in columns]))
-        return data.take(_evaluate(algorithm, data.ranks, graph, columns,
-                                   stats, context, options))
-    matrix = np.asarray(data, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    default_names = [f"A{j}" for j in range(matrix.shape[1])]
-    missing = [name for name in names if name not in default_names]
-    if missing:
-        raise KeyError(
-            f"expression uses attributes not in the matrix: {missing} "
-            f"(matrix columns are named A0..A{matrix.shape[1] - 1})"
-        )
-    columns = [default_names.index(name) for name in names]
-    graph = PGraph.from_expression(expr, names=names)
-    if not is_frozen(matrix):
-        matrix, columns = matrix[:, columns], None
-    return _evaluate(algorithm, matrix, graph, columns, stats, context,
-                     options)
+        matrix = data.ranks
+        graph, columns = resolve_expression(data.names, data.schema,
+                                            expression)
+    else:
+        matrix = np.asarray(data, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError("expected a 2-d matrix")
+        graph, columns = resolve_expression(
+            _matrix_names(matrix.shape[1]), None, expression)
+        if not is_frozen(matrix):
+            matrix, columns = matrix[:, columns], None
+    indices = _evaluate(algorithm, matrix, graph, columns, stats, context,
+                        options)
+    return data.take(indices) if isinstance(data, Relation) else indices
 
 
 def _evaluate(algorithm: str, ranks: np.ndarray, graph: PGraph, columns,
@@ -161,33 +185,40 @@ def p_skyline_batch(data: Relation | np.ndarray,
                     **options: Any) -> list:
     """Evaluate many p-skyline queries against **one** data set.
 
-    The "many users, one data set" shape of a loaded service: the rank
-    matrix is registered into the worker pool's shared memory once and
-    each p-expression ships only descriptors
-    (:meth:`repro.engine.pool.WorkerPool.map_queries`), so a batch of
-    ``k`` queries costs one registration instead of ``k`` cold
-    registrations and pool start-ups.  ``algorithm`` names the
-    *per-chunk* evaluator (``osdc`` by default).  Stats from every
-    worker of every query are merged into ``stats``/``context.stats``.
+    The "many users, one data set" shape of a loaded service.  Every
+    batch is planned by :class:`~repro.core.fusion.FusionPlan`:
+    duplicate preferences are evaluated once, and distinct preferences
+    over a shared column signature are refined from their common base
+    skyline with shared packed ``Better`` masks
+    (``stats.extra["fusion"]`` reports the exact hit/miss counters).
+    One loop serves every kind of data (a sharded relation is read
+    through one pinned snapshot), and each evaluation the plan asks for
+    runs one way for the whole batch:
 
-    Every batch is first planned by
-    :class:`~repro.core.fusion.FusionPlan`: duplicate preferences are
-    evaluated once, and distinct preferences over a shared column
-    signature are refined from their common base skyline with shared
-    packed ``Better`` masks (``stats.extra["fusion"]`` reports the
-    exact hit/miss counters).  ``algorithm="auto"`` resolves the
-    execution strategy once per fused group through the planner --
-    large auto batches reach the pool's shared-memory path instead of
-    degrading to one-by-one sequential evaluation.  Sharded relations
-    pin ONE snapshot for the whole batch and serve the fused plan
-    through the pool's per-shard registrations
-    (:meth:`~repro.engine.pool.WorkerPool.run_sharded`) -- no stable
-    sorted copy of the snapshot is ever materialised.
+    * on the worker pool when a pool can run, the data holds at least
+      ``2 * min_chunk`` rows and ``algorithm`` is not ``"auto"``:
+      :meth:`~repro.engine.pool.WorkerPool.run_query` in
+      ``min(processes, n // min_chunk)`` chunks (``processes`` defaults
+      to the pool's worker count), or
+      :meth:`~repro.engine.pool.WorkerPool.run_sharded` over the
+      snapshot's pins.  The pool registers the rank matrix (or each
+      shard's base) into shared memory once for the whole batch, and
+      ``algorithm`` names the *per-chunk* evaluator;
+    * otherwise in this process, as :func:`p_skyline` evaluates:
+      ``algorithm="auto"`` resolves the execution strategy once per
+      fused group through the planner, so a large group can still
+      reach the pool's shared-memory path.
 
-    Returns one result per expression, in order: a :class:`Relation`
-    when ``data`` is a relation, else a sorted index array.
+    Stats from every worker of every query are merged into
+    ``stats``/``context.stats``.  Returns one result per expression,
+    in order: a :class:`Relation` when ``data`` is a relation (sharded
+    or not), else a sorted index array.
     """
-    from ..engine.pool import get_default_pool, pool_available
+    from contextlib import nullcontext
+
+    from ..engine.pool import (_frozen_matrix, get_default_pool,
+                               pool_available)
+    from .fusion import FusionPlan
     from .sharding import ShardedRelation
 
     expressions = list(expressions)
@@ -198,129 +229,57 @@ def p_skyline_batch(data: Relation | np.ndarray,
     context = ensure_context(context, stats)
     if min_chunk < 1:
         raise ValueError("min_chunk must be at least 1")
-    if isinstance(data, ShardedRelation):
-        return _sharded_batch(data, expressions, algorithm=algorithm,
-                              context=context, min_chunk=min_chunk,
-                              options=options)
-    if not isinstance(data, Relation):
-        # the pool registers a writeable matrix as a read-only copy
-        data = np.asarray(data, dtype=np.float64)
-    n = len(data)
-    if pool_available() and n >= 2 * min_chunk and algorithm != "auto":
-        pool = get_default_pool()
-        chunks = None if processes is None else \
-            max(1, min(processes, n // min_chunk))
-        indices = pool.map_queries(data, expressions,
-                                   algorithm=algorithm, chunks=chunks,
-                                   min_chunk=min_chunk, options=options,
-                                   context=context)
-    else:
-        indices = _serial_fused_batch(data, expressions,
-                                      algorithm=algorithm,
-                                      context=context, options=options)
-    if isinstance(data, Relation):
-        return [data.take(index) for index in indices]
-    return indices
-
-
-def _batch_function(algorithm: str, options: dict):
-    """The per-evaluation callable ``function(ranks, graph, columns,
-    context=...)`` of a fused batch, over the columns ``columns`` of the
-    base matrix ``ranks``.
-
-    ``"auto"`` goes through the planner *per fused group*, so one batch
-    resolves its strategy once per distinct base preference -- the
-    planner's parallel rule can still send a large group to the pool,
-    which then registers the base matrix once for the whole batch.
-    """
-    if algorithm == "auto":
-        from ..planner import DEFAULT_PLANNER
-
-        def function(ranks, graph, columns, *, context=None):
-            return DEFAULT_PLANNER.execute(ranks, graph, context=context,
-                                           columns=columns)
-
-        return function
-    get_algorithm(algorithm)  # an unknown name fails before any work
-
-    def function(ranks, graph, columns, *, context=None):
-        return run_on_columns(algorithm, ranks, graph, columns,
-                              context=context, **options)
-
-    return function
-
-
-def _serial_fused_batch(data, expressions, *, algorithm: str,
-                        context: ExecutionContext, options: dict) -> list:
-    """Fused evaluation without the pool dispatcher (small inputs,
-    daemonic processes, or planner-driven ``auto`` batches)."""
-    from ..engine.pool import _resolve_batch
-    from .fusion import FusionPlan
-
-    ranks, resolved = _resolve_batch(data, expressions)
-    plan = FusionPlan.build(
-        (graph, tuple(columns) if columns is not None
-         else tuple(range(graph.d)))
-        for graph, columns in resolved)
-    function = _batch_function(algorithm, options)
-
-    def evaluate(graph, key):
-        return function(ranks, graph, key, context=context)
-
-    def candidates(indices, key):
-        return ranks[np.ix_(indices, list(key))]
-
-    return plan.execute(evaluate=evaluate, candidates=candidates,
-                        context=context)
-
-
-def _sharded_batch(data, expressions, *, algorithm: str,
-                   context: ExecutionContext, min_chunk: int,
-                   options: dict) -> list:
-    """One pinned snapshot, fused plan, per-shard pool registrations.
-
-    Pool evaluation goes through
-    :meth:`~repro.engine.pool.WorkerPool.run_sharded` against the
-    snapshot's pinned shards, whose live rows are numbered like the
-    snapshot's, and screening rows are gathered from the pins
-    (:attr:`ShardSnapshot.rows`); results map back to rows via global
-    ids, so the pooled path never concatenates the snapshot.
-    """
-    from ..engine.pool import get_default_pool, pool_available
-    from .fusion import FusionPlan
-
-    with data.snapshot() as snap:
-        resolved = [data._resolve(expression)
-                    for expression in expressions]
-        plan = FusionPlan.build((graph, tuple(columns))
-                                for graph, columns in resolved)
-        n = len(snap)
-        use_pool = pool_available() and n >= 2 * min_chunk \
-            and algorithm != "auto"
-        if use_pool:
-            pool = get_default_pool()
-
-            def evaluate(graph, key):
-                return pool.run_sharded(snap.pins, graph,
-                                        algorithm=algorithm,
-                                        columns=list(key),
-                                        options=options,
-                                        context=context)
+    if algorithm != "auto":
+        get_algorithm(algorithm)  # an unknown name fails before any work
+    sharded = isinstance(data, ShardedRelation)
+    with data.snapshot() if sharded else nullcontext() as snap:
+        if sharded:
+            names, schema, rows = data.names, data.schema, snap.rows
+        elif isinstance(data, Relation):
+            names, schema, rows = data.names, data.schema, data.ranks
         else:
-            function = _batch_function(algorithm, options)
+            # frozen once here, so the pool registers it once per batch
+            rows = _frozen_matrix(data)
+            if rows.ndim != 2:
+                raise ValueError("expected a 2-d matrix")
+            names, schema = _matrix_names(rows.shape[1]), None
+        plan = FusionPlan.build(
+            (graph, tuple(columns)) for graph, columns in
+            (resolve_expression(names, schema, expression)
+             for expression in expressions))
+        n = len(rows)
+        if pool_available() and n >= 2 * min_chunk and algorithm != "auto":
+            pool = get_default_pool()
+            chunks = max(1, min(pool.processes if processes is None
+                                else processes, n // min_chunk))
 
             def evaluate(graph, key):
-                return function(snap.relation.ranks, graph, key,
-                                context=context)
+                if sharded:
+                    return pool.run_sharded(
+                        snap.pins, graph, algorithm=algorithm,
+                        columns=list(key), options=options,
+                        context=context)
+                return pool.run_query(
+                    rows, graph, algorithm=algorithm, chunks=chunks,
+                    columns=list(key), options=options, context=context)
+        else:
+            def evaluate(graph, key):
+                # a serial sharded read materialises the snapshot once
+                ranks = snap.relation.ranks if sharded else rows
+                return _evaluate(algorithm, ranks, graph, key, None,
+                                 context, options)
 
         def candidates(indices, key):
-            return snap.rows[indices][:, list(key)]
+            return rows[indices][:, list(key)]
 
-        indices_list = plan.execute(evaluate=evaluate,
-                                    candidates=candidates,
-                                    context=context)
-        return [snap.take_gids(snap.gids_at(indices))
-                for indices in indices_list]
+        results = plan.execute(evaluate=evaluate, candidates=candidates,
+                               context=context)
+        if sharded:
+            return [snap.take_gids(snap.gids_at(indices))
+                    for indices in results]
+    if isinstance(data, Relation):
+        return [data.take(indices) for indices in results]
+    return results
 
 
 def skyline(data: Relation | np.ndarray, *, algorithm: str = "osdc",
@@ -333,8 +292,7 @@ def skyline(data: Relation | np.ndarray, *, algorithm: str = "osdc",
     if hasattr(data, "names"):  # Relation and ShardedRelation alike
         names = data.names
     else:
-        matrix = np.asarray(data)
-        names = tuple(f"A{j}" for j in range(matrix.shape[1]))
+        names = _matrix_names(np.asarray(data).shape[1])
     from .expressions import sky
     return p_skyline(data, sky(names), algorithm=algorithm, stats=stats,
                      context=context, timeout=timeout, **options)

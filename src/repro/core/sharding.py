@@ -38,8 +38,9 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..engine.pool import LiveRows, ShardPin
-from .attributes import Attribute, Direction, lowest, orders_signature
+from .attributes import Attribute, Direction, lowest
 from .pgraph import PGraph
+from .query import resolve_expression
 from .relation import Relation
 
 __all__ = ["ShardMap", "ShardedRelation", "ShardSnapshot",
@@ -826,7 +827,8 @@ class ShardedRelation:
         normalised p-graph, usable as a key for :meth:`skyline_gids`."""
         from ..algorithms.incremental import PSkylineMaintainer
 
-        graph, columns = self._resolve(expression)
+        graph, columns = resolve_expression(self.names, self.schema,
+                                            expression)
         key = self._graph_key(graph)
         with self._lock:
             if key in self._tracked:
@@ -840,14 +842,12 @@ class ShardedRelation:
                     graph, capacity=max(64, shard.size),
                     context=self.context, kernel=self.kernel,
                     rows=_shard_rows(shard, columns))
-                # replay the shard in slot order so maintainer ids align
-                # with storage slots, dead rows included
+                # load the shard in slot order so maintainer ids align
+                # with storage slots; dead slots take their ids dead
                 if shard.size:
-                    maintainer.bulk_load(
-                        shard.ranks[: shard.size][:, columns])
-                    for slot in np.flatnonzero(
-                            ~shard.alive[: shard.size]):
-                        maintainer.delete(int(slot))
+                    maintainer._bulk_load(
+                        shard.ranks[: shard.size][:, columns],
+                        shard.alive[: shard.size])
                 maintainers.append(maintainer)
             self._tracked[key] = _TrackedGraph(graph, columns, maintainers)
             return graph
@@ -859,7 +859,8 @@ class ShardedRelation:
     def skyline_gids(self, expression) -> np.ndarray:
         """The maintained ``M_pi`` of a tracked p-graph, as sorted
         global ids (merged from the per-shard skylines)."""
-        graph, _columns = self._resolve(expression)
+        graph, _columns = resolve_expression(self.names, self.schema,
+                                             expression)
         with self._lock:
             tracked = self._tracked.get(self._graph_key(graph))
             if tracked is None:
@@ -948,7 +949,8 @@ class ShardedRelation:
         from ..algorithms.base import ensure_context
         from ..engine.context import ExecutionContext
 
-        graph, columns = self._resolve(expression)
+        graph, columns = resolve_expression(self.names, self.schema,
+                                            expression)
         if timeout is not None:
             if context is not None:
                 raise ValueError(
@@ -1039,45 +1041,6 @@ class ShardedRelation:
                       version=snap.version)
 
     # -- helpers -------------------------------------------------------------
-    def _resolve(self, expression) -> tuple[PGraph, list[int]]:
-        """Normalise an expression/graph exactly like
-        :func:`repro.core.query.p_skyline` does for relations, so a
-        tracked graph and a queried graph compare equal."""
-        from .expressions import PExpr
-        from .parser import parse
-
-        names = self.names
-        if isinstance(expression, PGraph):
-            missing = [name for name in expression.names
-                       if name not in names]
-            if missing:
-                raise KeyError(
-                    f"p-graph uses attributes not in the relation: "
-                    f"{missing}")
-            columns = [names.index(name) for name in expression.names]
-            graph = expression
-            if graph.orders is None:
-                graph = graph.with_orders(orders_signature(
-                    [self.schema[c] for c in columns]))
-            return graph, columns
-        if isinstance(expression, str):
-            expression = parse(expression)
-        if not isinstance(expression, PExpr):
-            raise TypeError(
-                f"expected a p-expression, its textual form or a "
-                f"p-graph, got {type(expression)}")
-        used = expression.attributes()
-        missing = [name for name in used if name not in names]
-        if missing:
-            raise KeyError(
-                f"expression uses attributes not in the relation: "
-                f"{missing}")
-        columns = [names.index(name) for name in used]
-        graph = PGraph.from_expression(expression, names=used) \
-            .with_orders(orders_signature(
-                [self.schema[c] for c in columns]))
-        return graph, columns
-
     @staticmethod
     def _graph_key(graph: PGraph) -> tuple:
         return (graph.names, graph.closure, graph.orders)

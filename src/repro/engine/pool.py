@@ -43,14 +43,13 @@ that with a warm, reusable execution service:
 * Each registration records which columns hold NaNs in the pass that
   copies the array into shared memory, so a pooled query rejects a
   NaN in a column it reads without rescanning the matrix.
-* A sharded read ships each shard as a :class:`ShardPin`: the shard's
-  frozen *base* matrix is registered once and stays registered across
-  writes, and each task carries only what changed since -- the dead
-  slots and the rows appended -- so a read after a write copies no
-  whole shard.
-* :meth:`WorkerPool.map_queries` amortises one shared-memory
-  registration across many p-expressions -- the "many users, one data
-  set" shape of a loaded service.
+* Every pooled read ships pinned shards (:class:`ShardPin`): each
+  shard's frozen *base* matrix is registered once and stays registered
+  across writes, and each task carries only what changed since -- the
+  dead slots and the rows appended -- so a read after a write copies no
+  whole shard.  A flat matrix is the one-shard case, a pin with nothing
+  appended and nothing dead, so :meth:`WorkerPool.run_query` and
+  :meth:`WorkerPool.run_sharded` dispatch the same task shape.
 
 The module-level :func:`get_default_pool` serves the process-wide warm
 pool used by :func:`repro.algorithms.parallel.parallel_osdc` when the
@@ -421,7 +420,7 @@ def _reject_nans(nan_columns: frozenset, columns) -> None:
 def _row_slices(n: int, chunks: int) -> list:
     """``chunks`` near-equal ``("slice", (start, stop))`` row tasks
     covering rows ``0:n`` -- the one slicing rule of every pooled
-    scan, flat or sharded."""
+    scan."""
     bounds = np.linspace(0, n, chunks + 1, dtype=np.intp)
     return [("slice", (int(bounds[i]), int(bounds[i + 1])))
             for i in range(chunks)]
@@ -507,8 +506,9 @@ def _drop_attachments(attachments: dict, keep) -> None:
 def _gather_sharded(spec: ShardedArraySpec, kind: str, payload,
                     attachments: dict):
     """Gather live rows of pinned shards from their base segments and
-    deltas; returns ``(rows, to_global)`` like the single-segment
-    path."""
+    deltas: a ``"slice"`` of virtual rows or the virtual rows at
+    ``"indices"``.  Returns ``(rows, to_global)``, ``to_global`` mapping
+    a row's position in ``rows`` back to its virtual row."""
     pins: dict[int, ShardPin] = {}
 
     def pin(part: int) -> ShardPin:
@@ -537,26 +537,9 @@ def _run_task(spec: dict, attachments: dict, cancel_event):
     from ..core.pgraph import PGraph
 
     _drop_attachments(attachments, spec["live"])
-    array_spec = spec["array"]
     kind, payload = spec["rows"]
-    if isinstance(array_spec, ShardedArraySpec):
-        rows, to_global = _gather_sharded(array_spec, kind, payload,
-                                          attachments)
-    elif kind == "slice":
-        view = _attach_view(array_spec, attachments)
-        start, stop = payload
-        rows = view[start:stop]  # zero-copy view of the segment
-
-        def to_global(local: np.ndarray) -> np.ndarray:
-            return local + start
-    else:  # "indices": merge tasks and arbitrary subsets
-        view = _attach_view(array_spec, attachments)
-        indices = np.asarray(payload, dtype=np.intp)
-        rows = view[indices]
-
-        def to_global(local: np.ndarray) -> np.ndarray:
-            return indices[local]
-
+    rows, to_global = _gather_sharded(spec["array"], kind, payload,
+                                      attachments)
     names, closure, orders = spec["graph"]
     context = ExecutionContext(
         deadline=spec["deadline"],
@@ -787,10 +770,13 @@ class WorkerPool:
         pool until one pair is left and that pair in this process.
         Worker stats are merged into ``context.stats``.
 
-        A query that reads a column holding NaNs raises ``ValueError``
-        before any task is dispatched (the registration recorded those
-        columns once).  A matrix that can be written in place is
-        registered as a read-only copy for this query alone.
+        The matrix runs as a one-shard :meth:`run_sharded` read: a
+        :class:`ShardPin` whose base is the matrix, with nothing
+        appended and nothing dead.  A query that reads a column holding
+        NaNs raises ``ValueError`` before any task is dispatched (the
+        registration recorded those columns once).  A matrix that can
+        be written in place is registered as a read-only copy for this
+        query alone.
         """
         from ..algorithms.base import ensure_context
 
@@ -799,15 +785,14 @@ class WorkerPool:
             raise RuntimeError("pool is closed")
         n = int(ranks.shape[0])
         chunks = self.processes if chunks is None else int(chunks)
-        chunks = max(1, min(chunks, n if n else 1))
         context.check("pool-setup")
-        ranks = _frozen_matrix(ranks)
+        if not n:
+            return np.empty(0, dtype=np.intp)
+        matrix = _frozen_matrix(ranks)
+        pin = ShardPin(matrix, matrix[:0], np.empty(0, dtype=np.intp))
         with self._lock:
-            registration = self.register(ranks)
-            _reject_nans(registration.nan_columns, columns)
             return self._scatter_gather(
-                registration.spec, graph, rows_of=ranks.__getitem__,
-                row_tasks=_row_slices(n, chunks), algorithm=algorithm,
+                [pin], graph, chunks=chunks, algorithm=algorithm,
                 columns=columns, options=options, context=context)
 
     def run_sharded(self, shards, graph, *, algorithm: str = "osdc",
@@ -822,13 +807,13 @@ class WorkerPool:
         and stays registered while the shard only grows or loses rows,
         so a read after a write ships that shard's delta -- its dead
         slots and appended rows -- with the tasks instead of
-        registering it again.  The virtual rows are sliced exactly like
-        :meth:`run_query` slices a matrix: one near-equal slice per
-        worker, whatever the shard boundaries (the partition identity
-        holds for any partition, so a slice that spans shards is
-        gathered across their segments in the worker).  The slices are
-        merged like :meth:`run_query`'s, which also rejects NaNs in the
-        columns read the same way.
+        registering it again.  The virtual rows are cut into one
+        near-equal slice per worker, whatever the shard boundaries (the
+        partition identity holds for any partition, so a slice that
+        spans shards is gathered across their segments in the worker),
+        and the slices are reduced by the tree of pairwise merges.  A
+        query reading a column that holds NaNs in any shard's base
+        raises ``ValueError`` before any task is dispatched.
         """
         from ..algorithms.base import ensure_context
 
@@ -836,18 +821,13 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         pins = [pin for pin in shards if len(pin)]
-        n = sum(len(pin) for pin in pins)
         context.check("pool-setup")
+        if not pins:
+            return np.empty(0, dtype=np.intp)
         with self._lock:
-            if not pins:
-                return np.empty(0, dtype=np.intp)
-            spec, nan_columns = self._register_sharded(pins)
-            _reject_nans(nan_columns, columns)
             return self._scatter_gather(
-                spec, graph, rows_of=LiveRows.of(pins).__getitem__,
-                row_tasks=_row_slices(n, min(self.processes, n)),
-                algorithm=algorithm, columns=columns,
-                options=options, context=context,
+                pins, graph, chunks=self.processes, algorithm=algorithm,
+                columns=columns, options=options, context=context,
                 pool_extra={"shards": len(pins)})
 
     def merge_sharded_skylines(self, shards, graph, parts, *,
@@ -876,12 +856,10 @@ class WorkerPool:
         context.check("pool-setup")
         with self._lock:
             pins = [pin for pin in shards if len(pin)]
-            spec, _ = self._register_sharded(pins)
             parts = [np.asarray(part, dtype=np.intp) for part in parts]
             return self._scatter_gather(
-                spec, graph, rows_of=LiveRows.of(pins).__getitem__,
-                parts=parts, algorithm=algorithm, columns=columns,
-                options=options, context=context,
+                pins, graph, parts=parts, algorithm=algorithm,
+                columns=columns, options=options, context=context,
                 phase="pool-shard-merge",
                 pool_extra={"shards": len(parts), "merge_only": True})
 
@@ -903,23 +881,27 @@ class WorkerPool:
         return (ShardedArraySpec(tuple(specs), tuple(offsets),
                                  tuple(deltas)), nan_columns)
 
-    def _scatter_gather(self, array_spec, graph, *, rows_of,
-                        row_tasks=None, parts=None, algorithm: str,
-                        columns, options: dict | None,
+    def _scatter_gather(self, pins, graph, *, chunks: int | None = None,
+                        parts=None, algorithm: str, columns,
+                        options: dict | None,
                         context: ExecutionContext,
                         phase: str = "pool-chunk",
                         pool_extra: dict | None = None) -> np.ndarray:
         """The shared scatter/gather engine behind every pooled query.
 
-        Either evaluates ``row_tasks`` (chunk stage + merge tree) or
-        adopts pre-computed ``parts`` (merge tree only).
-        ``rows_of(indices)`` returns the parent's copy of those rows
-        (global/virtual indices, every column) for the merge run in
-        this process.  Caller holds the pool lock.  Returns sorted
-        global/virtual indices.
+        Registers the pins' bases, then either evaluates ``chunks``
+        near-equal slices of their live rows (chunk stage + merge tree;
+        a query reading a column that holds NaNs raises first) or
+        adopts pre-computed ``parts`` (merge tree only).  The merge run
+        in this process reads its rows from the pins.  Caller holds the
+        pool lock.  Returns sorted virtual indices.
         """
         from ..core.dominance import current_forced_kernel
 
+        array_spec, nan_columns = self._register_sharded(pins)
+        if parts is None:
+            _reject_nans(nan_columns, columns)
+        live = LiveRows.of(pins)
         query_id = next(self._query_ids)
         self._drain_stale()
         self._cancel_event.clear()
@@ -942,9 +924,10 @@ class WorkerPool:
         }
         worker_stats: list = []
         try:
-            if row_tasks is not None:
-                specs = [dict(base_spec, rows=rows)
-                         for rows in row_tasks]
+            if parts is None:
+                n = len(live)
+                specs = [dict(base_spec, rows=rows) for rows in
+                         _row_slices(n, max(1, min(chunks, n)))]
                 context.event("pool-dispatch", chunks=len(specs),
                               workers=self.processes)
                 parts, worker_stats = self._execute_tasks(
@@ -953,7 +936,7 @@ class WorkerPool:
             chunk_sizes = [int(part.size) for part in parts]
             parts, merge_rounds, parent_stats = self._tree_merge(
                 query_id, parts, graph, base_spec, context, worker_stats,
-                rows_of)
+                live)
             result = np.sort(parts[0]) if parts else \
                 np.empty(0, dtype=np.intp)
         except BaseException:
@@ -971,55 +954,6 @@ class WorkerPool:
                       merge_rounds=merge_rounds,
                       result=int(result.size))
         return result
-
-    def map_queries(self, data, queries, *, algorithm: str = "osdc",
-                    chunks: int | None = None, min_chunk: int = 4096,
-                    options: dict | None = None,
-                    context: ExecutionContext | None = None) -> list:
-        """Evaluate many p-expressions against one data set.
-
-        ``data`` is a :class:`~repro.core.relation.Relation` or an
-        ``(n, d)`` matrix; ``queries`` is a sequence of p-expressions
-        (AST or text), p-graphs, or pre-resolved ``(graph, columns)``
-        pairs.  The rank matrix is registered into shared memory
-        **once** and every query ships only descriptors -- the "many
-        users, one data set" batch shape.
-
-        The batch is fused by :class:`~repro.core.fusion.FusionPlan`
-        before it reaches the workers: duplicate preferences dispatch
-        one pooled scatter/gather, and distinct preferences sharing a
-        column signature dispatch only their common *base* -- the
-        members are refined parent-side by replaying shared packed
-        ``Better`` masks over the base survivors, so workers receive
-        one mask-reuse descriptor set per fused group instead of
-        re-deriving every query.  Returns one sorted index array per
-        query.
-        """
-        from ..algorithms.base import ensure_context
-        from ..core.fusion import FusionPlan
-
-        context = ensure_context(context)
-        ranks, resolved = _resolve_batch(data, queries)
-        n = int(ranks.shape[0])
-        if chunks is None:
-            if min_chunk < 1:
-                raise ValueError("min_chunk must be at least 1")
-            chunks = max(1, min(self.processes, n // max(1, min_chunk)))
-        plan = FusionPlan.build(
-            (graph, tuple(columns) if columns is not None
-             else tuple(range(graph.d)))
-            for graph, columns in resolved)
-
-        def evaluate(graph, key):
-            return self.run_query(ranks, graph, algorithm=algorithm,
-                                  chunks=chunks, columns=list(key),
-                                  options=options, context=context)
-
-        def candidates(indices, key):
-            return ranks[np.ix_(indices, list(key))]
-
-        return plan.execute(evaluate=evaluate, candidates=candidates,
-                            context=context)
 
     # -- internals -----------------------------------------------------------
     def _drain_stale(self) -> None:
@@ -1074,12 +1008,11 @@ class WorkerPool:
 
     def _tree_merge(self, query_id: int, parts: list, graph,
                     base_spec: dict, context: ExecutionContext,
-                    worker_stats: list, rows_of):
+                    worker_stats: list, live: LiveRows):
         """Pairwise merges until a single survivor set remains.
 
         Rounds run on the pool while more than two sets remain; the
-        last pair is merged in this process, from the rows
-        ``rows_of`` gathers.
+        last pair is merged in this process, from the rows of ``live``.
         With four or more sets the last round was a single task anyway,
         so no parallelism is lost.  Returns ``(parts, rounds,
         parent_stats)``; ``parent_stats`` is ``None`` when nothing was
@@ -1110,7 +1043,7 @@ class WorkerPool:
             context.check("pool-merge")
             union = np.concatenate(parts)
             merged, parent_stats = _evaluate(
-                rows_of(union), union.__getitem__, base_spec, graph,
+                live[union], union.__getitem__, base_spec, graph,
                 context)
             parts = [merged]
         return parts, rounds, parent_stats
@@ -1149,57 +1082,6 @@ class WorkerPool:
         }
         if pool_extra:
             stats.extra["pool"].update(pool_extra)
-
-
-def _resolve_batch(data, queries):
-    """Normalise ``map_queries`` inputs to (ranks, [(graph, columns)])."""
-    from ..core.attributes import orders_signature
-    from ..core.expressions import PExpr
-    from ..core.parser import parse
-    from ..core.pgraph import PGraph
-    from ..core.relation import Relation
-
-    if isinstance(data, Relation):
-        ranks = data.ranks
-        names = data.names
-        schema = data.schema
-    else:
-        # frozen once here, not once per query of the batch
-        ranks = _frozen_matrix(data)
-        if ranks.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
-        names = tuple(f"A{j}" for j in range(ranks.shape[1]))
-        schema = None
-
-    resolved = []
-    for query in queries:
-        if isinstance(query, tuple):
-            graph, columns = query
-            resolved.append((graph, columns))
-            continue
-        if isinstance(query, str):
-            query = parse(query)
-        if isinstance(query, PExpr):
-            used = query.attributes()
-            missing = [name for name in used if name not in names]
-            if missing:
-                raise KeyError(
-                    f"expression uses attributes not in the data: "
-                    f"{missing}")
-            columns = [names.index(name) for name in used]
-            graph = PGraph.from_expression(query, names=used)
-            if schema is not None:
-                graph = graph.with_orders(orders_signature(
-                    [schema[c] for c in columns]))
-            resolved.append((graph, columns))
-        elif isinstance(query, PGraph):
-            columns = [names.index(name) for name in query.names]
-            resolved.append((query, columns))
-        else:
-            raise TypeError(
-                f"expected a p-expression, p-graph or (graph, columns) "
-                f"pair, got {type(query)}")
-    return ranks, resolved
 
 
 # -- default pool ------------------------------------------------------------

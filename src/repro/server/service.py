@@ -568,6 +568,7 @@ class SkylineServer:
                    token: CancellationToken) -> dict:
         started = time.perf_counter()
         responses: list[dict | None] = [None] * len(statements)
+        queries: list[Query] = []
         misses: list[int] = []
         puts: dict[int, tuple[Any, int]] = {}
         use_cache = self.cache is not None and not no_cache
@@ -580,6 +581,7 @@ class SkylineServer:
                 mapped["failed_statement"] = index
                 mapped["results"] = responses
                 return mapped
+            queries.append(query)
             if use_cache:
                 try:
                     key = self._cache_key(query, source_id, relation,
@@ -615,8 +617,9 @@ class SkylineServer:
                                               timeout=timeout,
                                               cancel=token)
             try:
+                # the parsed statements: execute_batch parses none again
                 results = self.sql.execute_batch(
-                    [statements[i] for i in misses],
+                    [queries[i] for i in misses],
                     algorithm=algorithm, context=context)
             except BatchExecutionError as error:
                 # keep the per-statement answers that completed before

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..algorithms.base import Stats, ensure_context, get_algorithm
 from ..core.attributes import Direction
-from ..core.pgraph import PGraph
 from ..core.preferring import (encode_columns, evaluate_preferring,
                                resolve_preferring)
 from ..core.relation import Relation
@@ -124,9 +123,12 @@ class PreferenceSQL:
                       fuse: bool = True) -> list[Relation]:
         """Run many statements as one batch; returns one relation each.
 
-        All statements share a single :class:`ExecutionContext` (one
-        deadline and cancellation token covering the whole batch, work
-        counters accumulated across statements).  With ``fuse`` (the
+        A statement is its text or, as :meth:`execute_parsed` takes it,
+        an already-parsed :class:`~repro.sql.ast.Query`, which is not
+        parsed again.  All statements share a single
+        :class:`ExecutionContext` (one deadline and cancellation token
+        covering the whole batch, work counters accumulated across
+        statements).  With ``fuse`` (the
         default), ``PREFERRING``-only statements over the same plain
         relation are planned together by
         :class:`~repro.core.fusion.FusionPlan`: duplicate preferences
@@ -148,7 +150,8 @@ class PreferenceSQL:
                 raise ValueError("pass either timeout or context, not both")
             context = ExecutionContext.create(stats=stats, timeout=timeout)
         context = ensure_context(context, stats)
-        queries = [parse_query(statement) for statement in statements]
+        queries = [statement if isinstance(statement, Query)
+                   else parse_query(statement) for statement in statements]
         results: list[Relation | None] = [None] * len(queries)
         fused = self._fusable_groups(queries) if fuse else {}
         member: dict[int, str] = {
@@ -405,19 +408,7 @@ class PreferenceSQL:
         clause = query.preferring
         assert clause is not None and query.top is not None
         context.check("sql-top")
-        names = list(clause.attributes)
-        columns = [relation.names.index(name) for name in names]
-        matrix = relation.ranks[:, columns].copy()
-        orders = []
-        for position, name in enumerate(names):
-            attribute = relation.schema[columns[position]]
-            if attribute.direction is Direction.RANKED:
-                orders.append(attribute.order_token())
-            else:
-                orders.append(clause.directions[name].value)
-                if clause.directions[name] is not attribute.direction:
-                    matrix[:, position] = -matrix[:, position]
-        graph = PGraph.from_expression(clause.expression, names=names) \
-            .with_orders(orders)
+        graph, items = resolve_preferring(relation, clause)
+        matrix = encode_columns(relation, items)
         order = context.compiled(graph).extension.argsort(matrix)
         return relation.take(order[: query.top])

@@ -199,6 +199,22 @@ class TestExecuteBatchFusion:
         assert fusion["dedup_hits"] == 2
         assert fusion["queries"] == 5  # the WHERE statement stays out
 
+    def test_parsed_statements_run_like_their_text(self):
+        from repro.sql import parse_query
+
+        engine = self._engine()
+        statements = [
+            "SELECT * FROM cars PREFERRING lowest(price) & lowest(age)",
+            "SELECT * FROM cars PREFERRING lowest(age) & lowest(price)",
+            "SELECT price FROM cars PREFERRING lowest(mileage) TOP 4",
+        ]
+        parsed = [parse_query(statement) for statement in statements]
+        mixed = [parsed[0], statements[1], parsed[2]]
+        for got, want in zip(engine.execute_batch(mixed),
+                             engine.execute_batch(statements)):
+            assert got.names == want.names
+            assert np.array_equal(got.ranks, want.ranks)
+
     def test_direction_overrides_do_not_fuse_into_wrong_matrix(self):
         engine = self._engine()
         statements = [

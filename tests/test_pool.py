@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import pool_segments, random_expression
-from repro import Relation, p_skyline, p_skyline_batch
+from repro import Relation, ShardedRelation, p_skyline, p_skyline_batch
 from repro.algorithms import naive, osdc
 from repro.algorithms.parallel import parallel_osdc
 from repro.algorithms.base import Stats
@@ -390,7 +390,8 @@ class TestSharedMemoryLifecycle:
         """Before each task a worker unmaps every cached segment the
         parent no longer names live, so an unregistered relation's
         pages do not stay mapped until the worker exits."""
-        from repro.engine.pool import (SharedRegistration,
+        from repro.engine.pool import (ShardedArraySpec,
+                                       SharedRegistration,
                                        _drop_attachments, _run_task)
         graph = PGraph.from_expression(parse("A & B"))
         ranks = nrng.integers(0, 30, size=(50, 2)).astype(float)
@@ -398,7 +399,11 @@ class TestSharedMemoryLifecycle:
         attachments = {}
 
         def run(registration):
-            spec = {"array": registration.spec,
+            # the one task shape: here one shard, nothing appended or dead
+            array = ShardedArraySpec(
+                (registration.spec,), (0, 50),
+                ((np.empty(0, dtype=np.intp), ranks[:0]),))
+            spec = {"array": array,
                     "rows": ("slice", (0, 50)), "columns": None,
                     "graph": (graph.names, graph.closure, graph.orders),
                     "algorithm": "osdc", "options": {}, "deadline": None,
@@ -432,17 +437,58 @@ class TestSharedMemoryLifecycle:
 
 
 class TestBatchService:
-    def test_map_queries_amortizes_one_registration(self, pool, nrng):
+    def test_batch_amortizes_one_registration(self, nrng):
         relation = Relation.from_array(
             nrng.integers(0, 25, size=(3000, 4)).astype(float))
         queries = ["A0 & A1", "(A0 * A2) & A3", "A1 * A3"]
-        results = pool.map_queries(relation, queries, min_chunk=64)
-        assert len(pool.live_segments()) >= 1
-        for text, indices in zip(queries, results):
+        shutdown_default_pool()
+        try:
+            stats = Stats()
+            results = p_skyline_batch(relation, queries, stats=stats,
+                                      algorithm="osdc", min_chunk=64)
+            assert "pool" in stats.extra  # ran on the pool
+            # three column subsets, one registration of the relation
+            assert len(get_default_pool().live_segments()) == 1
+        finally:
+            shutdown_default_pool()
+        for text, got in zip(queries, results):
             expected = p_skyline(relation, text, algorithm="naive")
-            got = relation.take(indices)
             assert sorted(map(tuple, got.ranks.tolist())) == \
                 sorted(map(tuple, expected.ranks.tolist()))
+
+    BATCH = ["A0 & A1", "A0 & A1", "(A0 * A2) & A3", "A0 * A2 * A3",
+             "A3 & (A0 * A2)", "A1 * A3"]
+
+    @pytest.mark.parametrize("arm", ["serial", "pool"])
+    @pytest.mark.parametrize("kind", ["relation", "writeable",
+                                      "read-only", "sharded"])
+    def test_every_data_kind_on_both_arms(self, kind, arm, nrng):
+        """One fused loop serves every kind of data: each answer equals
+        its own ``p_skyline``, and the pool arm really ran pooled."""
+        matrix = nrng.integers(0, 25, size=(3000, 4)).astype(float)
+        if kind == "relation":
+            data = Relation.from_array(matrix)
+        elif kind == "read-only":
+            matrix.setflags(write=False)
+            data = matrix
+        elif kind == "sharded":
+            data = ShardedRelation.from_array(matrix, shards=3)
+            for gid in range(0, 3000, 97):  # deltas on every shard
+                data.delete(gid)
+        else:
+            data = matrix
+        options = {"algorithm": "parallel-osdc", "min_chunk": 500} \
+            if arm == "pool" else {"algorithm": "osdc"}
+        stats = Stats()
+        batch = p_skyline_batch(data, self.BATCH, stats=stats, **options)
+        assert ("pool" in stats.extra) == (arm == "pool")
+        assert stats.extra["fusion"]["dedup_hits"] == 1
+        for text, got in zip(self.BATCH, batch):
+            want = p_skyline(data, text, algorithm="osdc")
+            if kind in ("relation", "sharded"):
+                assert np.array_equal(got.ranks, want.ranks), text
+            else:
+                assert np.array_equal(got, want), text
 
     def test_p_skyline_batch_matches_sequential(self, nrng):
         relation = Relation.from_array(

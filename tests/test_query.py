@@ -7,9 +7,12 @@ from repro.algorithms import Stats
 from repro.core.attributes import highest, lowest, ranked
 from repro.core.expressions import Att
 from repro.core.parser import ParseError
+from repro.core.parser import parse as parse_expression
 from repro.core.preferring import (evaluate_preferring, parse_preferring)
-from repro.core.query import p_skyline, skyline
+from repro.core.pgraph import PGraph
+from repro.core.query import p_skyline, p_skyline_batch, skyline
 from repro.core.relation import Relation
+from repro.core.sharding import ShardedRelation
 
 
 @pytest.fixture
@@ -78,6 +81,12 @@ class TestPSkyline:
     def test_bad_expression_type(self, cars):
         with pytest.raises(TypeError):
             p_skyline(cars, 42)
+
+    def test_p_graph_input(self, cars):
+        graph = PGraph.from_expression(
+            parse_expression("(price & transmission) * mileage"))
+        assert ids(p_skyline(cars, graph)) == ids(
+            p_skyline(cars, "(price & transmission) * mileage"))
 
     def test_skyline_over_all_attributes(self, cars):
         result = skyline(cars.project(["price", "mileage"]))
@@ -150,3 +159,46 @@ class TestPreferringEvaluation:
         result = evaluate_preferring(cars, "lowest(price)",
                                      algorithm="bnl")
         assert ids(result) == [1, 2]
+
+
+class TestOneResolver:
+    """``p_skyline``, ``p_skyline_batch`` and a sharded relation's
+    ``track`` / ``skyline_gids`` / ``p_skyline`` resolve an expression
+    through one function, so a bad one fails alike everywhere."""
+
+    @pytest.fixture
+    def entry_points(self):
+        matrix = np.arange(24, dtype=float).reshape(8, 3)
+        relation = Relation.from_array(matrix)
+        sharded = ShardedRelation.from_array(matrix, shards=2)
+        return {
+            "p_skyline(relation)": lambda e: p_skyline(relation, e),
+            "p_skyline(matrix)": lambda e: p_skyline(matrix, e),
+            "p_skyline_batch(relation)":
+                lambda e: p_skyline_batch(relation, [e]),
+            "p_skyline_batch(matrix)":
+                lambda e: p_skyline_batch(matrix, [e]),
+            "p_skyline_batch(sharded)":
+                lambda e: p_skyline_batch(sharded, [e]),
+            "track": sharded.track,
+            "skyline_gids": sharded.skyline_gids,
+            "sharded.p_skyline": sharded.p_skyline,
+        }
+
+    @pytest.mark.parametrize("expression", [
+        "A0 & Z9", PGraph.from_expression(parse_expression("A0 * Z9"))],
+        ids=["text", "p-graph"])
+    def test_missing_attribute_is_a_key_error(self, entry_points,
+                                              expression):
+        for name, call in entry_points.items():
+            with pytest.raises(KeyError, match="Z9"):
+                call(expression)
+
+    @pytest.mark.parametrize("expression", [
+        42, (PGraph.from_expression(parse_expression("A0 * A1")), [0, 1])],
+        ids=["number", "graph-columns-pair"])
+    def test_wrong_expression_type_is_a_type_error(self, entry_points,
+                                                   expression):
+        for name, call in entry_points.items():
+            with pytest.raises(TypeError):
+                call(expression)

@@ -311,6 +311,37 @@ def test_bad_request_fields(served):
     assert response["error"]["code"] == "protocol"
 
 
+def test_batch_parses_each_statement_once(served, monkeypatch):
+    """The server hands ``execute_batch`` the statements it parsed, so
+    no statement of a batch is parsed a second time."""
+    import repro.server.service as service
+    import repro.sql.executor as executor
+
+    _, client, library = served
+    parsed = []
+    for module in (service, executor):
+        def counting(statement, _module=module.__name__,
+                     _parse=module.parse_query):
+            parsed.append((_module, statement))
+            return _parse(statement)
+        monkeypatch.setattr(module, "parse_query", counting)
+    # WHERE literals no other test sends: nothing is in the parse cache
+    statements = [
+        "SELECT * FROM flat WHERE a < 0.3251 PREFERRING lowest(a) & b",
+        "SELECT * FROM flat PREFERRING lowest(b) * lowest(c) TOP 3251",
+        "SELECT * FROM flat PREFERRING lowest(c) * lowest(b) TOP 3251",
+        "SELECT * FROM sharded WHERE d > 0.3251 PREFERRING a * d",
+        "SELECT * FROM flat PREFERRING lowest(b) * lowest(c) TOP 3251",
+    ]
+    response = client.query_batch(statements, no_cache=True)
+    assert parsed == [("repro.server.service", statement)
+                      for statement in dict.fromkeys(statements)]
+    monkeypatch.undo()
+    for statement, payload in zip(statements, response["results"]):
+        expected = serialize_relation(library.execute(statement))
+        assert payload["rows"] == expected["rows"]
+
+
 @pytest.mark.parametrize("timeout", [True, 0, -1, "1"])
 @pytest.mark.parametrize("batch", [False, True])
 def test_timeout_must_be_positive_seconds(served, timeout, batch):

@@ -340,6 +340,23 @@ class TestRecordEncoding:
         assert len(relation) == 0 and relation.version == 0
 
 
+def _assert_kept_skylines(relation: ShardedRelation, step=None) -> None:
+    """Every tracked maintainer's alive ids are its shard's alive slots
+    and its kept skyline (ids and rows) is ``osdc`` of their rows."""
+    for tracked in relation._tracked.values():
+        for shard, maintainer in zip(relation._shards,
+                                     tracked.maintainers):
+            slots = np.flatnonzero(shard.alive[: shard.size])
+            assert np.array_equal(maintainer.alive_ids(), slots), step
+            rows = shard.ranks[slots][:, tracked.columns]
+            expected = np.sort(slots[osdc(rows, tracked.graph)]) \
+                if slots.size else slots
+            assert np.array_equal(maintainer.skyline_ids(), expected), step
+            assert np.array_equal(maintainer.skyline_ranks(),
+                                  shard.ranks[expected][
+                                      :, tracked.columns]), step
+
+
 class TestOneCopyOfRows:
     """Tracked maintainers keep their shard's skyline, not a copy of its
     rows: other rows are read from the shard's own buffer."""
@@ -412,18 +429,41 @@ class TestOneCopyOfRows:
             else:
                 alive.append(relation.insert_ranks(
                     nrng.integers(0, 5, size=4).astype(float)))
-            for tracked in relation._tracked.values():
-                for shard, maintainer in zip(relation._shards,
-                                             tracked.maintainers):
-                    slots = np.flatnonzero(shard.alive[: shard.size])
-                    rows = shard.ranks[slots][:, tracked.columns]
-                    expected = np.sort(slots[osdc(rows, tracked.graph)]) \
-                        if slots.size else slots
-                    assert np.array_equal(maintainer.skyline_ids(),
-                                          expected), step
-                    assert np.array_equal(maintainer.skyline_ranks(),
-                                          shard.ranks[expected][
-                                              :, tracked.columns]), step
+            _assert_kept_skylines(relation, step)
+
+    def test_track_loads_only_the_alive_slots(self, monkeypatch):
+        """Tracking a relation whose deletes hit skyline members (and
+        emptied a whole shard) loads the alive slots in one pass: no
+        replayed delete, ids still equal slots, and the kept skylines
+        equal ``osdc`` of the alive slots, before and after more
+        writes."""
+        nrng = np.random.default_rng(38)
+        names = ["A0", "A1", "A2", "A3"]
+        relation = ShardedRelation.from_array(
+            nrng.integers(0, 12, size=(2000, 4)).astype(float),
+            names=names, shards=4)
+        graph = _graph("A0 & (A1 * (A3 & A2))", 4)
+        for _ in range(3):  # each round deletes the current skyline
+            with relation.snapshot() as snap:
+                for gid in snap.gids_at(osdc(snap.relation.ranks, graph)):
+                    relation.delete(int(gid))
+        for gid in relation._shards[0].gids[
+                np.flatnonzero(relation._shards[0].alive)]:
+            relation.delete(int(gid))
+
+        def no_replay(*args):
+            raise AssertionError("track() replayed a delete")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PSkylineMaintainer, "delete", no_replay)
+            relation.track(graph)
+        _assert_kept_skylines(relation)
+        for step in range(5):
+            members = relation.skyline_gids(graph)
+            relation.delete(int(members[step % members.size]))
+            relation.insert_ranks(nrng.integers(0, 12, size=4)
+                                  .astype(float))
+            _assert_kept_skylines(relation, step)
 
 
 class TestSnapshotIsolation:
