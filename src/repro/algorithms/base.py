@@ -117,11 +117,16 @@ class AlgorithmInfo:
         and cancellation tokens are honoured *on* the parallel path:
         the pool ships the absolute deadline and mirrors the token
         into a shared cancel event (see :mod:`repro.engine.pool`).
-        It also accepts ``columns=``: given a base matrix and the
-        columns the query reads, it ships the pair to the pool instead
-        of a projected copy (see :func:`run_on_columns`).  Given
-        ``processes=1`` it runs serially in the calling process (the
-        pool's own tasks ask for that).
+        Given ``processes=1`` it runs serially in the calling process
+        (the pool's own tasks ask for that).  Every parallel algorithm
+        takes ``columns``.
+    ``columns``
+        The algorithm accepts ``columns=``: given a base matrix and the
+        columns the query reads, it reads those columns of the base
+        matrix itself instead of a projected copy (see
+        :func:`run_on_columns`).  A parallel algorithm ships the pair
+        to the pool; ``osdc`` and ``dc`` gather the rows once, into
+        their working copy.
     ``counts_dominance``
         ``Stats.dominance_tests`` reflects every tuple-vs-tuple test,
         so work lower bounds (each eliminated tuple was tested at
@@ -135,6 +140,7 @@ class AlgorithmInfo:
     bounded_window: bool = False
     external: bool = False
     parallel: bool = False
+    columns: bool = False
     counts_dominance: bool = True
 
     @property
@@ -157,7 +163,7 @@ REGISTRY_INFO: dict[str, AlgorithmInfo] = {}
 def register(name: str, *, progressive: bool = False,
              iterator: Callable | None = None,
              bounded_window: bool = False, external: bool = False,
-             parallel: bool = False,
+             parallel: bool = False, columns: bool = False,
              counts_dominance: bool = True
              ) -> Callable[[Algorithm], Algorithm]:
     """Decorator adding an algorithm to :data:`REGISTRY` under ``name``.
@@ -179,6 +185,7 @@ def register(name: str, *, progressive: bool = False,
             name=name, function=function, progressive=progressive,
             iterator=iterator, bounded_window=bounded_window,
             external=external, parallel=parallel,
+            columns=columns or parallel,
             counts_dominance=counts_dominance,
         )
         return function
@@ -271,32 +278,33 @@ def check_input(ranks: np.ndarray, graph: PGraph) -> np.ndarray:
 
 
 def check_columns(ranks: np.ndarray, graph: PGraph,
-                  columns) -> np.ndarray:
-    """:func:`check_input` for the columns ``columns`` of ``ranks``,
-    without projecting them: the width must match the p-graph and only
-    the referenced columns may not hold NaNs.  Returns ``ranks`` as a
-    float64 matrix (the base matrix, not a projection)."""
+                  columns=None) -> np.ndarray:
+    """:func:`check_input` for the columns ``columns`` of ``ranks``
+    (every column when ``None``), without projecting them: the width
+    must match the p-graph and only the referenced columns may not hold
+    NaNs.  Returns ``ranks`` as a float64 matrix (the base matrix, not
+    a projection, in whatever layout it came)."""
     ranks = check_shape(ranks, graph, columns)
-    # one contiguous pass settles the common NaN-free case; per-column
-    # views (no copy) find out whether a NaN sits in a column we read
-    if np.isnan(ranks).any() and any(np.isnan(ranks[:, column]).any()
-                                     for column in columns):
+    # one pass settles the common NaN-free case; per-column views (no
+    # copy) find out whether a NaN sits in a column we read
+    if np.isnan(ranks).any() and (
+            columns is None or any(np.isnan(ranks[:, column]).any()
+                                   for column in columns)):
         raise ValueError("rank matrix contains NaNs")
     return ranks
 
 
 def project_columns(ranks: np.ndarray, columns) -> np.ndarray:
-    """The copy ``ranks[:, columns]``; ``ranks`` itself when ``columns``
-    is ``None`` or selects every column in order.
+    """The C-order copy of the columns ``columns`` of ``ranks``;
+    ``ranks`` itself when ``columns`` is ``None`` or selects every
+    column in order.
 
-    NumPy lays the copy out column by column, and it is left that way:
-    at 5k rows a row-major copy made neither the sampling estimator nor
-    OSDC faster.  :func:`check_input` makes the row-major copy the
-    algorithms need.
+    The copy is the row-major matrix the algorithms read, so
+    :func:`check_input` passes it on without a second copy.
     """
     if columns is None or tuple(columns) == tuple(range(ranks.shape[1])):
         return ranks
-    return ranks[:, list(columns)]
+    return np.take(ranks, list(columns), axis=1)
 
 
 def run_on_columns(algorithm: str, ranks: np.ndarray, graph: PGraph,
@@ -304,12 +312,14 @@ def run_on_columns(algorithm: str, ranks: np.ndarray, graph: PGraph,
     """Run the registered ``algorithm`` on the columns ``columns`` of
     the base matrix ``ranks``.
 
-    A ``parallel`` algorithm receives the base matrix and ``columns``:
-    the worker pool registers each base matrix into shared memory once
-    and workers slice the columns.  Every other algorithm receives the
+    An algorithm that takes ``columns`` (:attr:`AlgorithmInfo.columns`)
+    receives the base matrix and ``columns``: the worker pool registers
+    each base matrix into shared memory once and workers slice the
+    columns, and ``osdc`` and ``dc`` gather the rows they read straight
+    into their working copy.  Every other algorithm receives the
     projection, taken here exactly once.
     """
     function = get_algorithm(algorithm)
-    if columns is not None and REGISTRY_INFO[algorithm].parallel:
+    if columns is not None and REGISTRY_INFO[algorithm].columns:
         return function(ranks, graph, columns=columns, **kwargs)
     return function(project_columns(ranks, columns), graph, **kwargs)

@@ -117,8 +117,8 @@ class _ExternalOSDC:
             return np.empty((0, self.graph.d + 1))
         if n <= self.memory_budget:
             block = np.vstack(list(data.scan()))
-            local = osdc(np.ascontiguousarray(block[:, :-1]), self.graph,
-                         context=self.context)
+            local = osdc(block, self.graph, context=self.context,
+                         columns=range(self.graph.d))
             return block[local]
         lows, seconds, samples = self._scan_statistics(data, cand)
         attribute = None

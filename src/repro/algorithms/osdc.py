@@ -13,70 +13,47 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.extension import ExtensionOrder
 from ..core.pgraph import PGraph
 from ..engine.context import ExecutionContext
-from .base import (Stats, check_input, ensure_context, register,
-                   resolve_kernel)
-from .dc import _DivideAndConquer
-from .pscreen import PScreener, split_threshold
+from .base import Stats, register
+from .dc import solve
 from .special import pscreen_single_point, pskyline_single_point
 
 __all__ = ["osdc"]
 
 
-class _OutputSensitiveDC(_DivideAndConquer):
-    """DC driver with the look-ahead single-point pruning of OSDC."""
+def _lookahead(driver, lo: int, middle: int, hi: int):
+    """OSDC's look-ahead (lines 13-15) on the split slice ``[lo, hi)``
+    of ``driver``'s working copy, better rows ``[lo, middle)``: one
+    p-skyline point ``p*`` of the better rows prunes what it dominates
+    from both halves.
 
-    def __init__(self, ranks: np.ndarray, graph: PGraph,
-                 screener: PScreener, context: ExecutionContext,
-                 leaf_size: int, select: str = "first"):
-        super().__init__(ranks, graph, screener, context, leaf_size, select)
-        compiled = screener.compiled
-        self.extension = compiled.extension if compiled is not None \
-            else ExtensionOrder(graph)
-
-    def split(self, idx: np.ndarray, attribute: int, cand: int, equal: int,
-              depth: int) -> np.ndarray:
-        if self.stats is not None:
-            self.stats.splits += 1
-        column = self.ranks[idx, attribute]
-        tau = split_threshold(column)
-        better = idx[column < tau]
-        worse = idx[column >= tau]
-        # -- look-ahead (lines 13-15): one p-skyline point prunes both halves
-        pivot_local = pskyline_single_point(self.ranks[better], self.graph,
-                                            self.extension, self.stats)
-        pivot = better[pivot_local]
-        pivot_ranks = self.ranks[pivot]
-        others = np.concatenate([better[:pivot_local],
-                                 better[pivot_local + 1:]])
-        if self.stats is not None:
-            self.stats.dominance_tests += others.size + worse.size
-        better_kept = others[pscreen_single_point(
-            pivot_ranks, self.ranks[others], self.screener.dominance,
-            kernel=self.screener.kernel)]
-        worse_kept = worse[pscreen_single_point(
-            pivot_ranks, self.ranks[worse], self.screener.dominance,
-            kernel=self.screener.kernel)]
-        if self.stats is not None:
-            pruned = (others.size - better_kept.size
-                      + worse.size - worse_kept.size)
-            self.stats.pruned_by_lookahead += pruned
-        better_sky = self.rec(better_kept, cand, equal, depth + 1)
-        survivors = self.screener.screen(
-            self.ranks, better_sky, worse_kept,
-            candidates=cand & ~(1 << attribute), equal=equal,
-            dropped=1 << attribute, context=self.context,
-        )
-        worse_sky = self.rec(survivors, cand, equal, depth + 1)
-        return np.concatenate([np.array([pivot], dtype=np.intp),
-                               better_sky, worse_sky])
+    Both single-point procedures read views of the slice.  The kept
+    rows are compacted to its front, better rows first, each half in
+    its order; returns ``(middle, stop, (row, id))``: the kept better
+    rows ``[lo, middle)``, the kept worse rows ``[middle, stop)`` and
+    ``p*``.
+    """
+    stats = driver.stats
+    work = driver.work
+    screener = driver.screener
+    pivot = lo + pskyline_single_point(work[lo:middle], driver.graph,
+                                       screener.compiled.extension, stats)
+    found = (work[pivot].copy(), driver.ids[pivot])
+    keep = pscreen_single_point(work[pivot], work[lo:hi],
+                                screener.dominance, kernel=screener.kernel)
+    keep[pivot - lo] = False
+    better_kept = int(np.count_nonzero(keep[:middle - lo]))
+    kept = driver.compact(lo, hi, keep)
+    if stats is not None:
+        stats.dominance_tests += hi - lo - 1
+        stats.pruned_by_lookahead += hi - lo - 1 - kept
+    return lo + better_kept, lo + kept, found
 
 
-@register("osdc")
+@register("osdc", columns=True)
 def osdc(ranks: np.ndarray, graph: PGraph, *, stats: Stats | None = None,
-         context: ExecutionContext | None = None,
+         context: ExecutionContext | None = None, columns=None,
          leaf_size: int = 16, use_lowdim: bool = True,
          dense_cutoff: int = 4096, select: str = "first",
          kernel: str = "auto") -> np.ndarray:
@@ -84,20 +61,14 @@ def osdc(ranks: np.ndarray, graph: PGraph, *, stats: Stats | None = None,
 
     Returns sorted row indices.  Worst case ``O(n log^{d-2} v)``; ``O(n)``
     average case when combined with :func:`repro.algorithms.linear_avg.
-    osdc_linear`'s pre-filter (Section 5).  ``select`` picks the
+    osdc_linear`'s pre-filter (Section 5).  ``columns`` evaluates over
+    those columns of ``ranks`` (one per p-graph attribute, in order)
+    without a projected copy: the first split gathers the rows it reads
+    straight into the working copy.  ``select`` picks the
     split-attribute strategy (see :data:`repro.algorithms.dc.
     SELECT_STRATEGIES`).
     """
-    ranks = check_input(ranks, graph)
-    context = ensure_context(context, stats)
-    if ranks.shape[0] == 0:
-        return np.empty(0, dtype=np.intp)
-    compiled = context.compiled(graph)
-    resolve_kernel(compiled.dominance, context, kernel,
-                   pairs=dense_cutoff)
-    screener = compiled.screener(
-        use_lowdim=use_lowdim, dense_cutoff=dense_cutoff,
-        kernel=None if kernel == "auto" else kernel)
-    driver = _OutputSensitiveDC(ranks, graph, screener, context, leaf_size,
-                                select)
-    return driver.run()
+    return solve(ranks, graph, stats=stats, context=context,
+                 columns=columns, leaf_size=leaf_size,
+                 use_lowdim=use_lowdim, dense_cutoff=dense_cutoff,
+                 select=select, kernel=kernel, lookahead=_lookahead)

@@ -30,8 +30,7 @@ import numpy as np
 from ..core.pgraph import PGraph
 from ..engine.context import ExecutionContext
 from ..engine.pool import WorkerPool, get_default_pool, pool_available
-from .base import (Stats, check_columns, check_input, check_shape,
-                   ensure_context, project_columns, register)
+from .base import Stats, check_shape, ensure_context, register
 from .osdc import osdc
 
 __all__ = ["parallel_osdc", "auto_processes", "DEFAULT_MIN_CHUNK"]
@@ -89,8 +88,9 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
         attribute, in order).  ``ranks`` is then the base matrix: the
         pool registers it once and workers slice the columns, so
         queries over different column subsets of one matrix share one
-        shared-memory segment.  Only the small-input serial fallback
-        takes a projection.
+        shared-memory segment.  The serial fallback hands the pair to
+        :func:`~repro.algorithms.osdc.osdc`, which gathers the rows it
+        reads once.
 
     Deadline and cancellation contexts execute on the parallel path:
     the absolute monotonic deadline is shipped with every task and the
@@ -112,10 +112,8 @@ def parallel_osdc(ranks: np.ndarray, graph: PGraph, *,
         processes = auto_processes(n, min_chunk)
     context.check("parallel-setup")
     if processes == 1 or n < 2 * min_chunk or _must_run_serially():
-        ranks = check_input(ranks, graph) if columns is None \
-            else check_columns(ranks, graph, columns)
-        return osdc(project_columns(ranks, columns), graph,
-                    context=context, **osdc_options)
+        return osdc(ranks, graph, context=context, columns=columns,
+                    **osdc_options)
 
     chunks = min(processes, max(1, n // min_chunk))
     if pool is None:

@@ -27,26 +27,27 @@ def pskyline_single_point(ranks: np.ndarray, graph: PGraph,
 
     Scans for the row minimising the ``≻ext`` key vector lexicographically;
     a maximal element of a weak-order extension is maximal for ``≻_pi``.
-    Requires a non-empty input.
+    The key is summed one level at a time, the next level only over the
+    rows tied on the previous ones.  Requires a non-empty input.
     """
     n = ranks.shape[0]
     if n == 0:
         raise ValueError("cannot pick a p-skyline point of an empty relation")
     if extension is None:
         extension = ExtensionOrder(graph)
-    keys = extension.keys(ranks)
     if stats is not None:
         stats.comparisons += n
-    if keys.shape[1] == 0:
-        return 0
-    # Lexicographic argmin over the key levels, fully vectorised.
-    candidates = np.arange(n)
-    for level in range(keys.shape[1]):
-        column = keys[candidates, level]
-        candidates = candidates[column == column.min()]
+    candidates = None
+    for level in range(extension.levels):
+        if candidates is None:
+            key = extension.key(ranks, level)
+            candidates = np.flatnonzero(key == key.min())
+        else:
+            key = extension.key(ranks[candidates], level)
+            candidates = candidates[key == key.min()]
         if candidates.size == 1:
             break
-    return int(candidates[0])
+    return 0 if candidates is None else int(candidates[0])
 
 
 def pscreen_single_point(point: np.ndarray, block: np.ndarray,

@@ -23,7 +23,7 @@ __all__ = ["ExtensionOrder"]
 class ExtensionOrder:
     """Materialises ``≻ext`` keys and presorted permutations for a p-graph."""
 
-    __slots__ = ("graph", "levels", "_level_masks")
+    __slots__ = ("graph", "levels", "_level_masks", "_level_columns")
 
     def __init__(self, graph: PGraph):
         self.graph = graph
@@ -34,6 +34,8 @@ class ExtensionOrder:
             np.array([depth == level for depth in depths], dtype=bool)
             for level in range(num_levels)
         ]
+        self._level_columns = [np.flatnonzero(mask).tolist()
+                               for mask in self._level_masks]
         self.levels = num_levels
 
     def keys(self, ranks: np.ndarray) -> np.ndarray:
@@ -42,11 +44,31 @@ class ExtensionOrder:
         Row-wise lexicographic comparison of the key matrix realises
         ``≻ext`` (smaller key = more preferred).
         """
-        n = ranks.shape[0]
-        keys = np.empty((n, self.levels), dtype=np.float64)
-        for level, mask in enumerate(self._level_masks):
-            keys[:, level] = ranks[:, mask].sum(axis=1)
+        keys = np.empty((ranks.shape[0], self.levels), dtype=np.float64)
+        for level in range(self.levels):
+            self.key(ranks, level, out=keys[:, level])
         return keys
+
+    def key(self, ranks: np.ndarray, level: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+        """The depth-``level`` sum of every row of ``ranks``.
+
+        A level of fewer than eight attributes adds column views to
+        ``0.0`` left to right -- the order in which ``sum(axis=1)`` adds
+        so few terms -- so the key has the same bits (signed zeros
+        included) without gathering the level's columns; a wider level
+        keeps NumPy's pairwise sum over its gathered columns.
+        """
+        columns = self._level_columns[level]
+        if out is None:
+            out = np.empty(ranks.shape[0], dtype=np.float64)
+        if len(columns) >= 8:
+            out[:] = ranks[:, columns].sum(axis=1)
+            return out
+        np.add(ranks[:, columns[0]], 0.0, out=out)
+        for column in columns[1:]:
+            out += ranks[:, column]
+        return out
 
     def argsort(self, ranks: np.ndarray) -> np.ndarray:
         """Permutation sorting rows best-first according to ``≻ext``.

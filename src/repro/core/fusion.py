@@ -119,7 +119,9 @@ class FusionPlan:
         hashable, mutually comparable entries (column indices for the
         rank-matrix paths, ``(column, encoding)`` pairs for the SQL
         path) aligned with ``graph.names``.  Two queries fuse exactly
-        when their canonicalised signatures and graphs agree.
+        when their canonicalised signatures and graphs agree.  Groups
+        with one signature (differing in names or orders) are listed
+        next to each other.
         """
         queries = list(queries)
         entries: dict = {}
@@ -154,8 +156,14 @@ class FusionPlan:
                 groups[group_key] = group
                 group_list.append(group)
             group.entries.append(entry)
+        # groups sharing a signature run back to back, in the order the
+        # signatures first appear, so an executor need only hold the
+        # data of one signature at a time
+        first = {}
         for group in group_list:
+            first.setdefault(group.key, len(first))
             group.base = _common_base(group.entries)
+        group_list.sort(key=lambda group: first[group.key])
         return cls(len(queries), group_list)
 
     def execute(self, *, evaluate, candidates, context=None,

@@ -210,14 +210,15 @@ def resolve_preferring(relation: Relation,
 def encode_columns(relation: Relation, items) -> np.ndarray:
     """The encoded rank matrix for a :func:`resolve_preferring`
     signature (one column per item, negated where the clause flips the
-    schema direction)."""
-    columns = []
-    for index, code in items:
-        ranks = relation.ranks[:, index]
-        columns.append(-ranks if code == "-" else ranks)
-    if not columns:
-        return np.empty((len(relation), 0))
-    return np.ascontiguousarray(np.column_stack(columns))
+    schema direction), written in one C-order copy."""
+    items = list(items)
+    matrix = np.empty((len(relation), len(items)))
+    for j, (index, code) in enumerate(items):
+        if code == "-":
+            np.negative(relation.ranks[:, index], out=matrix[:, j])
+        else:
+            matrix[:, j] = relation.ranks[:, index]
+    return matrix
 
 
 def evaluate_preferring(relation: Relation, clause: PreferringClause | str,

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from ..algorithms.base import (Stats, ensure_context, get_algorithm,
-                               run_on_columns)
+                               get_info, run_on_columns)
 from ..engine.context import ExecutionContext
 from ..engine.pool import is_frozen
 from .attributes import orders_signature
@@ -149,7 +149,7 @@ def p_skyline(data: Relation | np.ndarray,
         graph, columns = resolve_expression(
             _matrix_names(matrix.shape[1]), None, expression)
         if not is_frozen(matrix):
-            matrix, columns = matrix[:, columns], None
+            matrix, columns = np.take(matrix, columns, axis=1), None
     indices = _evaluate(algorithm, matrix, graph, columns, stats, context,
                         options)
     return data.take(indices) if isinstance(data, Relation) else indices
@@ -195,8 +195,13 @@ def p_skyline_batch(data: Relation | np.ndarray,
     through one pinned snapshot), and each evaluation the plan asks for
     runs one way for the whole batch:
 
-    * on the worker pool when a pool can run, the data holds at least
-      ``2 * min_chunk`` rows and ``algorithm`` is not ``"auto"``:
+    * on the worker pool when a pool can run and ``algorithm`` is not
+      ``"auto"`` -- under the rule ``p_skyline(algorithm="auto")``
+      plans by: the data holds at least the default planner's
+      ``parallel_threshold`` rows and there are two or more usable
+      cores (below that the serial fused loop measured faster) -- or
+      whenever a ``parallel`` algorithm (``parallel-osdc``) is named
+      and the data holds at least ``2 * min_chunk`` rows:
       :meth:`~repro.engine.pool.WorkerPool.run_query` in
       ``min(processes, n // min_chunk)`` chunks (``processes`` defaults
       to the pool's worker count), or
@@ -216,8 +221,7 @@ def p_skyline_batch(data: Relation | np.ndarray,
     """
     from contextlib import nullcontext
 
-    from ..engine.pool import (_frozen_matrix, get_default_pool,
-                               pool_available)
+    from ..engine.pool import _frozen_matrix, get_default_pool
     from .fusion import FusionPlan
     from .sharding import ShardedRelation
 
@@ -248,7 +252,7 @@ def p_skyline_batch(data: Relation | np.ndarray,
             (resolve_expression(names, schema, expression)
              for expression in expressions))
         n = len(rows)
-        if pool_available() and n >= 2 * min_chunk and algorithm != "auto":
+        if _batch_pools(algorithm, n, min_chunk):
             pool = get_default_pool()
             chunks = max(1, min(pool.processes if processes is None
                                 else processes, n // min_chunk))
@@ -280,6 +284,21 @@ def p_skyline_batch(data: Relation | np.ndarray,
     if isinstance(data, Relation):
         return [data.take(indices) for indices in results]
     return results
+
+
+def _batch_pools(algorithm: str, n: int, min_chunk: int) -> bool:
+    """Whether :func:`p_skyline_batch` runs a batch of ``algorithm``
+    over ``n`` rows on the worker pool."""
+    from ..engine.pool import pool_available, usable_cores
+    from ..planner import DEFAULT_PLANNER
+
+    if algorithm == "auto" or not pool_available():
+        return False
+    if get_info(algorithm).parallel:
+        return n >= 2 * min_chunk
+    threshold = DEFAULT_PLANNER.parallel_threshold
+    return threshold is not None and n >= threshold \
+        and usable_cores() > 1
 
 
 def skyline(data: Relation | np.ndarray, *, algorithm: str = "osdc",

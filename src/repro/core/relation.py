@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .attributes import Attribute, lowest
+from .attributes import Attribute, Direction, lowest
 
 __all__ = ["Relation"]
 
@@ -57,6 +57,20 @@ class Relation:
                 f"rank matrix contains non-finite values: "
                 f"{ranks[row, col]!r} at row {row}, attribute "
                 f"{names[col]!r}")
+        self._adopt(schema, ranks, values)
+
+    @classmethod
+    def _checked(cls, schema: Sequence[Attribute],
+                 ranks: np.ndarray) -> "Relation":
+        """A relation over ``ranks``, a C-order float64 matrix with one
+        finite column per attribute of ``schema`` that nothing else
+        holds: the shape and finiteness checks have been made."""
+        relation = cls.__new__(cls)
+        relation._adopt(schema, ranks, None)
+        return relation
+
+    def _adopt(self, schema: Sequence[Attribute], ranks: np.ndarray,
+               values: np.ndarray | None) -> None:
         names = [attribute.name for attribute in schema]
         if len(set(names)) != len(names):
             seen: set[str] = set()
@@ -111,7 +125,16 @@ class Relation:
     def from_array(cls, array: np.ndarray,
                    names: Sequence[str] | None = None,
                    schema: Sequence[Attribute] | None = None) -> "Relation":
-        """Wrap a numeric array; by default every column prefers low values."""
+        """Wrap a numeric array; by default every column prefers low values.
+
+        One C-order copy of ``array`` becomes the rank matrix: the
+        ``highest`` columns are negated in place, ranked columns are
+        encoded into it, and finiteness is checked once.  An array that
+        fails (a NaN, an infinity, a value outside a ranked order) or
+        does not match the schema's width is encoded attribute by
+        attribute instead, which raises the error the bad column
+        deserves.
+        """
         array = np.asarray(array, dtype=np.float64)
         if array.ndim != 2:
             raise ValueError("expected a 2-d array")
@@ -119,6 +142,19 @@ class Relation:
             if names is None:
                 names = [f"A{j}" for j in range(array.shape[1])]
             schema = [lowest(name) for name in names]
+        schema = tuple(schema)
+        if len(schema) == array.shape[1]:
+            ranks = np.array(array, order="C")
+            try:
+                for j, attribute in enumerate(schema):
+                    if attribute.direction is Direction.MAX:
+                        np.negative(ranks[:, j], out=ranks[:, j])
+                    elif attribute.direction is Direction.RANKED:
+                        ranks[:, j] = attribute.encode(array[:, j])
+                if np.isfinite(ranks).all():
+                    return cls._checked(schema, ranks)
+            except ValueError:
+                pass
         ranks = np.column_stack(
             [attribute.encode(array[:, j])
              for j, attribute in enumerate(schema)]

@@ -565,18 +565,16 @@ def _evaluate(rows: np.ndarray, to_global, spec: dict, graph,
     pool lock its own query holds).
     """
     from .. import algorithms as _algorithms  # fills the registry
+    from ..algorithms.base import run_on_columns
 
-    columns = spec["columns"]
-    if columns is not None:
-        # one pass to the row-major chunk the algorithms read
-        rows = np.take(rows, columns, axis=1)
+    info = _algorithms.REGISTRY_INFO[spec["algorithm"]]
     options = spec["options"]
-    if _algorithms.REGISTRY_INFO[spec["algorithm"]].parallel:
+    if info.parallel:
         options = {**options, "processes": 1}
     stats = _algorithms.Stats()
-    function = _algorithms.REGISTRY[spec["algorithm"]]
-    local = function(rows, graph, context=context.with_stats(stats),
-                     **options)
+    local = run_on_columns(
+        info.name, rows, graph, spec["columns"],
+        context=context.with_stats(stats), **options)
     return to_global(np.asarray(local, dtype=np.intp)), stats
 
 

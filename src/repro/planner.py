@@ -25,12 +25,13 @@ measurable rules:
 
 ``p_skyline(..., algorithm="auto")`` routes through a default planner.
 It hands the planner the relation's base matrix and the columns the
-query reads.  The rules before the estimator need no data, so
-:meth:`Planner.execute` checks them, once, before it projects: a
-``parallel-osdc`` plan never takes the projection in this process --
-the pool registers the base matrix once and workers slice the columns
--- and every other plan records its estimate from, and runs on, one
-projection, taken once.
+query reads, and no plan of :meth:`Planner.execute` projects them
+before it runs: the estimator samples the base matrix's rows and
+slices their columns, ``parallel-osdc`` ships the pair to the pool
+(which registers the base matrix once; workers slice the columns), and
+``osdc`` gathers the rows it reads once, into its working copy.  Only
+the plans whose algorithm takes no ``columns`` (``naive``,
+``layered``, ``external-osdc``) run on a projection, taken once.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ from .engine.pool import pool_available
 from .estimation.cardinality import estimate_pskyline_size
 
 __all__ = ["Plan", "Planner"]
-
-#: ``Planner.plan``'s default ``by_rule``: the rules have not run yet.
-_UNDECIDED = object()
-
 
 @dataclass(frozen=True)
 class Plan:
@@ -136,15 +133,11 @@ class Planner:
 
     def plan(self, ranks: np.ndarray, graph: PGraph,
              context: ExecutionContext | None = None, *,
-             by_rule: Plan | None | object = _UNDECIDED) -> Plan:
-        """Decide how to evaluate ``M_pi(ranks)``.
-
-        ``by_rule`` passes on what :meth:`_by_rule` already answered
-        for this query, so the rules are not evaluated twice.
-        """
-        if by_rule is _UNDECIDED:
-            by_rule = self._by_rule(ranks.shape[0], graph, context)
-        return by_rule or self._by_estimate(ranks, graph)
+             columns=None) -> Plan:
+        """Decide how to evaluate ``M_pi`` over the columns ``columns``
+        of ``ranks`` (all of them when ``None``)."""
+        return self._by_rule(ranks.shape[0], graph, context) \
+            or self._by_estimate(ranks, graph, columns)
 
     def _by_rule(self, n: int, graph: PGraph,
                  context: ExecutionContext | None) -> Plan | None:
@@ -186,10 +179,13 @@ class Planner:
             )
         return None
 
-    def _by_estimate(self, ranks: np.ndarray, graph: PGraph) -> Plan:
-        """The general case: ``osdc``, with the output estimate recorded."""
+    def _by_estimate(self, ranks: np.ndarray, graph: PGraph,
+                     columns=None) -> Plan:
+        """The general case: ``osdc``, with the output estimate recorded
+        from the columns ``columns`` of ``ranks``."""
         estimate = estimate_pskyline_size(ranks, graph, self.rng,
-                                          sample_size=self.sample_size)
+                                          sample_size=self.sample_size,
+                                          columns=columns)
         return Plan(
             "osdc",
             "general case: output-sensitive divide and conquer",
@@ -257,10 +253,7 @@ class Planner:
         """Plan and run in one call, over the columns ``columns`` of
         ``ranks`` (all of them when ``None``)."""
         context = ensure_context(context, stats)
-        rule = self._by_rule(ranks.shape[0], graph, context)
-        if rule is None or rule.algorithm != "parallel-osdc":
-            ranks, columns = project_columns(ranks, columns), None
-        return self.plan(ranks, graph, context, by_rule=rule).execute(
+        return self.plan(ranks, graph, context, columns=columns).execute(
             ranks, graph, context=context, columns=columns)
 
 

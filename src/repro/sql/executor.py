@@ -227,11 +227,12 @@ class PreferenceSQL:
         matrices: dict[tuple, np.ndarray] = {}
 
         def data_for(key: tuple) -> np.ndarray:
-            matrix = matrices.get(key)
-            if matrix is None:
-                matrix = encode_columns(relation, key)
-                matrices[key] = matrix
-            return matrix
+            # the plan runs one signature's groups back to back, so the
+            # last signature's matrix is dropped before the next is made
+            if key not in matrices:
+                matrices.clear()
+                matrices[key] = encode_columns(relation, key)
+            return matrices[key]
 
         function = get_algorithm(algorithm)
 

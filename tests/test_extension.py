@@ -27,6 +27,33 @@ class TestKeys:
         assert keys.tolist() == [[6.0]]
 
 
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_keys_match_the_gathered_sum_bit_for_bit(self, width):
+        # the level sums add column views; the reference gathers the
+        # level's columns and sums them, as the keys were first built
+        names = [f"A{j}" for j in range(width + 1)]
+        pareto = " * ".join(names[1:])
+        graph = PGraph.from_expression(parse(f"A0 & ({pareto})"),
+                                       names=names)
+        extension = ExtensionOrder(graph)
+        rng = np.random.default_rng(width)
+        ranks = rng.normal(size=(500, width + 1)) \
+            * 10.0 ** rng.uniform(-8, 8, size=(500, width + 1))
+        ranks[0] = -0.0  # signed zeros sum to +0.0
+        ranks[1, ::2] = -0.0
+        ranks[2, 1::2] = 0.0
+        strided = np.asfortranarray(ranks)
+        depths = np.array(graph.depths)
+        reference = np.column_stack([ranks[:, depths == level].sum(axis=1)
+                                     for level in range(extension.levels)])
+        for matrix in (ranks, strided):
+            keys = extension.keys(matrix)
+            assert keys.tobytes() == reference.tobytes()
+            for level in range(extension.levels):
+                assert extension.key(matrix, level).tobytes() == \
+                    reference[:, level].tobytes()
+
+
 class TestTheorem3:
     """If ``u ≻_pi v`` then ``u ≻ext v`` -- on random inputs."""
 

@@ -176,6 +176,55 @@ class TestExecuteBatchFusion:
         engine.register("cars", relation)
         return engine
 
+    def test_batch_holds_one_signature_matrix_at_a_time(self):
+        """A batch over eight column signatures peaks near one
+        statement's memory: the executor drops a signature's encoded
+        matrix before it encodes the next."""
+        import tracemalloc
+
+        from repro.core.attributes import lowest
+
+        names = ["a", "b", "c", "d", "e", "f"]
+        rng = np.random.default_rng(5)
+        engine = PreferenceSQL()
+        engine.register("t", Relation.from_array(
+            rng.random((50_000, 6)), schema=[lowest(n) for n in names]))
+        signatures = [("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e"),
+                      ("d", "e", "f"), ("a", "c", "e"), ("b", "d", "f"),
+                      ("a", "d", "f"), ("b", "c", "e")]
+
+        def statement(columns, joiner):
+            clause = joiner.join(f"lowest({c})" for c in columns)
+            return f"SELECT * FROM t PREFERRING {clause}"
+
+        # each signature twice, the second pass after all the others
+        batch = [statement(columns, joiner) for joiner in (" & ", " * ")
+                 for columns in signatures]
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        engine.execute_batch(batch)  # warm the compiled preferences
+        single = peak(lambda: engine.execute(batch[8]))
+        fused = peak(lambda: engine.execute_batch(batch))
+        assert fused < 1.5 * single, fused / single
+
+    def test_groups_sharing_a_signature_run_back_to_back(self):
+        names = ("A", "B")
+        orders_a, orders_b = ("min", "min"), ("min", "max")
+        graph_a = PGraph(names, (0b10, 0), orders_a)
+        graph_b = PGraph(names, (0b10, 0), orders_b)
+        other = PGraph(names, (0, 0), orders_a)
+        plan = FusionPlan.build([(graph_a, (0, 1)), (other, (2, 3)),
+                                 (graph_b, (0, 1))])
+        assert [group.key for group in plan.groups] == \
+            [(0, 1), (0, 1), (2, 3)]
+
     def test_fused_batch_matches_per_statement(self):
         engine = self._engine()
         statements = [

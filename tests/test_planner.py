@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_expression
 from repro import Relation
-from repro.algorithms import naive
+from repro.algorithms import Stats, naive
 from repro.core.parser import parse
 from repro.core.pgraph import PGraph
 from repro.core.query import p_skyline
@@ -86,8 +86,9 @@ class TestExecution:
         expected = set(naive(ranks, graph).tolist())
         assert set(planner.execute(ranks, graph).tolist()) == expected
 
-    def test_serial_plan_projects_columns_once(self, monkeypatch, nrng):
-        # the estimator and the chosen algorithm read one projection
+    def test_serial_plan_takes_no_projection(self, monkeypatch, nrng):
+        # the estimator and osdc both read the base matrix's columns:
+        # neither is handed a projected copy
         import repro.planner as planner_module
         from repro.algorithms import base
 
@@ -96,14 +97,14 @@ class TestExecution:
                                    base.get_algorithm)
 
         def spy_estimate(ranks, graph, rng, **kwargs):
-            seen.append(ranks)
+            seen.append((ranks, kwargs["columns"]))
             return estimate(ranks, graph, rng, **kwargs)
 
         def spy_get_algorithm(name):
             function = get_algorithm(name)
 
             def run(ranks, graph, **kwargs):
-                seen.append(ranks)
+                seen.append((ranks, kwargs["columns"]))
                 return function(ranks, graph, **kwargs)
             return run
 
@@ -112,10 +113,13 @@ class TestExecution:
         monkeypatch.setattr(base, "get_algorithm", spy_get_algorithm)
         graph = PGraph.from_expression(parse("(A & B) * C"))
         ranks = nrng.integers(0, 20, size=(3000, 5)).astype(float)
-        got = Planner(parallel_threshold=None).execute(ranks, graph,
-                                                       columns=[4, 0, 2])
-        assert len(seen) == 2 and seen[0] is seen[1]
-        assert np.array_equal(seen[0], ranks[:, [4, 0, 2]])
+        stats = Stats()
+        got = Planner(parallel_threshold=None).execute(
+            ranks, graph, stats=stats, columns=[4, 0, 2])
+        assert stats.extra["plan"]["algorithm"] == "osdc"
+        assert len(seen) == 2
+        assert all(matrix is ranks and list(columns) == [4, 0, 2]
+                   for matrix, columns in seen)
         assert set(got.tolist()) == set(
             naive(ranks[:, [4, 0, 2]], graph).tolist())
 

@@ -445,7 +445,8 @@ class TestBatchService:
         try:
             stats = Stats()
             results = p_skyline_batch(relation, queries, stats=stats,
-                                      algorithm="osdc", min_chunk=64)
+                                      algorithm="parallel-osdc",
+                                      min_chunk=64)
             assert "pool" in stats.extra  # ran on the pool
             # three column subsets, one registration of the relation
             assert len(get_default_pool().live_segments()) == 1
@@ -496,7 +497,7 @@ class TestBatchService:
         queries = ["A0 & A1", "A2 * A3"]
         stats = Stats()
         batch = p_skyline_batch(relation, queries, stats=stats,
-                                min_chunk=1000)
+                                algorithm="parallel-osdc", min_chunk=1000)
         assert "chunk_skylines" in stats.extra  # ran on the pool
         for text, got in zip(queries, batch):
             expected = p_skyline(relation, text, algorithm="naive")
@@ -513,12 +514,47 @@ class TestBatchService:
         for _ in range(2):
             stats = Stats()
             batch = p_skyline_batch(matrix, queries, stats=stats,
+                                    algorithm="parallel-osdc",
                                     min_chunk=1000)
             assert "chunk_skylines" in stats.extra  # ran on the pool
             for text, got in zip(queries, batch):
                 assert np.array_equal(got, p_skyline(matrix, text,
                                                      algorithm="osdc"))
             matrix[batch[0][:1], :] += 100.0  # demote one skyline row
+
+    def test_osdc_batch_below_the_parallel_threshold_starts_no_pool(
+            self, nrng):
+        # the serial fused loop beats the pool at 10k rows: a batch
+        # naming a serial algorithm pools only where p_skyline(auto)
+        # would, at the planner's parallel threshold
+        relation = Relation.from_array(
+            nrng.integers(0, 25, size=(10_000, 4)).astype(float))
+        queries = ["A0 & A1", "A2 * A3", "(A0 * A2) & A3"]
+        shutdown_default_pool()
+        stats = Stats()
+        batch = p_skyline_batch(relation, queries, stats=stats,
+                                algorithm="osdc")
+        assert "pool" not in stats.extra
+        assert pool_module._default_pool is None
+        for text, got in zip(queries, batch):
+            want = p_skyline(relation, text, algorithm="osdc")
+            assert np.array_equal(got.ranks, want.ranks), text
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_osdc_batch_pools_at_the_parallel_threshold_on_two_cores(
+            self, cores, nrng, monkeypatch):
+        from repro.planner import DEFAULT_PLANNER
+        monkeypatch.setattr(DEFAULT_PLANNER, "parallel_threshold", 5_000)
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: cores)
+        relation = Relation.from_array(
+            nrng.integers(0, 25, size=(10_000, 4)).astype(float))
+        stats = Stats()
+        try:
+            p_skyline_batch(relation, ["A0 & A1", "A2 * A3"], stats=stats,
+                            algorithm="osdc", min_chunk=1000)
+        finally:
+            shutdown_default_pool()
+        assert ("pool" in stats.extra) == (cores > 1)
 
     def test_p_skyline_batch_small_inputs_fall_back(self, nrng):
         relation = Relation.from_array(nrng.random((50, 3)))
