@@ -259,16 +259,16 @@ class Relation:
         """Iterate over tuples as dicts of original values."""
         return iter(self.to_records())
 
+    def values_of(self, j: int) -> np.ndarray | list[Any]:
+        """Column ``j``'s original values: the kept values when the
+        relation has them, else the decoded ranks."""
+        if self._values is not None:
+            return self._values[:, j]
+        return self.schema[j].decode(self.ranks[:, j])
+
     def to_records(self) -> list[dict[str, Any]]:
         """Materialise the relation as a list of dicts of original values."""
-        if self._values is not None:
-            return [
-                {attribute.name: self._values[i, j]
-                 for j, attribute in enumerate(self.schema)}
-                for i in range(len(self))
-            ]
-        decoded = [attribute.decode(self.ranks[:, j])
-                   for j, attribute in enumerate(self.schema)]
+        decoded = [self.values_of(j) for j in range(len(self.schema))]
         return [
             {attribute.name: decoded[j][i]
              for j, attribute in enumerate(self.schema)}

@@ -1011,9 +1011,10 @@ class ShardedRelation:
                                        context=context)
             return snap.take_gids(snap.gids_at(indices))
         # single-shard and sharded-serial: at most one shard holds rows
-        # in the first, so the dense snapshot is that shard's rows
-        local = planner.execute(snap.relation.ranks[:, columns], graph,
-                                context=context)
+        # in the first, so the dense snapshot is that shard's rows; the
+        # plan reads its columns from the snapshot's matrix
+        local = planner.execute(snap.relation.ranks, graph,
+                                context=context, columns=columns)
         return self._finish(snap, np.asarray(local, dtype=np.intp))
 
     @staticmethod

@@ -16,12 +16,15 @@ measurable rules:
    ``parallel-osdc`` is serial ``osdc``);
 4. weak-order priority graphs -> the specialised ``layered`` evaluator
    (lexicographic layers of Pareto bundles);
-5. everything else -> ``osdc``, recording an output-size estimate
+5. everything else -> ``osdc``, with an output-size estimate
    (:func:`repro.estimation.estimate_pskyline_size`) as
    ``estimated_output``.  The estimate does not steer the choice:
    picking ``bnl`` for estimated near-singleton outputs measured
    several times slower than ``osdc`` end to end, because the 64-row
-   sample reads 0 for most queries whose output is not tiny.
+   sample reads 0 for most queries whose output is not tiny.  So it
+   is computed only when it is read -- by ``estimated_output``,
+   :meth:`Plan.explain`, or :meth:`Plan.record` into a context's
+   ``stats`` -- and a query without ``stats`` never estimates.
 
 ``p_skyline(..., algorithm="auto")`` routes through a default planner.
 It hands the planner the relation's base matrix and the columns the
@@ -36,7 +39,6 @@ the plans whose algorithm takes no ``columns`` (``naive``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -52,15 +54,32 @@ from .estimation.cardinality import estimate_pskyline_size
 
 __all__ = ["Plan", "Planner"]
 
-@dataclass(frozen=True)
 class Plan:
-    """The planner's decision for one query."""
+    """The planner's decision for one query.
 
-    algorithm: str
-    reason: str
-    estimated_output: float | None = None
-    options: dict = field(default_factory=dict)
-    _function: Callable | None = None
+    ``estimated_output`` is a number, ``None``, or a function of no
+    arguments that computes the number; the function runs the first
+    time the estimate is read, and its value is kept.
+    """
+
+    __slots__ = ("algorithm", "reason", "options", "_function",
+                 "_estimate")
+
+    def __init__(self, algorithm: str, reason: str,
+                 estimated_output: float | Callable[[], float] | None = None,
+                 options: dict | None = None,
+                 _function: Callable | None = None):
+        self.algorithm = algorithm
+        self.reason = reason
+        self.options = {} if options is None else options
+        self._function = _function
+        self._estimate = estimated_output
+
+    @property
+    def estimated_output(self) -> float | None:
+        if callable(self._estimate):
+            self._estimate = self._estimate()
+        return self._estimate
 
     def execute(self, ranks: np.ndarray, graph: PGraph,
                 stats: Stats | None = None,
@@ -137,7 +156,7 @@ class Planner:
         """Decide how to evaluate ``M_pi`` over the columns ``columns``
         of ``ranks`` (all of them when ``None``)."""
         return self._by_rule(ranks.shape[0], graph, context) \
-            or self._by_estimate(ranks, graph, columns)
+            or self._by_estimate(ranks, graph, context, columns)
 
     def _by_rule(self, n: int, graph: PGraph,
                  context: ExecutionContext | None) -> Plan | None:
@@ -180,17 +199,31 @@ class Planner:
         return None
 
     def _by_estimate(self, ranks: np.ndarray, graph: PGraph,
+                     context: ExecutionContext | None = None,
                      columns=None) -> Plan:
-        """The general case: ``osdc``, with the output estimate recorded
-        from the columns ``columns`` of ``ranks``."""
-        estimate = estimate_pskyline_size(ranks, graph, self.rng,
-                                          sample_size=self.sample_size,
-                                          columns=columns)
+        """The general case: ``osdc``, with the output estimate from the
+        columns ``columns`` of ``ranks``."""
         return Plan(
             "osdc",
             "general case: output-sensitive divide and conquer",
-            estimated_output=estimate,
+            estimated_output=self._estimate(ranks, graph, context,
+                                            columns),
         )
+
+    def _estimate(self, ranks, graph: PGraph,
+                  context: ExecutionContext | None, columns):
+        """The output estimate over the columns ``columns`` of
+        ``ranks``: under a query's ``context``, a function that computes
+        it when first read; without one, the number itself, so a caller
+        planning several queries draws :attr:`rng` in planning order."""
+        sample_size = self.sample_size
+
+        def estimate() -> float:
+            # looked up at call time: tracers wrap the module's binding
+            return estimate_pskyline_size(ranks, graph, self.rng,
+                                          sample_size=sample_size,
+                                          columns=columns)
+        return estimate if context is not None else estimate()
 
     def plan_sharded(self, snapshot, graph: PGraph,
                      context: ExecutionContext | None = None,
@@ -225,13 +258,13 @@ class Planner:
         if n >= self.sharded_threshold and pool_available() \
                 and usable_cores() > 1:
             estimate = None
-            # the estimate gathers its sample and windows from the pins:
-            # the snapshot is never concatenated
+            # the estimate gathers its sample and windows from the pins
+            # (the snapshot is never concatenated), which it holds: it
+            # reads the same after the snapshot is closed
             if n and (columns is not None
                       or snapshot.rows.shape[1] == graph.d):
-                estimate = estimate_pskyline_size(
-                    snapshot.rows, graph, self.rng,
-                    sample_size=self.sample_size, columns=columns)
+                estimate = self._estimate(snapshot.rows, graph, context,
+                                          columns)
             return Plan(
                 "sharded-scatter-gather",
                 f"snapshot of {n} tuples across {len(populated)} "

@@ -95,12 +95,26 @@ def _json_value(value: Any) -> Any:
     return value
 
 
+def _json_column(values: np.ndarray | list[Any]) -> list[Any]:
+    """One column's cells as :func:`_json_value` makes them: one
+    ``tolist()`` for a numeric column of finite values, a call per cell
+    otherwise."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        cells = values.tolist()
+        if values.dtype.kind != "f" or np.isfinite(values).all():
+            return cells
+        values = cells
+    return [_json_value(value) for value in values]
+
+
 def serialize_relation(relation: Relation) -> dict:
-    """``{"columns": [...], "rows": [[...], ...]}`` for a result."""
+    """``{"columns": [...], "rows": [[...], ...]}`` for a result, built
+    column by column."""
     names = list(relation.names)
-    records = relation.to_records()
-    rows = [[_json_value(record[name]) for name in names]
-            for record in records]
+    columns = [_json_column(relation.values_of(j))
+               for j in range(len(names))]
+    rows = [list(row) for row in zip(*columns)] if columns \
+        else [[] for _ in range(len(relation))]
     return {"columns": names, "rows": rows}
 
 

@@ -11,6 +11,7 @@ from repro.core.parser import parse
 from repro.core.pgraph import PGraph
 from repro.core.query import p_skyline
 from repro.core.sharding import ShardedRelation
+from repro.engine import ExecutionContext
 from repro.engine import pool as pool_module
 from repro.planner import Plan, Planner
 
@@ -172,6 +173,142 @@ class TestShardedPlan:
                 concatenated[:, [4, 0, 2]], graph,
                 np.random.default_rng(0))
             assert plan.estimated_output > 0
+
+
+def _count_estimates(monkeypatch) -> list:
+    """Spy on the planner's estimator binding; returns its call log."""
+    import repro.planner as planner_module
+
+    calls = []
+    estimate = planner_module.estimate_pskyline_size
+
+    def spy_estimate(*args, **kwargs):
+        calls.append(kwargs.get("columns"))
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(planner_module, "estimate_pskyline_size",
+                        spy_estimate)
+    return calls
+
+
+class TestLazyEstimate:
+    """The estimate is computed when it is read, at most once."""
+
+    TEXT = "(A0 & A1) * A2 * A3"  # not a weak order: plans osdc
+
+    def test_auto_query_without_stats_never_estimates(self, monkeypatch,
+                                                      nrng):
+        calls = _count_estimates(monkeypatch)
+        ranks = nrng.random((3000, 5))
+        assert np.array_equal(p_skyline(ranks, self.TEXT, algorithm="auto"),
+                              p_skyline(ranks, self.TEXT, algorithm="osdc"))
+        assert calls == []
+
+    def test_sharded_scatter_without_stats_never_estimates(
+            self, monkeypatch, nrng):
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
+        calls = _count_estimates(monkeypatch)
+        ranks = nrng.random((3000, 5))
+        relation = ShardedRelation.from_array(ranks, shards=3)
+        planner = Planner(sharded_threshold=1000)
+        auto = relation.p_skyline(self.TEXT, planner=planner)
+        assert calls == []
+        stats = Stats()
+        assert np.array_equal(
+            relation.p_skyline(self.TEXT, planner=planner,
+                               stats=stats).ranks, auto.ranks)
+        assert stats.extra["plan"]["algorithm"] == "sharded-scatter-gather"
+        assert len(calls) == 1
+        assert stats.extra["plan"]["estimated_output"] is not None
+        assert np.array_equal(
+            auto.ranks,
+            relation.p_skyline(self.TEXT, algorithm="osdc").ranks)
+
+    def test_recorded_estimate_draws_the_planner_rng(self, monkeypatch,
+                                                     nrng):
+        import repro.planner as planner_module
+
+        estimate = planner_module.estimate_pskyline_size
+        calls = _count_estimates(monkeypatch)
+        ranks = nrng.random((3000, 5))
+        graph = PGraph.from_expression(parse("(A & B) * C"))
+        stats = Stats()
+        Planner(rng=np.random.default_rng(5)).execute(
+            ranks, graph, stats=stats, columns=[4, 0, 2])
+        assert calls == [[4, 0, 2]]
+        assert stats.extra["plan"]["estimated_output"] == estimate(
+            ranks[:, [4, 0, 2]], graph, np.random.default_rng(5))
+
+    def test_read_once_then_cached(self, monkeypatch, nrng):
+        calls = _count_estimates(monkeypatch)
+        graph = PGraph.from_expression(parse("(A & B) * C"))
+        plan = Planner().plan(nrng.random((3000, 3)), graph,
+                              ExecutionContext.create())
+        assert plan.algorithm == "osdc" and calls == []
+        explained = plan.explain()
+        assert len(calls) == 1
+        assert plan.estimated_output is plan.estimated_output
+        plan.record(ExecutionContext.create(stats=Stats()))
+        assert plan.explain() == explained
+        assert len(calls) == 1
+
+    def test_sharded_estimate_survives_the_snapshot(self, monkeypatch,
+                                                    nrng):
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
+        rows = nrng.random((3000, 5))
+        rows[:, 2] = 1.0 - rows[:, 4] + 0.05 * rows[:, 2]  # many maximal
+        relation = ShardedRelation.from_array(rows, shards=3)
+        graph = PGraph.from_expression(parse("(A & B) * C"))
+        before, after = (Planner(sharded_threshold=1000,
+                                 rng=np.random.default_rng(3))
+                         for _ in range(2))
+        context = ExecutionContext.create()
+        with relation.snapshot() as snapshot:
+            read_before = before.plan_sharded(snapshot, graph, context,
+                                              columns=[4, 0, 2])
+            read_after = after.plan_sharded(snapshot, graph, context,
+                                            columns=[4, 0, 2])
+            assert read_after.algorithm == "sharded-scatter-gather"
+            expected = read_before.estimated_output
+        assert snapshot.closed
+        relation.insert_ranks(np.zeros(5))
+        relation.delete(0)
+        relation.snapshot().close()
+        assert read_after.estimated_output == expected > 0
+
+
+class TestSerialShardPlans:
+    """Single-shard and sharded-serial reads hand the planner the
+    snapshot's matrix and the query's columns, not a projection."""
+
+    @pytest.mark.parametrize("ranged", [True, False])
+    def test_execute_gets_the_base_matrix_with_columns(self, ranged,
+                                                       nrng):
+        from repro.core.sharding import ShardMap
+
+        class SpyPlanner(Planner):
+            seen = []
+
+            def execute(self, ranks, graph, stats=None, context=None,
+                        columns=None):
+                self.seen.append((ranks, columns))
+                return super().execute(ranks, graph, stats=stats,
+                                       context=context, columns=columns)
+
+        rows = nrng.random((600, 5)) + 10.0
+        shards = ShardMap.ranged(3, 0, [1.0, 2.0]) if ranged else 3
+        relation = ShardedRelation.from_array(rows, shards=shards)
+        planner = SpyPlanner()
+        text = "(A4 & A0) * A2"
+        stats = Stats()
+        got = relation.p_skyline(text, planner=planner, stats=stats)
+        assert stats.extra["shards"]["mode"] == (
+            "single-shard" if ranged else "sharded-serial")
+        (matrix, columns), = planner.seen
+        assert matrix.shape == (600, 5) and matrix.flags.c_contiguous
+        assert sorted(columns) == [0, 2, 4]
+        assert np.array_equal(
+            got.ranks, relation.p_skyline(text, algorithm="osdc").ranks)
 
 
 def _weak_order(names, rng):

@@ -55,6 +55,61 @@ def test_oversize_frame_rejected():
     assert check_length(MAX_FRAME) == MAX_FRAME
 
 
+# -- result serialisation ----------------------------------------------------
+
+def _serialize_by_cell(relation):
+    """The per-cell serialiser the column-wise one replaced (oracle)."""
+    from repro.server.service import _json_value
+
+    names = list(relation.names)
+    return {"columns": names,
+            "rows": [[_json_value(record[name]) for name in names]
+                     for record in relation.to_records()]}
+
+
+def _serialised_relations():
+    from repro.core.attributes import highest, lowest, ranked
+
+    nrng = np.random.default_rng(7)
+    numeric = Relation.from_array(
+        nrng.integers(-3, 4, size=(40, 3)) / 2.0,
+        schema=[lowest("x"), highest("y"), lowest("z")])  # -0.0 in y
+    order = (float("inf"), "mid", np.float64(-np.inf), np.int64(3),
+             float("nan"), None)
+    categorical = Relation(
+        [ranked("tier", order), lowest("price")],
+        np.column_stack([np.arange(12) % len(order),
+                         nrng.random(12)]))
+    records = Relation.from_records(
+        [{"name": f"item{i}", "cost": [1, 2.5, np.int64(4),
+                                       np.float32(0.5)][i % 4],
+          "tier": ["gold", "silver", float("inf")][i % 3]}
+         for i in range(9)],
+        [ranked("name", [f"item{i}" for i in range(9)]), lowest("cost"),
+         ranked("tier", ["gold", "silver", float("inf")])])
+    return {
+        "numeric": numeric,
+        "numeric-taken": numeric.take([5, 0, 5]),
+        "categorical": categorical,
+        "values": records,
+        "values-projected": records.project(["tier", "cost"]),
+        "empty": numeric.take([]),
+        # the constructor rejects non-finite ranks; the trusted one
+        # does not check them
+        "non-finite-ranks": Relation._checked(
+            [lowest("x"), highest("y")],
+            np.array([[np.inf, 1.0], [0.0, -np.inf], [np.nan, 2.0]])),
+        "no-columns": Relation.from_array(np.zeros((3, 0)), names=[]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_serialised_relations()))
+def test_serialize_relation_matches_per_cell_frames(name):
+    relation = _serialised_relations()[name]
+    assert encode_frame(serialize_relation(relation)) == \
+        encode_frame(_serialize_by_cell(relation))
+
+
 # -- served catalog fixture --------------------------------------------------
 
 NAMES = ["a", "b", "c", "d"]
