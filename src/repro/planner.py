@@ -22,9 +22,10 @@ measurable rules:
    picking ``bnl`` for estimated near-singleton outputs measured
    several times slower than ``osdc`` end to end, because the 64-row
    sample reads 0 for most queries whose output is not tiny.  So it
-   is computed only when it is read -- by ``estimated_output``,
-   :meth:`Plan.explain`, or :meth:`Plan.record` into a context's
-   ``stats`` -- and a query without ``stats`` never estimates.
+   is computed only for a caller that can read it: a query whose
+   context carries ``stats`` (where :meth:`Plan.record` writes it), or
+   a direct :meth:`Planner.plan` call without a context.  A query
+   without ``stats`` never estimates; its plan's estimate is ``None``.
 
 ``p_skyline(..., algorithm="auto")`` routes through a default planner.
 It hands the planner the relation's base matrix and the columns the
@@ -39,6 +40,7 @@ the plans whose algorithm takes no ``columns`` (``naive``,
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -54,32 +56,15 @@ from .estimation.cardinality import estimate_pskyline_size
 
 __all__ = ["Plan", "Planner"]
 
+@dataclass(frozen=True)
 class Plan:
-    """The planner's decision for one query.
+    """The planner's decision for one query."""
 
-    ``estimated_output`` is a number, ``None``, or a function of no
-    arguments that computes the number; the function runs the first
-    time the estimate is read, and its value is kept.
-    """
-
-    __slots__ = ("algorithm", "reason", "options", "_function",
-                 "_estimate")
-
-    def __init__(self, algorithm: str, reason: str,
-                 estimated_output: float | Callable[[], float] | None = None,
-                 options: dict | None = None,
-                 _function: Callable | None = None):
-        self.algorithm = algorithm
-        self.reason = reason
-        self.options = {} if options is None else options
-        self._function = _function
-        self._estimate = estimated_output
-
-    @property
-    def estimated_output(self) -> float | None:
-        if callable(self._estimate):
-            self._estimate = self._estimate()
-        return self._estimate
+    algorithm: str
+    reason: str
+    estimated_output: float | None = None
+    options: dict = field(default_factory=dict)
+    _function: Callable | None = None
 
     def execute(self, ranks: np.ndarray, graph: PGraph,
                 stats: Stats | None = None,
@@ -213,17 +198,13 @@ class Planner:
     def _estimate(self, ranks, graph: PGraph,
                   context: ExecutionContext | None, columns):
         """The output estimate over the columns ``columns`` of
-        ``ranks``: under a query's ``context``, a function that computes
-        it when first read; without one, the number itself, so a caller
-        planning several queries draws :attr:`rng` in planning order."""
-        sample_size = self.sample_size
-
-        def estimate() -> float:
-            # looked up at call time: tracers wrap the module's binding
-            return estimate_pskyline_size(ranks, graph, self.rng,
-                                          sample_size=sample_size,
-                                          columns=columns)
-        return estimate if context is not None else estimate()
+        ``ranks``, or ``None`` under a query ``context`` without
+        ``stats``: nothing would read it."""
+        if context is not None and context.stats is None:
+            return None
+        return estimate_pskyline_size(ranks, graph, self.rng,
+                                      sample_size=self.sample_size,
+                                      columns=columns)
 
     def plan_sharded(self, snapshot, graph: PGraph,
                      context: ExecutionContext | None = None,
@@ -258,9 +239,8 @@ class Planner:
         if n >= self.sharded_threshold and pool_available() \
                 and usable_cores() > 1:
             estimate = None
-            # the estimate gathers its sample and windows from the pins
-            # (the snapshot is never concatenated), which it holds: it
-            # reads the same after the snapshot is closed
+            # the estimate gathers its sample and windows from the pins:
+            # the snapshot is never concatenated
             if n and (columns is not None
                       or snapshot.rows.shape[1] == graph.d):
                 estimate = self._estimate(snapshot.rows, graph, context,

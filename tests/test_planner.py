@@ -192,7 +192,7 @@ def _count_estimates(monkeypatch) -> list:
 
 
 class TestLazyEstimate:
-    """The estimate is computed when it is read, at most once."""
+    """The estimate is computed only for a caller that can read it."""
 
     TEXT = "(A0 & A1) * A2 * A3"  # not a weak order: plans osdc
 
@@ -239,42 +239,20 @@ class TestLazyEstimate:
         assert stats.extra["plan"]["estimated_output"] == estimate(
             ranks[:, [4, 0, 2]], graph, np.random.default_rng(5))
 
-    def test_read_once_then_cached(self, monkeypatch, nrng):
-        calls = _count_estimates(monkeypatch)
-        graph = PGraph.from_expression(parse("(A & B) * C"))
-        plan = Planner().plan(nrng.random((3000, 3)), graph,
-                              ExecutionContext.create())
-        assert plan.algorithm == "osdc" and calls == []
-        explained = plan.explain()
-        assert len(calls) == 1
-        assert plan.estimated_output is plan.estimated_output
-        plan.record(ExecutionContext.create(stats=Stats()))
-        assert plan.explain() == explained
-        assert len(calls) == 1
 
-    def test_sharded_estimate_survives_the_snapshot(self, monkeypatch,
-                                                    nrng):
-        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
-        rows = nrng.random((3000, 5))
-        rows[:, 2] = 1.0 - rows[:, 4] + 0.05 * rows[:, 2]  # many maximal
-        relation = ShardedRelation.from_array(rows, shards=3)
+    def test_plan_estimates_only_where_it_can_be_read(self, monkeypatch,
+                                                     nrng):
+        calls = _count_estimates(monkeypatch)
+        ranks = nrng.random((3000, 3))
         graph = PGraph.from_expression(parse("(A & B) * C"))
-        before, after = (Planner(sharded_threshold=1000,
-                                 rng=np.random.default_rng(3))
-                         for _ in range(2))
-        context = ExecutionContext.create()
-        with relation.snapshot() as snapshot:
-            read_before = before.plan_sharded(snapshot, graph, context,
-                                              columns=[4, 0, 2])
-            read_after = after.plan_sharded(snapshot, graph, context,
-                                            columns=[4, 0, 2])
-            assert read_after.algorithm == "sharded-scatter-gather"
-            expected = read_before.estimated_output
-        assert snapshot.closed
-        relation.insert_ranks(np.zeros(5))
-        relation.delete(0)
-        relation.snapshot().close()
-        assert read_after.estimated_output == expected > 0
+        planner = Planner()
+        plan = planner.plan(ranks, graph, ExecutionContext.create())
+        assert plan.algorithm == "osdc" and plan.estimated_output is None
+        assert "estimated" not in plan.explain() and calls == []
+        assert planner.plan(ranks, graph).estimated_output is not None
+        assert planner.plan(ranks, graph, ExecutionContext.create(
+            stats=Stats())).estimated_output is not None
+        assert len(calls) == 2
 
 
 class TestSerialShardPlans:
