@@ -191,7 +191,7 @@ def _count_estimates(monkeypatch) -> list:
     return calls
 
 
-class TestLazyEstimate:
+class TestEstimateWhereRead:
     """The estimate is computed only for a caller that can read it."""
 
     TEXT = "(A0 & A1) * A2 * A3"  # not a weak order: plans osdc
