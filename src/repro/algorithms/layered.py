@@ -18,8 +18,11 @@ layers singletons.)  The p-skyline then factorises layer by layer:
 
 This yields a sequence of small skyline sub-problems instead of one
 ``d``-dimensional one, and is the natural generalisation of the
-"Case 2 / lexicographic" trick of Lemma 4.  For non-weak-order graphs
-:func:`layered` raises; the query layer keeps using OSDC there.
+"Case 2 / lexicographic" trick of Lemma 4.  A one-attribute layer's
+skyline is its minimum: it costs one scan of a column, and its ties
+agree on the layer, so they carry on to the next layer as one group.
+For non-weak-order graphs :func:`layered` raises; the query layer
+keeps using OSDC there.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from ..core.pgraph import PGraph
 from ..engine.context import ExecutionContext
-from .base import Stats, check_input, ensure_context
+from .base import Stats, check_columns, ensure_context
 from .naive import maximal_mask
 from .osdc import osdc
 
@@ -74,27 +77,41 @@ def _group_starts(block: np.ndarray) -> np.ndarray:
 def layered(ranks: np.ndarray, graph: PGraph, *,
             stats: Stats | None = None,
             context: ExecutionContext | None = None,
-            leaf_size: int = 32) -> np.ndarray:
-    """Compute ``M_pi(D)`` layer by layer for weak-order p-graphs.
+            leaf_size: int = 32, columns=None) -> np.ndarray:
+    """Compute ``M_pi(D)`` layer by layer for weak-order p-graphs, over
+    the columns ``columns`` of ``ranks`` (all of them when ``None``;
+    ``columns[i]`` holds the graph's ``i``-th attribute).
 
     Returns sorted row indices.  Raises :class:`NotAWeakOrderError` for
     graphs that are not weak orders.
     """
-    ranks = check_input(ranks, graph)
+    ranks = check_columns(ranks, graph, columns)
     context = ensure_context(context, stats)
     stats = context.stats
     if ranks.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
-    layers = weak_order_layers(graph)
+    attribute_layers = weak_order_layers(graph)
+    if columns is None:
+        columns = range(graph.d)
+    # each layer's columns of ranks
+    layers = [[columns[c] for c in layer] for layer in attribute_layers]
     survivors = np.arange(ranks.shape[0], dtype=np.intp)
     for level, layer in enumerate(layers):
         context.check("layered-level")
         if survivors.size <= 1:
             break
-        block = ranks[np.ix_(survivors, layer)]
-        sky = _sky_graph(len(layer))
         if stats is not None:
             stats.passes += 1
+        if len(layer) == 1:
+            # the skyline of one attribute is its minimum; the ties all
+            # hold it, so they stay one group for the next layer
+            values = ranks[:, layer[0]]
+            if survivors.size < ranks.shape[0]:
+                values = values[survivors]
+            survivors = survivors[values == values.min()]
+            continue
+        block = ranks[np.ix_(survivors, layer)]
+        sky = _sky_graph(len(layer))
         # 1. keep only the layer-skyline of the current survivors
         if survivors.size <= leaf_size:
             keep = maximal_mask(block, context.compiled(sky).dominance,
@@ -116,18 +133,18 @@ def layered(ranks: np.ndarray, graph: PGraph, *,
         if starts.size == survivors.size:
             break  # all projections distinct: everyone is incomparable now
         bounds = np.append(starts, survivors.size)
-        # ascending column order, matching PGraph.restrict's compaction
-        remaining_layers = sorted(
-            c for group in layers[level + 1:] for c in group)
+        # ascending attribute order, matching PGraph.restrict's compaction
+        remaining = sorted(c for group in attribute_layers[level + 1:]
+                           for c in group)
+        remaining_columns = [columns[c] for c in remaining]
         kept_groups: list[np.ndarray] = []
-        rest_graph = graph.restrict(
-            sum(1 << c for c in remaining_layers))
+        rest_graph = graph.restrict(sum(1 << c for c in remaining))
         for begin, end in zip(bounds[:-1], bounds[1:]):
             group = survivors[begin:end]
             if group.size == 1:
                 kept_groups.append(group)
                 continue
-            local = layered(ranks[np.ix_(group, remaining_layers)],
+            local = layered(ranks[np.ix_(group, remaining_columns)],
                             rest_graph, context=context,
                             leaf_size=leaf_size)
             kept_groups.append(group[local])

@@ -80,6 +80,9 @@ __all__ = ["main"]
 
 _SCALES = {"quick": QUICK, "default": DEFAULT, "full": FULL}
 
+#: ``--algorithm`` choices: every registered algorithm, and the planner.
+_ALGORITHMS = ["auto", *sorted(REGISTRY)]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -95,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="PREFERRING clause, e.g. "
                             "'lowest(price) & highest(hp)'")
     query.add_argument("--algorithm", default="osdc",
-                       choices=sorted(REGISTRY))
+                       choices=_ALGORITHMS,
+                       help="a registry name, or 'auto' to plan")
     query.add_argument("--limit", type=int, default=None,
                        help="print at most this many result rows")
     query.add_argument("--stats", action="store_true",
@@ -155,8 +159,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shed-prefix", type=int, default=32)
     serve.add_argument("--timeout", type=float, default=None,
                        help="default per-request timeout in seconds")
-    serve.add_argument("--algorithm", default="osdc",
-                       choices=sorted(REGISTRY))
+    serve.add_argument("--algorithm", default="auto",
+                       choices=_ALGORITHMS,
+                       help="a registry name, or 'auto' (the default) "
+                            "to plan each statement")
     serve.add_argument("--seed", type=int, default=2015)
 
     loadgen = commands.add_parser(

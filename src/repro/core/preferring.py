@@ -28,12 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.base import Stats, ensure_context, get_algorithm
+from ..algorithms.base import Stats, ensure_context
 from ..engine.context import ExecutionContext
 from .attributes import Attribute, Direction
 from .expressions import Att, PExpr, pareto, prioritized
 from .parser import ParseError
 from .pgraph import PGraph
+from .query import _evaluate
 from .relation import Relation
 
 __all__ = ["PreferringClause", "parse_preferring", "evaluate_preferring",
@@ -232,10 +233,12 @@ def evaluate_preferring(relation: Relation, clause: PreferringClause | str,
     declared ``lowest`` in the schema can be queried with ``highest(...)``
     (ranked attributes reject ``highest``, as reversing an explicit
     ranking is more likely a mistake than an intent).
+
+    ``algorithm`` is a registry name or ``"auto"``, which plans the
+    query as :func:`~repro.core.query.p_skyline` does.
     """
     graph, items = resolve_preferring(relation, clause)
     matrix = encode_columns(relation, items)
-    function = get_algorithm(algorithm)
     context = ensure_context(context, stats)
-    indices = function(matrix, graph, context=context)
+    indices = _evaluate(algorithm, matrix, graph, None, None, context, {})
     return relation.take(indices)

@@ -7,15 +7,17 @@ measurable rules:
 
 1. tiny inputs -> the quadratic ``naive`` kernel (lowest constant);
 2. inputs beyond the memory budget -> ``external-osdc``;
-3. inputs at or beyond ``parallel_threshold`` -> ``parallel-osdc`` on
+3. weak orders with two or more layers -> the specialised ``layered``
+   evaluator (lexicographic layers of Pareto bundles), at any size and
+   ahead of the pool: a one-attribute layer costs one column scan.  On
+   a 2-core host, at 210k rows, weak orders ran at 0.14x ``osdc`` with
+   a one-attribute top layer and 0.65x with a wider one, where
+   ``parallel-osdc`` read 1.01x and 0.96x.  A one-layer weak order --
+   a plain Pareto -- is not one of them: there ``layered`` would be
+   ``osdc`` plus a copy;
+4. inputs at or beyond ``parallel_threshold`` -> ``parallel-osdc`` on
    the persistent worker pool (the per-query cost of shipping
-   shared-memory descriptors is negligible at that scale); weak orders
-   too, when there are two or more cores to split them across (at 210k
-   rows on a 2-core host the pool measured 0.57x ``osdc`` on weak
-   orders where ``layered`` measured 0.68x; on one core
-   ``parallel-osdc`` is serial ``osdc``);
-4. weak-order priority graphs -> the specialised ``layered`` evaluator
-   (lexicographic layers of Pareto bundles);
+   shared-memory descriptors is negligible at that scale);
 5. everything else -> ``osdc``, with an output-size estimate
    (:func:`repro.estimation.estimate_pskyline_size`) as
    ``estimated_output``.  The estimate does not steer the choice:
@@ -33,9 +35,10 @@ query reads, and no plan of :meth:`Planner.execute` projects them
 before it runs: the estimator samples the base matrix's rows and
 slices their columns, ``parallel-osdc`` ships the pair to the pool
 (which registers the base matrix once; workers slice the columns), and
-``osdc`` gathers the rows it reads once, into its working copy.  Only
-the plans whose algorithm takes no ``columns`` (``naive``,
-``layered``, ``external-osdc``) run on a projection, taken once.
+``osdc`` gathers the rows it reads once, into its working copy, and
+``layered`` scans the columns of the base matrix.  Only the plans
+whose algorithm takes no ``columns`` (``naive``, ``external-osdc``)
+run on a projection, taken once.
 """
 
 from __future__ import annotations
@@ -46,9 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .algorithms import Stats, ensure_context
-from .algorithms.base import project_columns, run_on_columns
+from .algorithms.base import run_on_columns
 from .algorithms.layered import layered
-from .algorithms.parallel import DEFAULT_MIN_CHUNK, auto_processes
 from .core.pgraph import PGraph
 from .engine.context import ExecutionContext
 from .engine.pool import pool_available
@@ -76,8 +78,8 @@ class Plan:
         context = ensure_context(context, stats)
         self.record(context)
         if self._function is not None:
-            return self._function(project_columns(ranks, columns), graph,
-                                  context=context, **self.options)
+            return self._function(ranks, graph, context=context,
+                                  columns=columns, **self.options)
         return run_on_columns(self.algorithm, ranks, graph, columns,
                               context=context, **self.options)
 
@@ -159,27 +161,25 @@ class Planner:
         is_weak_order = (context.compiled(graph).is_weak_order
                          if context is not None
                          else graph.is_weak_order())
-        # a weak order goes to the pool only when the pool would split
-        # it: on one core parallel-osdc is serial osdc, slower than
-        # layered
+        # a weak order without edges is one layer, a plain Pareto:
+        # there layered is osdc plus a copy.  The lambda reads the
+        # module's layered at call time, where tracers wrap it
+        if is_weak_order and graph.num_edges:
+            return Plan(
+                "layered",
+                "the priority order is a weak order: evaluate layer by "
+                "layer",
+                _function=lambda r, g, context, columns:
+                    layered(r, g, context=context, columns=columns),
+            )
         if self.parallel_threshold is not None \
-                and n >= self.parallel_threshold and pool_available() \
-                and (not is_weak_order
-                     or auto_processes(n, DEFAULT_MIN_CHUNK) > 1):
+                and n >= self.parallel_threshold and pool_available():
             return Plan(
                 "parallel-osdc",
                 f"input of {n} tuples is at or beyond the parallel "
                 f"threshold of {self.parallel_threshold}: partition "
                 "across the worker pool",
                 options={"processes": None},
-            )
-        if is_weak_order:
-            return Plan(
-                "layered",
-                "the priority order is a weak order: evaluate layer by "
-                "layer",
-                _function=lambda r, g, stats=None, context=None, **_:
-                    layered(r, g, stats=stats, context=context),
             )
         return None
 

@@ -9,7 +9,8 @@ library answer (the differential tests pin this).  Around that core:
 
 * **parse once** -- statement text is parsed to a frozen AST through an
   LRU, then replayed per request via
-  :meth:`~repro.sql.PreferenceSQL.execute_parsed`;
+  :meth:`~repro.sql.PreferenceSQL.execute_parsed`; the LRU entry also
+  keeps the statement's part of its result-cache key, per relation;
 * **deadlines and disconnects** -- each request gets an
   :class:`~repro.engine.ExecutionContext` carrying the request timeout
   and its connection's :class:`~repro.engine.context.CancellationToken`;
@@ -84,6 +85,17 @@ _QUEUE_POLL = 0.05
 #: sees readable bytes and peeks whether they are the end of the stream.
 _RDHUP = getattr(select, "POLLRDHUP", 0)
 _WATCH_EVENTS = _RDHUP or select.POLLIN
+
+
+class _Parsed:
+    """A parse-LRU entry: a statement's AST and, per relation identity
+    (source id), the statement's part of its result-cache key."""
+
+    __slots__ = ("query", "keys")
+
+    def __init__(self, query: Query):
+        self.query = query
+        self.keys: dict[int, tuple] = {}
 
 
 def _json_value(value: Any) -> Any:
@@ -168,7 +180,7 @@ class SkylineServer:
                  max_inflight: int = 4, max_queue: int = 8,
                  shed_prefix: int = 32,
                  default_timeout: float | None = None,
-                 algorithm: str = "osdc"):
+                 algorithm: str = "auto"):
         self.host = host
         self.port = port
         if cache is None:
@@ -186,7 +198,7 @@ class SkylineServer:
         #: request (deterministic degraded-path tests).
         self.force_shed = False
         self.sql = PreferenceSQL()
-        self._parsed: OrderedDict[str, Query] = OrderedDict()
+        self._parsed: OrderedDict[str, _Parsed] = OrderedDict()
         self._parse_lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(self.max_inflight)
         self._active = 0
@@ -207,6 +219,11 @@ class SkylineServer:
         :class:`~repro.core.sharding.ShardedRelation`, wire its write
         listener to the result cache's invalidation hook."""
         self.sql.register(name, relation)
+        # a key part read the schema of a relation whose identity a new
+        # one may take over once it is freed
+        with self._parse_lock:
+            for entry in self._parsed.values():
+                entry.keys.clear()
         if self.cache is not None and isinstance(relation, ShardedRelation):
             cache = self.cache
             source = id(relation)
@@ -471,18 +488,22 @@ class SkylineServer:
 
     # -- query execution -----------------------------------------------------
     def _parse(self, statement: str) -> Query:
+        return self._entry(statement).query
+
+    def _entry(self, statement: str) -> _Parsed:
+        """The parse-LRU entry of ``statement``, parsed on a miss."""
         with self._parse_lock:
-            query = self._parsed.get(statement)
-            if query is not None:
+            entry = self._parsed.get(statement)
+            if entry is not None:
                 self._parsed.move_to_end(statement)
-                return query
-        query = parse_query(statement)
+                return entry
+        entry = _Parsed(parse_query(statement))
         with self._parse_lock:
-            self._parsed[statement] = query
+            self._parsed[statement] = entry
             self._parsed.move_to_end(statement)
             while len(self._parsed) > _PARSE_CACHE:
                 self._parsed.popitem(last=False)
-        return query
+        return entry
 
     def _source(self, query: Query) -> tuple[Any, int, int]:
         relation = self.sql.relation(query.table)
@@ -490,27 +511,34 @@ class SkylineServer:
             return relation, id(relation), relation.version
         return relation, id(relation), 0
 
-    def _cache_key(self, query: Query, source_id: int, relation,
+    def _cache_key(self, entry: _Parsed, source_id: int, relation,
                    algorithm: str):
-        if query.preferring is not None:
-            # graph_key canonicalises the clause: two spellings of the
-            # same preference share a slot.  Resolving reads only the
-            # schema, so a key costs no rows and pins no snapshot
-            graph, _ = resolve_preferring(relation, query.preferring)
-            preference = graph_key(graph)
-        else:
-            preference = None
-        return (source_id, preference, query.columns, repr(query.where),
-                query.order_by, query.top, algorithm)
+        part = entry.keys.get(source_id)
+        if part is None:
+            query = entry.query
+            if query.preferring is not None:
+                # graph_key canonicalises the clause: two spellings of
+                # the same preference share a slot.  Resolving reads
+                # only the schema, so a key costs no rows and pins no
+                # snapshot
+                graph, _ = resolve_preferring(relation, query.preferring)
+                preference = graph_key(graph)
+            else:
+                preference = None
+            part = (preference, query.columns, repr(query.where),
+                    query.order_by, query.top)
+            entry.keys[source_id] = part
+        return (source_id, part, algorithm)
 
     def _run_request(self, statement: str, request_id, timeout,
                      algorithm: str, no_cache: bool, shed: bool,
                      token: CancellationToken) -> dict:
         started = time.perf_counter()
         try:
-            query = self._parse(statement)
+            entry = self._entry(statement)
         except (SqlSyntaxError, ParseError, ValueError) as error:
             return self._count_error(request_id, "parse", error)
+        query = entry.query
         try:
             relation, source_id, version = self._source(query)
         except SqlExecutionError as error:
@@ -533,7 +561,7 @@ class SkylineServer:
         key = None
         if use_cache:
             try:
-                key = self._cache_key(query, source_id, relation, algorithm)
+                key = self._cache_key(entry, source_id, relation, algorithm)
             except Exception as error:
                 return self._map_error(request_id, error)
             entry = self.cache.get(key, version)
@@ -588,7 +616,8 @@ class SkylineServer:
         use_cache = self.cache is not None and not no_cache
         for index, statement in enumerate(statements):
             try:
-                query = self._parse(statement)
+                entry = self._entry(statement)
+                query = entry.query
                 relation, source_id, version = self._source(query)
             except Exception as error:
                 mapped = self._map_error(request_id, error)
@@ -598,7 +627,7 @@ class SkylineServer:
             queries.append(query)
             if use_cache:
                 try:
-                    key = self._cache_key(query, source_id, relation,
+                    key = self._cache_key(entry, source_id, relation,
                                           algorithm)
                 except Exception as error:
                     mapped = self._map_error(request_id, error)

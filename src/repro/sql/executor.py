@@ -20,10 +20,11 @@ from typing import Any
 
 import numpy as np
 
-from ..algorithms.base import Stats, ensure_context, get_algorithm
+from ..algorithms.base import Stats, ensure_context
 from ..core.attributes import Direction
 from ..core.preferring import (encode_columns, evaluate_preferring,
                                resolve_preferring)
+from ..core.query import _evaluate
 from ..core.relation import Relation
 from ..engine.context import ExecutionContext
 from .ast import Comparison, Condition, Logical, Not, Query
@@ -234,10 +235,9 @@ class PreferenceSQL:
                 matrices[key] = encode_columns(relation, key)
             return matrices[key]
 
-        function = get_algorithm(algorithm)
-
         def evaluate(graph, key):
-            return function(data_for(key), graph, context=context)
+            return _evaluate(algorithm, data_for(key), graph, None, None,
+                             context, {})
 
         def candidates(indices, key):
             return data_for(key)[indices]

@@ -46,6 +46,26 @@ class TestQuery:
         assert "bnl" in captured.out
         assert "dominance tests" in captured.err
 
+    def test_auto_plans_and_answers_as_osdc(self, cars_csv, capsys):
+        clause = "lowest(price) & highest(hp)"
+        outputs = []
+        for algorithm in ("auto", "osdc"):
+            assert main(["query", cars_csv, "--preferring", clause,
+                         "--algorithm", algorithm]) == 0
+            out = capsys.readouterr().out
+            assert f"ms, {algorithm})" in out
+            outputs.append(out.splitlines()[1:])
+        assert outputs[0] == outputs[1]
+
+    def test_serve_plans_by_default(self):
+        from repro.cli import _build_parser
+        parser = _build_parser()
+        assert parser.parse_args(["serve"]).algorithm == "auto"
+        assert parser.parse_args(
+            ["serve", "--algorithm", "osdc"]).algorithm == "osdc"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--algorithm", "nope"])
+
     def test_unknown_column(self, cars_csv, capsys):
         code = main(["query", cars_csv, "--preferring", "lowest(nope)"])
         assert code == 1

@@ -607,20 +607,27 @@ class TestPlannerParallelRule:
         assert stats.extra["plan"]["algorithm"] == "parallel-osdc"
         assert set(result.tolist()) == set(naive(ranks, graph).tolist())
 
-    def test_weak_orders_go_to_the_pool_only_past_the_threshold(
-            self, nrng, monkeypatch):
+    def test_only_one_layer_weak_orders_go_to_the_pool(self, nrng,
+                                                       monkeypatch):
+        """A weak order of two or more layers plans ``layered`` at any
+        size; a one-layer weak order (a plain Pareto) goes to the pool
+        only at or past the threshold, and to ``osdc`` below it."""
         from repro import planner as planner_module
         from repro.planner import Planner
         planner = Planner(parallel_threshold=10_000)
-        graph = PGraph.from_expression(parse("A & (B * C)"))
-        assert graph.is_weak_order()
+        layers = PGraph.from_expression(parse("A & (B * C)"))
+        pareto = PGraph.from_expression(parse("A * B * C"))
+        assert layers.is_weak_order() and pareto.is_weak_order()
         ranks = nrng.integers(0, 50, size=(20_000, 3)).astype(float)
         monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
-        assert planner.plan(ranks, graph).algorithm == "parallel-osdc"
-        assert planner.plan(ranks[:9_999], graph).algorithm == "layered"
+        for rows in (ranks, ranks[:10_000], ranks[:9_999]):
+            assert planner.plan(rows, layers).algorithm == "layered"
+        assert planner.plan(ranks[:10_000], pareto).algorithm \
+            == "parallel-osdc"
+        assert planner.plan(ranks[:9_999], pareto).algorithm == "osdc"
         monkeypatch.setattr(planner_module, "pool_available",
                             lambda: False)
-        assert planner.plan(ranks, graph).algorithm == "layered"
+        assert planner.plan(ranks, pareto).algorithm == "osdc"
 
     def test_one_core_keeps_weak_orders_on_layered(self, nrng,
                                                    monkeypatch):
